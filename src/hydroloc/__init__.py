@@ -53,6 +53,7 @@ from .propagation import (
     pairwise_tof,
     simulate_ping,
     snr,
+    trace_path,
     trace_refracted,
     trace_straight,
     transmission_loss,

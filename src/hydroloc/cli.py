@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import sys
 
 import numpy as np
@@ -31,10 +30,15 @@ from .propagation import (
     ChannelProfile,
     NoDirectPathError,
     link_budget,
-    trace_refracted,
-    trace_straight,
+    trace_path,
 )
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+    read_scenario_text,
+)
 
 log = logging.getLogger(__name__)
 
@@ -70,15 +74,11 @@ def _cmd_ping(args) -> int:
     src = _parse_enu(args.src, "--src")
     dst = _parse_enu(args.dst, "--dst")
 
-    if scenario.channel.path_model == "refracted":
-        horizontal = math.hypot(dst[0] - src[0], dst[1] - src[1])
-        try:
-            path = trace_refracted(profile, -src[2], -dst[2], horizontal)
-        except NoDirectPathError as exc:
-            print(f"no direct path: {exc}")
-            return 0
-    else:
-        path = trace_straight(profile, src, dst)
+    try:
+        path = trace_path(profile, src, dst, scenario.channel.path_model)
+    except NoDirectPathError as exc:
+        print(f"no direct path: {exc}")
+        return 0
 
     budget = link_budget(path, profile, scenario.channel)
     detected = budget.snr >= scenario.channel.detection_threshold
@@ -134,11 +134,10 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario_text = read_scenario_text(args.scenario)
+    scenario = parse_scenario(scenario_text)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario_text = fh.read()
 
     records, summary = run_simulation(scenario)
     paths = write_outputs(records, summary, args.out, scenario_text=scenario_text)

@@ -89,6 +89,8 @@ class WaterColumn:
         bounds = [0.0]
         for layer in layers:
             bounds.append(bounds[-1] + layer.thickness)
+        if not math.isfinite(bounds[-1]):
+            raise ValueError(f"total thickness must be finite, got {bounds[-1]}")
         self._layers = layers
         self._boundaries = tuple(bounds)
 

@@ -59,6 +59,8 @@ class SearchBounds:
         for name, (lo, hi) in (("east", self.east), ("north", self.north), ("up", self.up)):
             if not lo < hi:
                 raise ValueError(f"search_bounds.{name} must satisfy lo < hi, got {(lo, hi)}")
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"search_bounds.{name} extent must be finite, got {(lo, hi)}")
         if self.up[1] > 0.0:
             raise ValueError(f"search_bounds.up upper limit must be <= 0, got {self.up[1]}")
 

@@ -30,6 +30,7 @@ __all__ = [
     "PingMeasurement",
     "trace_refracted",
     "trace_straight",
+    "trace_path",
     "transmission_loss",
     "snr",
     "link_budget",
@@ -86,8 +87,8 @@ class ChannelConfig:
 
     source_level: float          # dB re 1 uPa @ 1 m
     noise_level: float           # dB re 1 uPa
-    detection_threshold: float   # dB, minimum SNR that yields a detection
-    tof_noise_sigma: float       # s, Gaussian timing jitter
+    detection_threshold: float = 0.0  # dB, minimum SNR that yields a detection
+    tof_noise_sigma: float = 0.0      # s, Gaussian timing jitter
     path_model: str = "refracted"
 
     def __post_init__(self) -> None:
@@ -363,6 +364,23 @@ def trace_straight(profile: ChannelProfile, source, receiver) -> RayPath:
     return RayPath(segments=tuple(segments), total_length=chord, tof=tof, ray_parameter=p)
 
 
+def trace_path(profile: ChannelProfile, source, receiver, path_model: str) -> RayPath:
+    """Trace the direct path between two ENU points under a path model.
+
+    "refracted" traces the Snell ray between the endpoint depths over
+    their horizontal separation; "straight" traces the chord. Raises
+    NoDirectPathError when no direct refracted ray exists.
+    """
+    src = np.asarray(source, float)
+    rcv = np.asarray(receiver, float)
+    if path_model == "refracted":
+        horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
+        return trace_refracted(profile, -src[2], -rcv[2], horizontal)
+    if path_model == "straight":
+        return trace_straight(profile, src, rcv)
+    raise ValueError(f"unknown path model {path_model!r}")
+
+
 def transmission_loss(path: RayPath, profile: ChannelProfile) -> float:
     """Spherical spreading plus per-segment absorption, dB.
 
@@ -410,14 +428,8 @@ def simulate_ping(
     produce a non-positive TOF. The measured TOF is the path TOF plus one
     Gaussian draw from rng.
     """
-    src = np.asarray(source, float)
-    rcv = np.asarray(receiver, float)
     try:
-        if config.path_model == "refracted":
-            horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-            path = trace_refracted(profile, -src[2], -rcv[2], horizontal)
-        else:
-            path = trace_straight(profile, src, rcv)
+        path = trace_path(profile, source, receiver, config.path_model)
     except NoDirectPathError:
         log.debug("anchor %s at t=%.3f: no direct path", anchor_id, timestamp)
         return None

@@ -1,14 +1,18 @@
 """Scenario files: strict schema, validation and defaults.
 
 A scenario is one YAML document whose nested keys mirror the
-configuration types. Parsing is strict: unknown keys are rejected and
-validation failures name the offending key. Angles are degrees in the
-file and radians internally.
+configuration types: the layer, channel, ga and ekf sections are read
+field by field from their dataclasses, whose annotations and defaults
+are the schema. Parsing is strict: unknown keys and non-finite numbers
+are rejected and validation failures name the offending key. Angles are
+degrees in the file and radians internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -17,9 +21,18 @@ from .geodesy import GeodeticCoord, geodetic_to_enu
 from .multilateration import GaConfig, SearchBounds
 from .propagation import ChannelConfig
 
-__all__ = ["ScenarioError", "EkfConfig", "Scenario", "load_scenario", "parse_scenario"]
+__all__ = [
+    "ScenarioError",
+    "EkfConfig",
+    "Scenario",
+    "load_scenario",
+    "parse_scenario",
+    "read_scenario_text",
+]
 
 _REQUIRED = object()
+_AXES = ("east", "north", "up")
+_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
 class ScenarioError(ValueError):
@@ -42,6 +55,19 @@ class EkfConfig:
     fix_sigma_floor: float = 0.5           # m
     pressure_sigma_depth: float = 0.1      # m
     water_density: float = 1025.0          # kg/m^3
+
+    def __post_init__(self) -> None:
+        for axis, value in zip(_AXES, self.accel_noise_density):
+            if not value > 0:
+                raise ValueError(f"accel_noise_density.{axis} must be > 0, got {value}")
+        if self.fix_sigma is not None and not self.fix_sigma > 0:
+            raise ValueError(f"fix_sigma must be > 0, got {self.fix_sigma}")
+        for name in (
+            "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_scale",
+            "fix_sigma_floor", "pressure_sigma_depth", "water_density",
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -95,40 +121,61 @@ def _get(node: dict, key: str, ctx: str, default=_REQUIRED):
     return node[key]
 
 
-def _number(node: dict, key: str, ctx: str, default=_REQUIRED) -> float:
-    value = _get(node, key, ctx, default)
-    if value is default and default is not _REQUIRED:
+def _typed(value, kind, where: str):
+    """Check one value against a config field type.
+
+    kind is float, int, bool or str, optionally ``| None``. Integers are
+    accepted as floats, booleans are never numbers and floats must be
+    finite; where names the key in the error.
+    """
+    if get_args(kind):  # X | None
+        if value is None:
+            return None
+        kind = next(a for a in get_args(kind) if a is not type(None))
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    elif kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{ctx}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(node: dict, key: str, ctx: str, default=_REQUIRED) -> int:
-    value = _get(node, key, ctx, default)
-    if value is default and default is not _REQUIRED:
+    elif kind in (bool, str) and isinstance(value, kind):
         return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{ctx}.{key}: expected an integer, got {value!r}")
-    return value
+    raise ScenarioError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _boolean(node: dict, key: str, ctx: str, default=_REQUIRED) -> bool:
-    value = _get(node, key, ctx, default)
-    if value is default and default is not _REQUIRED:
-        return value
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{ctx}.{key}: expected a boolean, got {value!r}")
-    return value
+def _read(node: dict, key: str, ctx: str, kind=float, default=_REQUIRED):
+    if key not in node:
+        return _get(node, key, ctx, default)
+    return _typed(node[key], kind, f"{ctx}.{key}")
 
 
-def _string(node: dict, key: str, ctx: str, default=_REQUIRED) -> str:
-    value = _get(node, key, ctx, default)
-    if value is default and default is not _REQUIRED:
-        return value
-    if not isinstance(value, str):
-        raise ScenarioError(f"{ctx}.{key}: expected a string, got {value!r}")
-    return value
+def _read_config(cls, node, ctx: str, **parsers):
+    """Build the config dataclass cls from one scenario section.
+
+    The fields of cls are the section's keys: their annotations give the
+    value types and their defaults fill absent keys. A field with a
+    structured value is read by parsers[name](value, key_path) instead.
+    """
+    section = _mapping(node, ctx)
+    _check_unknown(section, [f.name for f in fields(cls)], ctx)
+    kinds = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        where = f"{ctx}.{f.name}"
+        if f.name not in section:
+            if f.default is MISSING:
+                raise ScenarioError(f"{ctx}: missing required key '{f.name}'")
+        elif f.name in parsers:
+            values[f.name] = parsers[f.name](section[f.name], where)
+        else:
+            values[f.name] = _typed(section[f.name], kinds[f.name], where)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from None
 
 
 def _sequence(node: dict, key: str, ctx: str) -> list:
@@ -141,54 +188,23 @@ def _sequence(node: dict, key: str, ctx: str) -> list:
 def _parse_column(node: dict) -> WaterColumn:
     section = _mapping(_get(node, "water_column", "scenario"), "water_column")
     _check_unknown(section, ("layers",), "water_column")
-    layer_nodes = _sequence(section, "layers", "water_column")
-    layers = []
-    for i, item in enumerate(layer_nodes):
-        ctx = f"water_column.layers[{i}]"
-        m = _mapping(item, ctx)
-        _check_unknown(m, ("thickness", "temperature", "salinity", "ph"), ctx)
-        try:
-            layers.append(
-                Layer(
-                    thickness=_number(m, "thickness", ctx),
-                    temperature=_number(m, "temperature", ctx),
-                    salinity=_number(m, "salinity", ctx),
-                    ph=_number(m, "ph", ctx),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from None
+    layers = [
+        _read_config(Layer, item, f"water_column.layers[{i}]")
+        for i, item in enumerate(_sequence(section, "layers", "water_column"))
+    ]
     if not layers:
         raise ScenarioError("water_column.layers: at least one layer is required")
-    return WaterColumn(layers)
-
-
-def _parse_channel(node: dict) -> ChannelConfig:
-    section = _mapping(_get(node, "channel", "scenario"), "channel")
-    allowed = (
-        "source_level", "noise_level", "detection_threshold",
-        "tof_noise_sigma", "path_model",
-    )
-    _check_unknown(section, allowed, "channel")
     try:
-        return ChannelConfig(
-            source_level=_number(section, "source_level", "channel"),
-            noise_level=_number(section, "noise_level", "channel"),
-            detection_threshold=_number(section, "detection_threshold", "channel", 0.0),
-            tof_noise_sigma=_number(section, "tof_noise_sigma", "channel", 0.0),
-            path_model=_string(section, "path_model", "channel", "refracted"),
-        )
+        return WaterColumn(layers)
     except ValueError as exc:
-        raise ScenarioError(f"channel: {exc}") from None
+        raise ScenarioError(f"water_column.layers: {exc}") from None
 
 
 def _parse_geodetic(m: dict, ctx: str) -> GeodeticCoord:
+    latitude, longitude = _read(m, "latitude", ctx), _read(m, "longitude", ctx)
+    height = _read(m, "height", ctx, float, 0.0)
     try:
-        return GeodeticCoord.from_degrees(
-            latitude=_number(m, "latitude", ctx),
-            longitude=_number(m, "longitude", ctx),
-            height=_number(m, "height", ctx, 0.0),
-        )
+        return GeodeticCoord.from_degrees(latitude, longitude, height)
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from None
 
@@ -202,7 +218,7 @@ def _parse_anchors(node: dict):
         ctx = f"anchors[{i}]"
         m = _mapping(item, ctx)
         _check_unknown(m, ("id", "latitude", "longitude", "height"), ctx)
-        anchor_id = _string(m, "id", ctx)
+        anchor_id = _read(m, "id", ctx, str)
         if anchor_id in ids:
             raise ScenarioError(f"{ctx}.id: duplicate anchor id {anchor_id!r}")
         ids.append(anchor_id)
@@ -210,15 +226,15 @@ def _parse_anchors(node: dict):
     return tuple(ids), tuple(coords)
 
 
+def _parse_axes(node, ctx: str, defaults) -> tuple[float, float, float]:
+    m = _mapping(node, ctx)
+    _check_unknown(m, _AXES, ctx)
+    return tuple(_read(m, axis, ctx, float, d) for axis, d in zip(_AXES, defaults))
+
+
 def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
-    if "gps_noise_sigma" not in node:
-        return (0.0, 0.0, 0.0)
-    m = _mapping(node["gps_noise_sigma"], "gps_noise_sigma")
-    _check_unknown(m, ("east", "north", "up"), "gps_noise_sigma")
-    sigma = tuple(
-        _number(m, axis, "gps_noise_sigma", 0.0) for axis in ("east", "north", "up")
-    )
-    for axis, value in zip(("east", "north", "up"), sigma):
+    sigma = _parse_axes(node.get("gps_noise_sigma", {}), "gps_noise_sigma", (0.0,) * 3)
+    for axis, value in zip(_AXES, sigma):
         if value < 0:
             raise ScenarioError(f"gps_noise_sigma.{axis}: must be >= 0, got {value}")
     return sigma
@@ -234,11 +250,9 @@ def _parse_trajectory(node: dict, column: WaterColumn):
     for i, item in enumerate(items):
         ctx = f"trajectory[{i}]"
         m = _mapping(item, ctx)
-        _check_unknown(m, ("time", "east", "north", "up"), ctx)
-        t = _number(m, "time", ctx)
-        e = _number(m, "east", ctx)
-        n = _number(m, "north", ctx)
-        u = _number(m, "up", ctx)
+        keys = ("time", *_AXES)
+        _check_unknown(m, keys, ctx)
+        t, e, n, u = (_read(m, key, ctx) for key in keys)
         if not 0.0 <= -u <= column.total_depth:
             raise ScenarioError(
                 f"{ctx}.up: depth {-u} m outside the water column "
@@ -257,120 +271,38 @@ def _parse_trajectory(node: dict, column: WaterColumn):
     return tuple(waypoints)
 
 
-def _parse_bounds(node: dict, ctx: str) -> SearchBounds:
+def _parse_bounds(node, ctx: str) -> SearchBounds:
     m = _mapping(node, ctx)
-    _check_unknown(m, ("east", "north", "up"), ctx)
+    _check_unknown(m, _AXES, ctx)
     spans = {}
-    for axis in ("east", "north", "up"):
+    for axis in _AXES:
         raw = _get(m, axis, ctx)
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
-        ):
-            raise ScenarioError(f"{ctx}.{axis}: expected [low, high] numbers, got {raw!r}")
-        spans[axis] = (float(raw[0]), float(raw[1]))
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ScenarioError(f"{ctx}.{axis}: expected [low, high], got {raw!r}")
+        spans[axis] = tuple(_typed(v, float, f"{ctx}.{axis}") for v in raw)
     try:
-        return SearchBounds(east=spans["east"], north=spans["north"], up=spans["up"])
+        return SearchBounds(**spans)
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from None
 
 
 def _parse_ga(node: dict, column: WaterColumn) -> GaConfig:
-    section = _mapping(_get(node, "ga", "scenario"), "ga")
-    allowed = (
-        "population_size", "generations", "tournament_size", "crossover_rate",
-        "mutation_rate", "mutation_sigma_initial", "mutation_sigma_decay",
-        "elite_count", "fitness_mode", "snr_weighting",
-        "dispersion_warn_threshold", "seed", "search_bounds",
+    ga = _read_config(
+        GaConfig, _get(node, "ga", "scenario"), "ga", search_bounds=_parse_bounds
     )
-    _check_unknown(section, allowed, "ga")
-    bounds = _parse_bounds(_get(section, "search_bounds", "ga"), "ga.search_bounds")
-    if -bounds.up[0] > column.total_depth:
+    if -ga.search_bounds.up[0] > column.total_depth:
         raise ScenarioError(
-            f"ga.search_bounds.up: reaches {-bounds.up[0]} m, below the "
+            f"ga.search_bounds.up: reaches {-ga.search_bounds.up[0]} m, below the "
             f"{column.total_depth} m water column"
         )
-    sigma0 = section.get("mutation_sigma_initial")
-    if sigma0 is not None:
-        sigma0 = _number(section, "mutation_sigma_initial", "ga")
-    try:
-        return GaConfig(
-            search_bounds=bounds,
-            population_size=_integer(section, "population_size", "ga", 200),
-            generations=_integer(section, "generations", "ga", 300),
-            tournament_size=_integer(section, "tournament_size", "ga", 3),
-            crossover_rate=_number(section, "crossover_rate", "ga", 0.9),
-            mutation_rate=_number(section, "mutation_rate", "ga", 0.3),
-            mutation_sigma_initial=sigma0,
-            mutation_sigma_decay=_number(section, "mutation_sigma_decay", "ga", 0.98),
-            elite_count=_integer(section, "elite_count", "ga", 1),
-            fitness_mode=_string(section, "fitness_mode", "ga", "tof_residual"),
-            snr_weighting=_boolean(section, "snr_weighting", "ga", False),
-            dispersion_warn_threshold=_number(
-                section, "dispersion_warn_threshold", "ga", 10.0
-            ),
-            seed=_integer(section, "seed", "ga", 0),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"ga: {exc}") from None
+    return ga
 
 
 def _parse_ekf(node: dict) -> EkfConfig:
-    if "ekf" not in node:
-        return EkfConfig()
-    section = _mapping(node["ekf"], "ekf")
-    allowed = (
-        "accel_noise_density", "initial_position_sigma", "initial_velocity_sigma",
-        "fix_sigma", "fix_sigma_scale", "fix_sigma_floor",
-        "pressure_sigma_depth", "water_density",
-    )
-    _check_unknown(section, allowed, "ekf")
-    defaults = EkfConfig()
+    def accel(value, ctx):
+        return _parse_axes(value, ctx, EkfConfig.accel_noise_density)
 
-    accel = defaults.accel_noise_density
-    if "accel_noise_density" in section:
-        m = _mapping(section["accel_noise_density"], "ekf.accel_noise_density")
-        _check_unknown(m, ("east", "north", "up"), "ekf.accel_noise_density")
-        accel = tuple(
-            _number(m, axis, "ekf.accel_noise_density", d)
-            for axis, d in zip(("east", "north", "up"), defaults.accel_noise_density)
-        )
-        for axis, value in zip(("east", "north", "up"), accel):
-            if value <= 0:
-                raise ScenarioError(
-                    f"ekf.accel_noise_density.{axis}: must be > 0, got {value}"
-                )
-
-    fix_sigma = section.get("fix_sigma")
-    if fix_sigma is not None:
-        fix_sigma = _number(section, "fix_sigma", "ekf")
-        if fix_sigma <= 0:
-            raise ScenarioError(f"ekf.fix_sigma: must be > 0, got {fix_sigma}")
-
-    cfg = EkfConfig(
-        accel_noise_density=accel,
-        initial_position_sigma=_number(
-            section, "initial_position_sigma", "ekf", defaults.initial_position_sigma
-        ),
-        initial_velocity_sigma=_number(
-            section, "initial_velocity_sigma", "ekf", defaults.initial_velocity_sigma
-        ),
-        fix_sigma=fix_sigma,
-        fix_sigma_scale=_number(section, "fix_sigma_scale", "ekf", defaults.fix_sigma_scale),
-        fix_sigma_floor=_number(section, "fix_sigma_floor", "ekf", defaults.fix_sigma_floor),
-        pressure_sigma_depth=_number(
-            section, "pressure_sigma_depth", "ekf", defaults.pressure_sigma_depth
-        ),
-        water_density=_number(section, "water_density", "ekf", defaults.water_density),
-    )
-    for name in (
-        "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_scale",
-        "fix_sigma_floor", "pressure_sigma_depth", "water_density",
-    ):
-        if getattr(cfg, name) <= 0:
-            raise ScenarioError(f"ekf.{name}: must be > 0, got {getattr(cfg, name)}")
-    return cfg
+    return _read_config(EkfConfig, node.get("ekf", {}), "ekf", accel_noise_density=accel)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -391,10 +323,10 @@ def parse_scenario(text: str) -> Scenario:
     _check_unknown(root, allowed, "scenario")
 
     column = _parse_column(root)
-    carrier = _number(root, "carrier_frequency", "scenario")
+    carrier = _read(root, "carrier_frequency", "scenario")
     if carrier <= 0:
         raise ScenarioError(f"carrier_frequency: must be > 0 kHz, got {carrier}")
-    channel = _parse_channel(root)
+    channel = _read_config(ChannelConfig, _get(root, "channel", "scenario"), "channel")
     anchor_ids, anchor_coords = _parse_anchors(root)
     gps_sigma = _parse_gps_sigma(root)
 
@@ -408,13 +340,13 @@ def parse_scenario(text: str) -> Scenario:
         origin_from_anchor = True
 
     waypoints = _parse_trajectory(root, column)
-    ping_interval = _number(root, "ping_interval", "scenario")
+    ping_interval = _read(root, "ping_interval", "scenario")
     if ping_interval <= 0:
         raise ScenarioError(f"ping_interval: must be > 0, got {ping_interval}")
 
     ga = _parse_ga(root, column)
     ekf = _parse_ekf(root)
-    seed = _integer(root, "seed", "scenario", 0)
+    seed = _read(root, "seed", "scenario", int, 0)
 
     scenario = Scenario(
         column=column,
@@ -444,11 +376,15 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file."""
+def read_scenario_text(path) -> str:
+    """Read a scenario file's text, for parse_scenario and the run echo."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
-    return parse_scenario(text)
+
+
+def load_scenario(path) -> Scenario:
+    """Load and validate a scenario file."""
+    return parse_scenario(read_scenario_text(path))

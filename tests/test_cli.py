@@ -1,8 +1,10 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from hydroloc.cli import main
 
@@ -103,6 +105,21 @@ class TestRunCommand:
         path.write_text(Path(NOISELESS).read_text() + "mystery_key: 1\n")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "mystery_key" in capsys.readouterr().err
+
+
+    def test_missing_file_is_validation_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "none.yaml"), "--out", str(tmp_path / "o")]) == 1
+        assert "cannot read scenario file" in capsys.readouterr().err
+
+    def test_non_finite_number_is_validation_error(self, tmp_path, capsys):
+        # An infinite ping interval used to fail deep inside the run (exit 2).
+        doc = yaml.safe_load(Path(NOISELESS).read_text())
+        doc["ping_interval"] = math.inf
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "ping_interval: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_module_entry_point_help():

@@ -11,6 +11,7 @@ from hydroloc.propagation import (
     pairwise_tof,
     simulate_ping,
     snr,
+    trace_path,
     trace_refracted,
     trace_straight,
     transmission_loss,
@@ -264,6 +265,22 @@ class TestSimulatePing:
     def test_invalid_path_model_rejected(self):
         with pytest.raises(ValueError, match="path_model"):
             ChannelConfig(170.0, 50.0, 10.0, 0.0, path_model="bent")
+
+
+class TestTracePath:
+    def test_dispatches_to_the_scalar_traces(self):
+        src, rcv = (0.0, 0.0, -200.0), (150.0, 80.0, 0.0)
+        horizontal = math.hypot(150.0, 80.0)
+        assert trace_path(TWO_LAYER, src, rcv, "refracted") == trace_refracted(
+            TWO_LAYER, 200.0, 0.0, horizontal
+        )
+        assert trace_path(TWO_LAYER, src, rcv, "straight") == trace_straight(
+            TWO_LAYER, src, rcv
+        )
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="path model"):
+            trace_path(HOMOG, (0.0, 0.0, -10.0), (5.0, 0.0, 0.0), "bent")
 
 
 class TestPairwiseTof:

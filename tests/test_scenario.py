@@ -1,8 +1,18 @@
+import copy
+import math
+import re
 import textwrap
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hydroloc.environment import Layer, WaterColumn
+from hydroloc.multilateration import GaConfig, SearchBounds
+from hydroloc.propagation import ChannelConfig
 from hydroloc.scenario import EkfConfig, ScenarioError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -33,8 +43,6 @@ MINIMAL = textwrap.dedent(
 
 def variant(**replacements):
     """MINIMAL with whole top-level blocks replaced or appended."""
-    import yaml
-
     doc = yaml.safe_load(MINIMAL)
     doc.update(replacements)
     return yaml.safe_dump(doc)
@@ -52,6 +60,10 @@ class TestMinimalScenario:
         assert s.ga.fitness_mode == "tof_residual"
         assert s.ekf == EkfConfig()
         assert s.gps_noise_sigma == (0.0, 0.0, 0.0)
+        # Section defaults are the config dataclasses' own defaults.
+        bounds = SearchBounds(east=(-200.0, 200.0), north=(-200.0, 200.0), up=(-100.0, 0.0))
+        assert s.ga == GaConfig(search_bounds=bounds)
+        assert s.channel == ChannelConfig(source_level=170.0, noise_level=50.0)
 
     def test_origin_defaults_to_first_anchor(self):
         s = parse_scenario(MINIMAL)
@@ -111,8 +123,6 @@ class TestStrictness:
 
 class TestValidation:
     def test_three_anchors_rejected(self):
-        import yaml
-
         doc = yaml.safe_load(MINIMAL)
         doc["anchors"] = doc["anchors"][:3]
         with pytest.raises(ScenarioError, match="at least 4 anchors"):
@@ -181,6 +191,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "missing.yaml")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(b"seed: \xff\n")
+        with pytest.raises(ScenarioError, match="cannot read"):
+            load_scenario(path)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(MINIMAL)
@@ -198,3 +214,234 @@ class TestLoadScenario:
         for east, north, _ in enu:
             assert abs(abs(east) - 100.0) < 1e-6
             assert abs(abs(north) - 100.0) < 1e-6
+
+
+FULL = textwrap.dedent(
+    """\
+    water_column:
+      layers:
+        - {thickness: 40.0, temperature: 14.0, salinity: 35.5, ph: 8.1}
+        - {thickness: 60.0, temperature: 9.0, salinity: 35.0, ph: 7.9}
+    carrier_frequency: 30.0
+    channel:
+      source_level: 175.0
+      noise_level: 55.0
+      detection_threshold: 8.0
+      tof_noise_sigma: 0.002
+      path_model: straight
+    anchors:
+      - {id: a0, latitude: 41.0, longitude: -8.0, height: 0.0}
+      - {id: a1, latitude: 41.001, longitude: -8.0, height: 0.0}
+      - {id: a2, latitude: 41.0, longitude: -8.001, height: 0.0}
+      - {id: a3, latitude: 41.001, longitude: -8.001, height: 0.0}
+    gps_noise_sigma: {east: 0.5, north: 0.6, up: 0.1}
+    enu_origin: {latitude: 41.0, longitude: -8.0, height: 0.0}
+    trajectory:
+      - {time: 0.0, east: 10.0, north: 10.0, up: -50.0}
+      - {time: 60.0, east: 20.0, north: 10.0, up: -50.0}
+    ping_interval: 5.0
+    ga:
+      search_bounds: {east: [-200.0, 200.0], north: [-200.0, 200.0], up: [-100.0, 0.0]}
+      population_size: 50
+      generations: 60
+      tournament_size: 4
+      crossover_rate: 0.8
+      mutation_rate: 0.2
+      mutation_sigma_initial: 5.0
+      mutation_sigma_decay: 0.9
+      elite_count: 2
+      fitness_mode: range_residual
+      snr_weighting: true
+      dispersion_warn_threshold: 7.5
+      seed: 11
+    ekf:
+      accel_noise_density: {east: 0.002, north: 0.003, up: 0.004}
+      initial_position_sigma: 50.0
+      initial_velocity_sigma: 0.5
+      fix_sigma: 2.0
+      fix_sigma_scale: 1.5
+      fix_sigma_floor: 0.25
+      pressure_sigma_depth: 0.2
+      water_density: 1027.0
+    seed: 7
+    """
+)
+
+
+class TestEveryKey:
+    """FULL sets every accepted key, each to a value other than its default."""
+
+    def test_full_sets_every_config_field(self):
+        doc = yaml.safe_load(FULL)
+        assert set(doc) == {
+            "water_column", "carrier_frequency", "channel", "anchors",
+            "gps_noise_sigma", "enu_origin", "trajectory", "ping_interval",
+            "ga", "ekf", "seed",
+        }
+        for cls, section in (
+            (Layer, doc["water_column"]["layers"][0]),
+            (ChannelConfig, doc["channel"]),
+            (GaConfig, doc["ga"]),
+            (EkfConfig, doc["ekf"]),
+        ):
+            assert set(section) == {f.name for f in fields(cls)}, cls.__name__
+
+    def test_every_key_is_read(self):
+        doc = yaml.safe_load(FULL)
+        s = parse_scenario(FULL)
+        assert s.column.layers == tuple(
+            Layer(**layer) for layer in doc["water_column"]["layers"]
+        )
+        assert s.carrier_frequency == 30.0
+        assert s.channel == ChannelConfig(**doc["channel"])
+        ga = dict(doc["ga"])
+        bounds = {axis: tuple(span) for axis, span in ga.pop("search_bounds").items()}
+        assert s.ga == GaConfig(search_bounds=SearchBounds(**bounds), **ga)
+        ekf = dict(doc["ekf"])
+        accel = ekf.pop("accel_noise_density")
+        assert s.ekf == EkfConfig(
+            accel_noise_density=(accel["east"], accel["north"], accel["up"]), **ekf
+        )
+        assert s.anchor_positions[3].height == 0.0
+        assert s.gps_noise_sigma == (0.5, 0.6, 0.1)
+        assert not s.origin_from_anchor
+        assert s.waypoints[1] == (60.0, 20.0, 10.0, -50.0)
+        assert s.ping_interval == 5.0
+        assert s.seed == 7
+        for config in (s.channel, s.ga, s.ekf):
+            for f in fields(config):
+                assert getattr(config, f.name) != f.default, f.name
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[path[-1]] = value
+
+
+NON_FINITE_CASES = [
+    (("channel", "source_level"), math.nan, "channel.source_level"),
+    (("channel", "tof_noise_sigma"), math.nan, "channel.tof_noise_sigma"),
+    (("carrier_frequency",), math.inf, "scenario.carrier_frequency"),
+    (("trajectory", 1, "east"), math.nan, "trajectory[1].east"),
+    (("trajectory", 1, "time"), math.nan, "trajectory[1].time"),
+    (("gps_noise_sigma", "east"), math.nan, "gps_noise_sigma.east"),
+    (("ping_interval",), math.nan, "scenario.ping_interval"),
+    (("ping_interval",), math.inf, "scenario.ping_interval"),
+    (("ekf", "pressure_sigma_depth"), math.inf, "ekf.pressure_sigma_depth"),
+    (("ekf", "fix_sigma"), math.inf, "ekf.fix_sigma"),
+    (("ekf", "accel_noise_density", "up"), math.nan, "ekf.accel_noise_density.up"),
+    (("ga", "search_bounds", "east", 0), -math.inf, "ga.search_bounds.east"),
+    (("ga", "search_bounds", "up", 1), math.nan, "ga.search_bounds.up"),
+    (("ga", "mutation_sigma_initial"), math.nan, "ga.mutation_sigma_initial"),
+    (("water_column", "layers", 0, "thickness"), math.inf,
+     "water_column.layers[0].thickness"),
+    (("anchors", 2, "height"), -math.inf, "anchors[2].height"),
+    (("enu_origin", "latitude"), math.nan, "enu_origin.latitude"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,key", NON_FINITE_CASES, ids=[key for _, _, key in NON_FINITE_CASES]
+)
+def test_non_finite_number_rejected_naming_key(path, value, key):
+    doc = yaml.safe_load((SCENARIO_DIR / "canonical_noisy.yaml").read_text())
+    _set(doc, path, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(key)}: "):
+        parse_scenario(yaml.safe_dump(doc))
+
+
+def test_integer_beyond_float_range_rejected():
+    text = MINIMAL.replace("carrier_frequency: 25.0", f"carrier_frequency: {10**400}")
+    with pytest.raises(ScenarioError, match="carrier_frequency: expected a finite number"):
+        parse_scenario(text)
+
+
+def test_bounds_extent_past_float_range_rejected():
+    text = MINIMAL.replace("east: [-200.0, 200.0]", "east: [-1.0e+308, 1.0e+308]")
+    with pytest.raises(ScenarioError, match="ga.search_bounds: .*east extent must be finite"):
+        parse_scenario(text)
+
+
+def test_layers_summing_past_float_range_rejected():
+    layer = "{thickness: 1.0e+308, temperature: 10.0, salinity: 35.0, ph: 8.0}"
+    text = MINIMAL.replace(
+        "    - {thickness: 100.0, temperature: 10.0, salinity: 35.0, ph: 8.0}",
+        f"    - {layer}\n    - {layer}",
+    )
+    with pytest.raises(ScenarioError, match="water_column.layers: total thickness"):
+        parse_scenario(text)
+
+
+# Mutation targets: every numeric leaf of the shipped scenarios.
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+def _key_of(path) -> str:
+    """The dotted key an error names for a leaf; a bounds pair index is dropped."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}"
+    if isinstance(path[-1], int):
+        text = text[: text.rindex("[")]
+    return text.lstrip(".")
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, WaterColumn):
+        return _all_finite(value.layers) and _all_finite(value.boundaries)
+    if is_dataclass(value):
+        return all(_all_finite(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
+SHIPPED = {
+    name: yaml.safe_load((SCENARIO_DIR / name).read_text())
+    for name in ("canonical_noiseless.yaml", "canonical_noisy.yaml")
+}
+LEAVES = [(name, path) for name, doc in SHIPPED.items() for path in _numeric_leaves(doc)]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+HUGE = [1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 10**400, -(10**400)]
+TOP_LEVEL_KEYS = set(yaml.safe_load(FULL)) | {"scenario"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    leaf=st.sampled_from(LEAVES),
+    others=st.lists(st.sampled_from(LEAVES), max_size=2),
+    values=st.lists(st.sampled_from(NON_FINITE + HUGE), min_size=3, max_size=3),
+)
+def test_mutated_numbers_rejected_or_finite(leaf, others, values):
+    """Mutants of the shipped scenarios either fail naming a key or stay finite."""
+    name = leaf[0]
+    doc = copy.deepcopy(SHIPPED[name])
+    paths = [leaf[1]] + [path for other, path in others if other == name]
+    mutants = dict(zip(paths, values))
+    for path, value in mutants.items():
+        _set(doc, path, value)
+    try:
+        scenario = parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError as exc:
+        where = str(exc).split(": ", 1)[0]
+        assert where.split(".")[0].split("[")[0] in TOP_LEVEL_KEYS, str(exc)
+        if all(v in NON_FINITE for v in mutants.values()):
+            assert any(where.endswith(_key_of(p)) for p in mutants), str(exc)
+        return
+    assert all(v in HUGE for v in mutants.values())
+    assert _all_finite(scenario)
+    assert _all_finite(scenario.anchors_enu())
