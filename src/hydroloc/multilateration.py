@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import ChannelProfile, pairwise_tof
+from .propagation import ChannelProfile, _layer_overlaps, _layer_speed_at, pairwise_tof
 
 __all__ = [
     "Anchor",
@@ -82,8 +82,8 @@ class SearchBounds:
 class GaConfig:
     """Tuning knobs of the genetic solver.
 
-    mutation_sigma_initial defaults to 10% of the largest bounds extent
-    and decays geometrically each generation.
+    The mutation sigma starts at 10% of the largest bounds extent and
+    decays geometrically each generation.
     """
 
     search_bounds: SearchBounds
@@ -92,7 +92,6 @@ class GaConfig:
     tournament_size: int = 3
     crossover_rate: float = 0.9
     mutation_rate: float = 0.3
-    mutation_sigma_initial: float | None = None
     # 0.96 anneals the mutation noise fast enough that the stagnation stop
     # does not fire while sigma still dwarfs the remaining error.
     mutation_sigma_decay: float = 0.96
@@ -117,8 +116,6 @@ class GaConfig:
             raise ValueError(
                 f"elite_count must be within [0, population_size), got {self.elite_count}"
             )
-        if self.mutation_sigma_initial is not None and self.mutation_sigma_initial < 0:
-            raise ValueError("mutation_sigma_initial must be >= 0")
         if not 0.0 < self.mutation_sigma_decay <= 1.0:
             raise ValueError(
                 f"mutation_sigma_decay must be in (0, 1], got {self.mutation_sigma_decay}"
@@ -130,8 +127,6 @@ class GaConfig:
             )
 
     def initial_sigma(self) -> float:
-        if self.mutation_sigma_initial is not None:
-            return self.mutation_sigma_initial
         return 0.1 * self.search_bounds.largest_extent()
 
 
@@ -168,35 +163,32 @@ def _weights(measurements, snr_weighting: bool) -> np.ndarray:
     return w / w.mean()  # scale-free: mean weight 1
 
 
-def range_from_tof(
-    tof: float,
-    profile: ChannelProfile,
-    anchor_depth: float,
-    assumed_target_depth: float,
-) -> float:
-    """Convert a TOF to a slant range with the harmonic-mean sound speed.
+def range_from_tof(tof, profile: ChannelProfile, anchor_depth, assumed_target_depth):
+    """Convert TOFs to slant ranges with the harmonic-mean sound speed.
 
     The speed is thickness-weighted over the depth interval between the
     anchor and an assumed target depth; a zero-thickness interval uses
-    the local layer speed.
+    the local layer speed. Arguments broadcast elementwise; scalar
+    arguments give a float.
     """
-    if not tof > 0:
-        raise ValueError(f"tof must be > 0, got {tof}")
-    for name, depth in (("anchor", anchor_depth), ("target", assumed_target_depth)):
-        if not 0.0 <= depth <= profile.total_depth:
-            raise ValueError(f"{name} depth {depth} outside water column")
+    tof = np.asarray(tof, float)
+    z_lo = np.minimum(anchor_depth, assumed_target_depth)
+    z_hi = np.maximum(anchor_depth, assumed_target_depth)
+    if not ((tof > 0.0) & (z_lo >= 0.0) & (z_hi <= profile.total_depth)).all():
+        raise ValueError(
+            f"need tof > 0 and depths in the water column [0, {profile.total_depth}], "
+            f"got tof {tof}, anchor depth {anchor_depth}, target depth "
+            f"{assumed_target_depth}"
+        )
 
-    z_lo, z_hi = sorted((anchor_depth, assumed_target_depth))
-    if z_hi == z_lo:
-        c = profile.sound_speeds[profile.layer_index_at(z_lo)]
-        return tof * c
     boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
-    lo = np.maximum(z_lo, boundaries[:-1])
-    hi = np.minimum(z_hi, boundaries[1:])
-    dz = np.maximum(hi - lo, 0.0)
-    harmonic = (z_hi - z_lo) / float((dz / speeds).sum())
-    return tof * harmonic
+    thickness = z_hi - z_lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        harmonic = thickness / (_layer_overlaps(boundaries, z_lo, z_hi) / speeds).sum(axis=-1)
+    local = _layer_speed_at(boundaries, speeds, z_lo)
+    ranges = tof * np.where(thickness > 0.0, harmonic, local)
+    return float(ranges) if ranges.ndim == 0 else ranges
 
 
 def fitness(
@@ -224,7 +216,7 @@ def fitness(
     scalar_in = cands.ndim == 1
     cands = np.atleast_2d(cands)
     depths = -cands[:, 2]
-    if np.any(depths < 0.0) or np.any(depths > profile.total_depth):
+    if (depths < 0.0).any() or (depths > profile.total_depth).any():
         raise ValueError("candidate depth outside the water column")
 
     anchor_pos = _anchor_array(measurements, anchors)
@@ -238,12 +230,7 @@ def fitness(
     elif mode == "range_residual":
         if assumed_target_depth is None:
             assumed_target_depth = 0.5 * profile.total_depth
-        ranges = np.array(
-            [
-                range_from_tof(m.tof_measured, profile, -pos[2], assumed_target_depth)
-                for m, pos in zip(measurements, anchor_pos)
-            ]
-        )
+        ranges = range_from_tof(tof_meas, profile, -anchor_pos[:, 2], assumed_target_depth)
         dist = np.linalg.norm(cands[:, None, :] - anchor_pos[None, :, :], axis=-1)
         terms = w * (dist - ranges) ** 2
     else:

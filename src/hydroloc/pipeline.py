@@ -233,13 +233,7 @@ def run_simulation(scenario: Scenario):
 
         state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
         if estimate is not None:
-            if ekf_cfg.fix_sigma is not None:
-                sigma_fix = ekf_cfg.fix_sigma
-            else:
-                sigma_fix = max(
-                    ekf_cfg.fix_sigma_floor,
-                    ekf_cfg.fix_sigma_scale * estimate.population_dispersion,
-                )
+            sigma_fix = max(ekf_cfg.fix_sigma_floor, estimate.population_dispersion)
             state = ekf_update_fix(state, estimate, np.eye(3) * sigma_fix**2)
         state = ekf_update_depth(
             state, depth_measured, ekf_cfg.pressure_sigma_depth**2

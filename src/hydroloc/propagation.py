@@ -152,6 +152,15 @@ def _layer_overlaps(boundaries: np.ndarray, z_lo, z_hi) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
+def _layer_speed_at(boundaries: np.ndarray, speeds: np.ndarray, z) -> np.ndarray:
+    """Speed of the layer holding depth z, elementwise.
+
+    As in layer_index_for, an interior boundary belongs to the layer
+    below it and the bottom boundary to the last layer.
+    """
+    return speeds[np.searchsorted(boundaries[1:-1], z, side="right")]
+
+
 def _tof_of_p(p: np.ndarray, dz: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     u = p[..., None] * speeds
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -251,6 +260,46 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
     return p, ok
 
 
+def _trace_layers(profile, z_src, z_rcv, horizontal, layer_rule) -> RayPath:
+    """Scaffold of the scalar traces between source and receiver depths.
+
+    Checks both depths and returns the horizontal ray in the containing
+    layer when they are equal (the p*c -> 1 limit for refraction).
+    Otherwise layer_rule(dz, order) gets the per-layer vertical overlaps
+    and the traversed layers in source -> receiver order, and returns
+    (ray_parameter, total_length, pieces) with one (length, grazing_angle)
+    per traversed layer.
+    """
+    _check_depth(profile, z_src, "source")
+    _check_depth(profile, z_rcv, "receiver")
+    if z_src == z_rcv:
+        if horizontal == 0.0:
+            return RayPath(segments=(), total_length=0.0, tof=0.0, ray_parameter=0.0)
+        idx = profile.layer_index_at(z_src)
+        c = profile.sound_speeds[idx]
+        seg = RaySegment(layer=idx, length=horizontal, grazing_angle=0.0)
+        return RayPath(
+            segments=(seg,), total_length=horizontal, tof=horizontal / c,
+            ray_parameter=1.0 / c,
+        )
+
+    z_lo, z_hi = sorted((z_src, z_rcv))
+    dz = _layer_overlaps(np.asarray(profile.boundaries), np.float64(z_lo), np.float64(z_hi))
+    order = np.nonzero(dz > 0.0)[0]
+    if z_src > z_rcv:
+        order = order[::-1]  # segments run source -> receiver
+    p, total_length, pieces = layer_rule(dz, order)
+
+    segments = []
+    tof = 0.0
+    for i, (length, angle) in zip(order, pieces):
+        segments.append(RaySegment(layer=int(i), length=length, grazing_angle=angle))
+        tof += length / profile.sound_speeds[i]
+    return RayPath(
+        segments=tuple(segments), total_length=total_length, tof=tof, ray_parameter=p
+    )
+
+
 def trace_refracted(
     profile: ChannelProfile,
     source_depth: float,
@@ -266,56 +315,29 @@ def trace_refracted(
     Equal depths with nonzero range degenerate to a horizontal ray in
     the containing layer (the p*c -> 1 limit).
     """
-    _check_depth(profile, source_depth, "source")
-    _check_depth(profile, receiver_depth, "receiver")
     if horizontal_range < 0:
         raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
-
-    boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
-    z_lo, z_hi = sorted((source_depth, receiver_depth))
 
-    if z_hi == z_lo:
-        if horizontal_range == 0.0:
-            return RayPath(segments=(), total_length=0.0, tof=0.0, ray_parameter=0.0)
-        idx = profile.layer_index_at(z_lo)
-        c = profile.sound_speeds[idx]
-        seg = RaySegment(layer=idx, length=horizontal_range, grazing_angle=0.0)
-        return RayPath(
-            segments=(seg,),
-            total_length=horizontal_range,
-            tof=horizontal_range / c,
-            ray_parameter=1.0 / c,
-        )
+    def snell(dz, order):
+        p_arr, ok = _solve_ray_parameter(dz[None, :], speeds, np.array([horizontal_range]))
+        if not ok[0]:
+            raise NoDirectPathError(
+                f"range {horizontal_range} m not reachable by a direct ray "
+                f"between depths {source_depth} and {receiver_depth} m"
+            )
+        p = float(p_arr[0])
+        pieces = []
+        total_length = 0.0
+        for i in order:
+            u = p * float(speeds[i])
+            sin_th = math.sqrt(max(1.0 - u * u, 0.0))
+            length = float(dz[i]) / sin_th if sin_th > 0 else float(dz[i])
+            pieces.append((length, math.atan2(sin_th, u)))
+            total_length += length
+        return p, total_length, pieces
 
-    dz = _layer_overlaps(boundaries, np.float64(z_lo), np.float64(z_hi))
-    p_arr, ok = _solve_ray_parameter(dz[None, :], speeds, np.array([horizontal_range]))
-    if not ok[0]:
-        raise NoDirectPathError(
-            f"range {horizontal_range} m not reachable by a direct ray "
-            f"between depths {source_depth} and {receiver_depth} m"
-        )
-    p = float(p_arr[0])
-
-    layer_order = np.nonzero(dz > 0.0)[0]
-    if source_depth > receiver_depth:
-        layer_order = layer_order[::-1]  # segments run source -> receiver
-
-    segments = []
-    total_length = 0.0
-    tof = 0.0
-    for i in layer_order:
-        u = p * float(speeds[i])
-        sin_th = math.sqrt(max(1.0 - u * u, 0.0))
-        length = float(dz[i]) / sin_th if sin_th > 0 else float(dz[i])
-        segments.append(
-            RaySegment(layer=int(i), length=length, grazing_angle=math.atan2(sin_th, u))
-        )
-        total_length += length
-        tof += length / float(speeds[i])
-    return RayPath(
-        segments=tuple(segments), total_length=total_length, tof=tof, ray_parameter=p
-    )
+    return _trace_layers(profile, source_depth, receiver_depth, horizontal_range, snell)
 
 
 def trace_straight(profile: ChannelProfile, source, receiver) -> RayPath:
@@ -327,41 +349,16 @@ def trace_straight(profile: ChannelProfile, source, receiver) -> RayPath:
     src = np.asarray(source, float)
     rcv = np.asarray(receiver, float)
     z_src, z_rcv = -src[2], -rcv[2]
-    _check_depth(profile, z_src, "source")
-    _check_depth(profile, z_rcv, "receiver")
-
     horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-    dz_total = abs(z_rcv - z_src)
 
-    if dz_total == 0.0:
-        if horizontal == 0.0:
-            return RayPath(segments=(), total_length=0.0, tof=0.0, ray_parameter=0.0)
-        idx = profile.layer_index_at(z_src)
-        c = profile.sound_speeds[idx]
-        seg = RaySegment(layer=idx, length=horizontal, grazing_angle=0.0)
-        return RayPath(
-            segments=(seg,), total_length=horizontal, tof=horizontal / c,
-            ray_parameter=1.0 / c,
-        )
+    def chord_split(dz, order):
+        dz_total = abs(z_rcv - z_src)
+        chord = math.hypot(horizontal, dz_total)
+        angle = math.atan2(dz_total, horizontal)
+        pieces = [(chord * float(dz[i]) / dz_total, angle) for i in order]
+        return math.cos(angle) / profile.sound_speeds[int(order[0])], chord, pieces
 
-    boundaries = np.asarray(profile.boundaries)
-    z_lo, z_hi = sorted((z_src, z_rcv))
-    dz = _layer_overlaps(boundaries, np.float64(z_lo), np.float64(z_hi))
-    chord = math.hypot(horizontal, dz_total)
-    angle = math.atan2(dz_total, horizontal)
-
-    layer_order = np.nonzero(dz > 0.0)[0]
-    if z_src > z_rcv:
-        layer_order = layer_order[::-1]
-
-    segments = []
-    tof = 0.0
-    for i in layer_order:
-        length = chord * float(dz[i]) / dz_total
-        segments.append(RaySegment(layer=int(i), length=length, grazing_angle=angle))
-        tof += length / profile.sound_speeds[i]
-    p = math.cos(angle) / profile.sound_speeds[int(layer_order[0])]
-    return RayPath(segments=tuple(segments), total_length=chord, tof=tof, ray_parameter=p)
+    return _trace_layers(profile, z_src, z_rcv, horizontal, chord_split)
 
 
 def trace_path(profile: ChannelProfile, source, receiver, path_model: str) -> RayPath:
@@ -485,9 +482,7 @@ def pairwise_tof(
     dz_total = z_hi - z_lo
 
     # Horizontal pairs: straight run in the containing layer for both models.
-    idx_flat = np.searchsorted(boundaries, z_lo, side="right") - 1
-    idx_flat = np.clip(idx_flat, 0, len(speeds) - 1)
-    c_flat = speeds[idx_flat]
+    c_flat = _layer_speed_at(boundaries, speeds, z_lo)
 
     if path_model == "straight":
         chord = np.hypot(horizontal, dz_total)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import yaml
 
@@ -22,6 +22,7 @@ from .multilateration import GaConfig, SearchBounds
 from .propagation import ChannelConfig
 
 __all__ = [
+    "MAX_EPOCHS",
     "ScenarioError",
     "EkfConfig",
     "Scenario",
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 _REQUIRED = object()
+# Epochs one scenario may ask for; epoch_times builds a list this long.
+MAX_EPOCHS = 1_000_000
 _AXES = ("east", "north", "up")
 _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
 
@@ -43,15 +46,13 @@ class ScenarioError(ValueError):
 class EkfConfig:
     """Fusion settings: process noise, priors and measurement variances.
 
-    fix_sigma = None scales the fix covariance from the solver's
-    population dispersion (clamped below by fix_sigma_floor).
+    The fix sigma is the solver's population dispersion, clamped below by
+    fix_sigma_floor.
     """
 
     accel_noise_density: tuple[float, float, float] = (1e-3, 1e-3, 1e-3)  # m^2/s^3
     initial_position_sigma: float = 100.0  # m
     initial_velocity_sigma: float = 1.0    # m/s
-    fix_sigma: float | None = None         # m
-    fix_sigma_scale: float = 1.0
     fix_sigma_floor: float = 0.5           # m
     pressure_sigma_depth: float = 0.1      # m
     water_density: float = 1025.0          # kg/m^3
@@ -60,11 +61,9 @@ class EkfConfig:
         for axis, value in zip(_AXES, self.accel_noise_density):
             if not value > 0:
                 raise ValueError(f"accel_noise_density.{axis} must be > 0, got {value}")
-        if self.fix_sigma is not None and not self.fix_sigma > 0:
-            raise ValueError(f"fix_sigma must be > 0, got {self.fix_sigma}")
         for name in (
-            "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_scale",
-            "fix_sigma_floor", "pressure_sigma_depth", "water_density",
+            "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_floor",
+            "pressure_sigma_depth", "water_density",
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -124,14 +123,10 @@ def _get(node: dict, key: str, ctx: str, default=_REQUIRED):
 def _typed(value, kind, where: str):
     """Check one value against a config field type.
 
-    kind is float, int, bool or str, optionally ``| None``. Integers are
-    accepted as floats, booleans are never numbers and floats must be
-    finite; where names the key in the error.
+    kind is float, int, bool or str. Integers are accepted as floats,
+    booleans are never numbers and floats must be finite; where names
+    the key in the error.
     """
-    if get_args(kind):  # X | None
-        if value is None:
-            return None
-        kind = next(a for a in get_args(kind) if a is not type(None))
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -240,7 +235,7 @@ def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
     return sigma
 
 
-def _parse_trajectory(node: dict, column: WaterColumn):
+def _parse_trajectory(node: dict, column: WaterColumn, bounds: SearchBounds):
     items = _sequence(node, "trajectory", "scenario")
     if len(items) < 2:
         raise ScenarioError(
@@ -258,6 +253,12 @@ def _parse_trajectory(node: dict, column: WaterColumn):
                 f"{ctx}.up: depth {-u} m outside the water column "
                 f"[0, {column.total_depth}]"
             )
+        for axis, value in zip(_AXES, (e, n, u)):
+            lo, hi = getattr(bounds, axis)
+            if not lo <= value <= hi:
+                raise ScenarioError(
+                    f"{ctx}.{axis}: {value} m outside ga.search_bounds.{axis} [{lo}, {hi}]"
+                )
         waypoints.append((t, e, n, u))
     if waypoints[0][0] != 0.0:
         raise ScenarioError(
@@ -287,9 +288,13 @@ def _parse_bounds(node, ctx: str) -> SearchBounds:
 
 
 def _parse_ga(node: dict, column: WaterColumn) -> GaConfig:
-    ga = _read_config(
-        GaConfig, _get(node, "ga", "scenario"), "ga", search_bounds=_parse_bounds
-    )
+    section = _mapping(_get(node, "ga", "scenario"), "ga")
+    if "seed" in section:
+        raise ScenarioError(
+            "ga.seed: not a scenario key; each epoch's solver seed derives from "
+            "the top-level seed"
+        )
+    ga = _read_config(GaConfig, section, "ga", search_bounds=_parse_bounds)
     if -ga.search_bounds.up[0] > column.total_depth:
         raise ScenarioError(
             f"ga.search_bounds.up: reaches {-ga.search_bounds.up[0]} m, below the "
@@ -339,12 +344,20 @@ def parse_scenario(text: str) -> Scenario:
         origin = anchor_coords[0]
         origin_from_anchor = True
 
-    waypoints = _parse_trajectory(root, column)
+    ga = _parse_ga(root, column)
+    waypoints = _parse_trajectory(root, column, ga.search_bounds)
     ping_interval = _read(root, "ping_interval", "scenario")
     if ping_interval <= 0:
         raise ScenarioError(f"ping_interval: must be > 0, got {ping_interval}")
 
-    ga = _parse_ga(root, column)
+    # epoch_times makes floor(duration / ping_interval + 1e-9) + 1 epochs;
+    # compare as floats, since that count may not fit an int.
+    if not waypoints[-1][0] / ping_interval + 1e-9 < MAX_EPOCHS:
+        raise ScenarioError(
+            f"ping_interval: {ping_interval} s over the {waypoints[-1][0]} s "
+            f"trajectory gives more than {MAX_EPOCHS} epochs"
+        )
+
     ekf = _parse_ekf(root)
     seed = _read(root, "seed", "scenario", int, 0)
 

@@ -106,6 +106,15 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "mystery_key" in capsys.readouterr().err
 
+    def test_waypoint_outside_search_bounds_is_validation_error(self, tmp_path, capsys):
+        # A huge but finite position used to run to rmse_raw_m: inf (exit 0).
+        doc = yaml.safe_load(Path(NOISELESS).read_text())
+        doc["trajectory"][1]["east"] = 1.0e300
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "trajectory[1].east" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.yaml"), "--out", str(tmp_path / "o")]) == 1

@@ -17,6 +17,10 @@ from hydroloc.propagation import ChannelProfile, PingMeasurement, trace_refracte
 HOMOG = ChannelProfile(
     boundaries=(0.0, 100.0), sound_speeds=(1500.0,), absorption=(1.0,), frequency=25.0
 )
+THREE_LAYER = ChannelProfile(
+    boundaries=(0.0, 30.0, 80.0, 150.0), sound_speeds=(1510.0, 1495.0, 1485.0),
+    absorption=(1.0, 1.0, 1.0), frequency=25.0,
+)
 BOUNDS = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(-100.0, 0.0))
 ANCHORS = [
     Anchor("ne", (100.0, 100.0, 0.0)),
@@ -101,6 +105,39 @@ class TestRangeFromTof:
     def test_non_positive_tof_rejected(self):
         with pytest.raises(ValueError, match="tof"):
             range_from_tof(0.0, HOMOG, 0.0, 50.0)
+        with pytest.raises(ValueError, match=r"tof \[ 0.1 -0.1\]"):
+            range_from_tof(np.array([0.1, -0.1]), HOMOG, 0.0, 50.0)
+
+    def test_out_of_column_depth_rejected(self):
+        with pytest.raises(ValueError, match="anchor depth -1.0,"):
+            range_from_tof(0.1, HOMOG, -1.0, 50.0)
+        with pytest.raises(ValueError, match="target depth 101.0$"):
+            range_from_tof(np.array([0.1, 0.2]), HOMOG, np.array([0.0, 5.0]), 101.0)
+        with pytest.raises(ValueError, match="water column"):
+            range_from_tof(0.1, HOMOG, np.array([0.0, np.nan]), 50.0)
+
+    def test_scalar_input_gives_float(self):
+        assert type(range_from_tof(0.1, THREE_LAYER, 0.0, 50.0)) is float
+
+    def test_array_call_equals_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        boundaries = np.array(THREE_LAYER.boundaries)
+        # Equal depths, the surface, layer boundaries and random depths.
+        depths = np.concatenate([boundaries, rng.uniform(0.0, boundaries[-1], 12)])
+        anchor, target = (a.ravel() for a in np.meshgrid(depths, depths))
+        tof = rng.uniform(1e-3, 0.2, anchor.size)
+        ranges = range_from_tof(tof, THREE_LAYER, anchor, target)
+        expected = [
+            range_from_tof(float(t), THREE_LAYER, float(a), float(z))
+            for t, a, z in zip(tof, anchor, target)
+        ]
+        assert np.array_equal(ranges, expected)
+        # The target depth may be one scalar for all anchors.
+        assert np.array_equal(
+            range_from_tof(tof[:16], THREE_LAYER, anchor[:16], 60.0),
+            [range_from_tof(float(t), THREE_LAYER, float(a), 60.0)
+             for t, a in zip(tof[:16], anchor[:16])],
+        )
 
 
 class TestFitness:
@@ -198,8 +235,7 @@ class TestEvolveGeneration:
 
     def test_offspring_respect_bounds(self):
         cfg = GaConfig(
-            search_bounds=BOUNDS, population_size=64, elite_count=1,
-            mutation_rate=1.0, mutation_sigma_initial=500.0,
+            search_bounds=BOUNDS, population_size=64, elite_count=1, mutation_rate=1.0
         )
         rng = np.random.default_rng(3)
         pop = rng.uniform(BOUNDS.lows(), BOUNDS.highs(), size=(64, 3))

@@ -278,6 +278,22 @@ class TestTracePath:
             TWO_LAYER, src, rcv
         )
 
+    @pytest.mark.parametrize(
+        "src,rcv",
+        [
+            ((0.0, 0.0, -120.0), (90.0, 40.0, -120.0)),  # equal depths
+            ((10.0, 20.0, -150.0), (10.0, 20.0, 0.0)),   # vertical
+            ((0.0, 0.0, -180.0), (60.0, -30.0, -20.0)),  # source deeper
+            ((0.0, 0.0, -100.0), (70.0, 0.0, -160.0)),   # source on a boundary
+        ],
+        ids=["equal-depth", "vertical", "deeper-source", "boundary-source"],
+    )
+    def test_refracted_equals_trace_refracted(self, src, rcv):
+        horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
+        path = trace_path(TWO_LAYER, src, rcv, "refracted")
+        assert path == trace_refracted(TWO_LAYER, -src[2], -rcv[2], horizontal)
+        assert path.segments[0].layer == TWO_LAYER.layer_index_at(-src[2])
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="path model"):
             trace_path(HOMOG, (0.0, 0.0, -10.0), (5.0, 0.0, 0.0), "bent")

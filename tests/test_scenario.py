@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from hydroloc.environment import Layer, WaterColumn
 from hydroloc.multilateration import GaConfig, SearchBounds
 from hydroloc.propagation import ChannelConfig
-from hydroloc.scenario import EkfConfig, ScenarioError, load_scenario, parse_scenario
+from hydroloc.scenario import (
+    MAX_EPOCHS,
+    EkfConfig,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -180,6 +186,46 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="ping_interval"):
             parse_scenario(text)
 
+    def test_ga_seed_rejected(self):
+        # The solver is reseeded every epoch, so a ga.seed would be ignored.
+        doc = yaml.safe_load(MINIMAL)
+        doc["ga"]["seed"] = 11
+        with pytest.raises(ScenarioError, match="^ga.seed: .*top-level seed"):
+            parse_scenario(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize(
+        "interval,end,accepted",
+        [
+            (1.0, MAX_EPOCHS - 1.0, True),  # epochs at t = 0, 1, ..., MAX_EPOCHS - 1
+            (1.0, float(MAX_EPOCHS), False),
+            (1.0e-300, 60.0, False),
+            (10.0, 1.0e300, False),
+        ],
+    )
+    def test_epoch_count_bounded(self, interval, end, accepted):
+        # Parse only: a rejected value would make epoch_times exhaust memory.
+        doc = yaml.safe_load(MINIMAL)
+        doc["ping_interval"] = interval
+        doc["trajectory"][1]["time"] = end
+        text = yaml.safe_dump(doc)
+        if accepted:
+            assert parse_scenario(text).ping_interval == interval
+        else:
+            with pytest.raises(ScenarioError, match="^ping_interval: .* epochs"):
+                parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "axis,value", [("east", 1.0e300), ("north", -200.5), ("up", -90.0)]
+    )
+    def test_waypoint_outside_search_bounds_rejected(self, axis, value):
+        doc = yaml.safe_load(MINIMAL)
+        doc["ga"]["search_bounds"]["up"] = [-80.0, 0.0]
+        doc["trajectory"][1][axis] = value
+        with pytest.raises(
+            ScenarioError, match=rf"^trajectory\[1\]\.{axis}: .* outside ga\.search_bounds"
+        ):
+            parse_scenario(yaml.safe_dump(doc))
+
     def test_boolean_is_not_a_number(self):
         text = MINIMAL.replace("carrier_frequency: 25.0", "carrier_frequency: true")
         with pytest.raises(ScenarioError, match="carrier_frequency"):
@@ -247,19 +293,15 @@ FULL = textwrap.dedent(
       tournament_size: 4
       crossover_rate: 0.8
       mutation_rate: 0.2
-      mutation_sigma_initial: 5.0
       mutation_sigma_decay: 0.9
       elite_count: 2
       fitness_mode: range_residual
       snr_weighting: true
       dispersion_warn_threshold: 7.5
-      seed: 11
     ekf:
       accel_noise_density: {east: 0.002, north: 0.003, up: 0.004}
       initial_position_sigma: 50.0
       initial_velocity_sigma: 0.5
-      fix_sigma: 2.0
-      fix_sigma_scale: 1.5
       fix_sigma_floor: 0.25
       pressure_sigma_depth: 0.2
       water_density: 1027.0
@@ -269,7 +311,11 @@ FULL = textwrap.dedent(
 
 
 class TestEveryKey:
-    """FULL sets every accepted key, each to a value other than its default."""
+    """FULL sets every accepted key, each to a value other than its default.
+
+    GaConfig.seed is no key: each epoch's solver seed derives from the
+    top-level seed.
+    """
 
     def test_full_sets_every_config_field(self):
         doc = yaml.safe_load(FULL)
@@ -284,7 +330,7 @@ class TestEveryKey:
             (GaConfig, doc["ga"]),
             (EkfConfig, doc["ekf"]),
         ):
-            assert set(section) == {f.name for f in fields(cls)}, cls.__name__
+            assert set(section) == {f.name for f in fields(cls)} - {"seed"}, cls.__name__
 
     def test_every_key_is_read(self):
         doc = yaml.safe_load(FULL)
@@ -310,7 +356,8 @@ class TestEveryKey:
         assert s.seed == 7
         for config in (s.channel, s.ga, s.ekf):
             for f in fields(config):
-                assert getattr(config, f.name) != f.default, f.name
+                if f.name != "seed":
+                    assert getattr(config, f.name) != f.default, f.name
 
 
 def _set(doc, path, value):
@@ -330,11 +377,11 @@ NON_FINITE_CASES = [
     (("ping_interval",), math.nan, "scenario.ping_interval"),
     (("ping_interval",), math.inf, "scenario.ping_interval"),
     (("ekf", "pressure_sigma_depth"), math.inf, "ekf.pressure_sigma_depth"),
-    (("ekf", "fix_sigma"), math.inf, "ekf.fix_sigma"),
+    (("ekf", "fix_sigma_floor"), math.inf, "ekf.fix_sigma_floor"),
     (("ekf", "accel_noise_density", "up"), math.nan, "ekf.accel_noise_density.up"),
     (("ga", "search_bounds", "east", 0), -math.inf, "ga.search_bounds.east"),
     (("ga", "search_bounds", "up", 1), math.nan, "ga.search_bounds.up"),
-    (("ga", "mutation_sigma_initial"), math.nan, "ga.mutation_sigma_initial"),
+    (("ga", "mutation_rate"), math.nan, "ga.mutation_rate"),
     (("water_column", "layers", 0, "thickness"), math.inf,
      "water_column.layers[0].thickness"),
     (("anchors", 2, "height"), -math.inf, "anchors[2].height"),
