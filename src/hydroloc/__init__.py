@@ -45,12 +45,12 @@ from .pipeline import EpochRecord, RunSummary, run_simulation, write_outputs
 from .propagation import (
     ChannelConfig,
     ChannelProfile,
-    LinkBudget,
     NoDirectPathError,
     PingMeasurement,
     RayPath,
     RaySegment,
     pairwise_tof,
+    ping_paths,
     simulate_ping,
     snr,
     trace_path,

@@ -29,8 +29,9 @@ from .pipeline import (
 from .propagation import (
     ChannelProfile,
     NoDirectPathError,
-    link_budget,
+    snr,
     trace_path,
+    transmission_loss,
 )
 from .scenario import (
     Scenario,
@@ -73,22 +74,23 @@ def _cmd_ping(args) -> int:
     profile = _profile_for(scenario)
     src = _parse_enu(args.src, "--src")
     dst = _parse_enu(args.dst, "--dst")
+    channel = scenario.channel
 
     try:
-        path = trace_path(profile, src, dst, scenario.channel.path_model)
+        path = trace_path(profile, src, dst, channel.path_model)
     except NoDirectPathError as exc:
         print(f"no direct path: {exc}")
         return 0
 
-    budget = link_budget(path, profile, scenario.channel)
-    detected = budget.snr >= scenario.channel.detection_threshold
-    print(f"path_model: {scenario.channel.path_model}")
+    loss_db = transmission_loss(path, profile)
+    snr_db = snr(channel.source_level, loss_db, channel.noise_level)
+    print(f"path_model: {channel.path_model}")
     print(f"tof_s: {path.tof!r}")
     print(f"length_m: {path.total_length!r}")
     print(f"ray_parameter_s_per_m: {path.ray_parameter!r}")
-    print(f"transmission_loss_db: {budget.transmission_loss!r}")
-    print(f"snr_db: {budget.snr!r}")
-    print(f"detected: {detected}")
+    print(f"transmission_loss_db: {loss_db!r}")
+    print(f"snr_db: {snr_db!r}")
+    print(f"detected: {snr_db >= channel.detection_threshold}")
     return 0
 
 

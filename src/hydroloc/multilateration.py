@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import ChannelProfile, _layer_overlaps, _layer_speed_at, pairwise_tof
+from .propagation import ChannelProfile, _layer_at, _layer_overlaps, pairwise_tof
 
 __all__ = [
     "Anchor",
@@ -186,7 +186,7 @@ def range_from_tof(tof, profile: ChannelProfile, anchor_depth, assumed_target_de
     thickness = z_hi - z_lo
     with np.errstate(invalid="ignore", divide="ignore"):
         harmonic = thickness / (_layer_overlaps(boundaries, z_lo, z_hi) / speeds).sum(axis=-1)
-    local = _layer_speed_at(boundaries, speeds, z_lo)
+    local = speeds[_layer_at(boundaries, z_lo)]
     ranges = tof * np.where(thickness > 0.0, harmonic, local)
     return float(ranges) if ranges.ndim == 0 else ranges
 

@@ -29,7 +29,7 @@ from .fusion import (
     pressure_to_depth,
 )
 from .multilateration import Anchor, PositionEstimate, ga_localize
-from .propagation import ChannelProfile, simulate_ping
+from .propagation import ChannelProfile, ping_paths, simulate_ping
 from .scenario import Scenario
 
 __all__ = [
@@ -155,14 +155,13 @@ def simulate_epoch(
         for aid, pos in zip(scenario.anchor_ids, reported)
     ]
 
+    # One kernel call traces every anchor; each then detects on its own noise stream.
+    channel = scenario.channel
+    tof, length, absorbed = ping_paths(profile, channel.path_model, true_pos, anchors_true)
     measurements = []
-    for a_idx, aid in enumerate(scenario.anchor_ids):
-        ping_rng = np.random.default_rng(
-            child_seed(scenario.seed, _TAG_PING, epoch_idx, a_idx)
-        )
-        ping = simulate_ping(
-            profile, scenario.channel, aid, true_pos, anchors_true[a_idx], ping_rng, t
-        )
+    for a, aid in enumerate(scenario.anchor_ids):
+        seed = child_seed(scenario.seed, _TAG_PING, epoch_idx, a)
+        ping = simulate_ping(channel, aid, tof[a], length[a], absorbed[a], seed, t)
         if ping is not None:
             measurements.append(ping)
 

@@ -6,6 +6,9 @@ across layer interfaces, with theta the grazing angle from horizontal.
 The straight model splits the Euclidean chord at layer boundaries and
 ignores refraction; in a homogeneous column both coincide.
 
+One vectorized kernel gives each path's length in every layer; travel
+times, losses, pings and the RayPath traces all derive from it.
+
 Positions at module boundaries are ENU (up negative underwater); depth
 is positive down internally, converted by negation.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import WaterColumn, acoustics_profile, layer_index_for
+from .environment import WaterColumn, acoustics_profile
 
 __all__ = [
     "NoDirectPathError",
@@ -26,14 +29,13 @@ __all__ = [
     "ChannelConfig",
     "RaySegment",
     "RayPath",
-    "LinkBudget",
     "PingMeasurement",
     "trace_refracted",
     "trace_straight",
     "trace_path",
     "transmission_loss",
     "snr",
-    "link_budget",
+    "ping_paths",
     "simulate_ping",
     "pairwise_tof",
 ]
@@ -48,6 +50,8 @@ _P_MARGIN = 1e-9
 # (monotone, no overshoot) reach float64 resolution quickly.
 _BISECT_STEPS = 8
 _NEWTON_STEPS = 16
+# Transmission loss is spreading relative to 1 m; shorter paths have none.
+_REFERENCE_DISTANCE = 1.0
 
 
 class NoDirectPathError(Exception):
@@ -76,9 +80,6 @@ class ChannelProfile:
     @property
     def total_depth(self) -> float:
         return self.boundaries[-1]
-
-    def layer_index_at(self, depth: float) -> int:
-        return layer_index_for(self.boundaries, depth)
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,6 @@ class RayPath:
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    source_level: float       # dB re 1 uPa @ 1 m
-    transmission_loss: float  # dB
-    noise_level: float        # dB re 1 uPa
-
-    @property
-    def snr(self) -> float:
-        return self.source_level - self.transmission_loss - self.noise_level
-
-
-@dataclass(frozen=True)
 class PingMeasurement:
     """One anchor's observation of a beacon ping."""
 
@@ -138,10 +128,10 @@ class PingMeasurement:
     timestamp: float     # s since scenario start
 
 
-def _check_depth(profile: ChannelProfile, depth: float, what: str) -> None:
-    if not 0.0 <= depth <= profile.total_depth:
+def _check_depth(profile: ChannelProfile, depth: np.ndarray, what: str) -> None:
+    if not ((depth >= 0.0) & (depth <= profile.total_depth)).all():
         raise ValueError(
-            f"{what} depth {depth} outside water column [0, {profile.total_depth}]"
+            f"{what} depth {depth} outside the water column [0, {profile.total_depth}]"
         )
 
 
@@ -152,20 +142,28 @@ def _layer_overlaps(boundaries: np.ndarray, z_lo, z_hi) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
-def _layer_speed_at(boundaries: np.ndarray, speeds: np.ndarray, z) -> np.ndarray:
-    """Speed of the layer holding depth z, elementwise.
+def _layer_at(boundaries: np.ndarray, z, side: str = "right") -> np.ndarray:
+    """Index of the layer holding depth z, elementwise.
 
     As in layer_index_for, an interior boundary belongs to the layer
-    below it and the bottom boundary to the last layer.
+    below it and the bottom boundary to the last layer; side="left"
+    gives the layer above an interior boundary instead.
     """
-    return speeds[np.searchsorted(boundaries[1:-1], z, side="right")]
+    return np.searchsorted(boundaries[1:-1], z, side=side)
 
 
-def _tof_of_p(p: np.ndarray, dz: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    u = p[..., None] * speeds
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = dz / (speeds * np.sqrt(1.0 - u * u))
-    return np.where(dz > 0.0, t, 0.0).sum(axis=-1)
+def _path_sum(values: np.ndarray, rising) -> np.ndarray:
+    """Sum over the layer axis in source -> receiver order, term by term.
+
+    rising marks pairs whose source lies below the receiver; their layers
+    are summed bottom-up. The fixed sequential order makes a batch of
+    paths add up exactly as a loop along each path's segments would.
+    """
+    down, up = values[..., 0], values[..., -1]
+    for k in range(1, values.shape[-1]):
+        down = down + values[..., k]
+        up = up + values[..., -1 - k]
+    return np.where(rising, up, down)
 
 
 def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray):
@@ -232,8 +230,8 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
         for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             short = horizontal_range(mid) < r_m
-            lo = np.where(short, mid, lo)
-            hi = np.where(short, hi, mid)
+            np.copyto(lo, mid, where=short)
+            np.copyto(hi, mid, where=~short)
 
         pv = lo
         for _ in range(_NEWTON_STEPS):
@@ -260,43 +258,97 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
     return p, ok
 
 
-def _trace_layers(profile, z_src, z_rcv, horizontal, layer_rule) -> RayPath:
-    """Scaffold of the scalar traces between source and receiver depths.
+def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal, path_model: str):
+    """Per-layer lengths and travel times of the direct paths between depth pairs.
 
-    Checks both depths and returns the horizontal ray in the containing
-    layer when they are equal (the p*c -> 1 limit for refraction).
-    Otherwise layer_rule(dz, order) gets the per-layer vertical overlaps
-    and the traversed layers in source -> receiver order, and returns
-    (ray_parameter, total_length, pieces) with one (length, grazing_angle)
-    per traversed layer.
+    The one place path geometry is computed. Source and receiver depths
+    and horizontal ranges (m) broadcast to the pair shape S. Returns
+    (lengths, times, dz, p, ok): per-layer path lengths (m) and travel
+    times (s) of shape S + (L,) in layer order, the per-layer vertical
+    extents, the ray parameter, and ok=False where no direct refracted
+    ray exists (the other outputs of such pairs are meaningless). Raises
+    ValueError for a depth outside the water column.
+
+    - refracted: length_i = dz_i / sin_i and time_i = dz_i / (c_i sin_i)
+      with sin_i = sqrt(1 - p^2 c_i^2), p closing the range;
+    - straight: length_i = chord * dz_i / dz, the chord split at the
+      boundaries, time_i = length_i / c_i, and p = cos(theta)/c in the
+      first layer the chord crosses;
+    - equal depths (both models): a horizontal run in the containing
+      layer, p = 1/c (the p*c -> 1 limit of refraction); zero range
+      gives an empty path with p = 0.
+    A refracted ray that grazes a traversed layer (p*c rounds to 1 or
+    more, which the closed-form single-layer solve allows for nearly
+    level pairs) gets non-finite lengths and times.
     """
+    boundaries = np.asarray(profile.boundaries)
+    speeds = np.asarray(profile.sound_speeds)
+    z_src, z_rcv = np.asarray(z_src, float), np.asarray(z_rcv, float)
     _check_depth(profile, z_src, "source")
     _check_depth(profile, z_rcv, "receiver")
-    if z_src == z_rcv:
-        if horizontal == 0.0:
-            return RayPath(segments=(), total_length=0.0, tof=0.0, ray_parameter=0.0)
-        idx = profile.layer_index_at(z_src)
-        c = profile.sound_speeds[idx]
-        seg = RaySegment(layer=idx, length=horizontal, grazing_angle=0.0)
-        return RayPath(
-            segments=(seg,), total_length=horizontal, tof=horizontal / c,
-            ray_parameter=1.0 / c,
+    horizontal = np.asarray(horizontal, float)
+    z_lo = np.minimum(z_src, z_rcv)
+    z_hi = np.maximum(z_src, z_rcv)
+    dz = _layer_overlaps(boundaries, z_lo, z_hi)
+    dz_total = z_hi - z_lo
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if path_model == "refracted":
+            p, ok = _solve_ray_parameter(dz, speeds, horizontal)
+            u = p[..., None] * speeds
+            sin = np.sqrt(1.0 - u * u)
+            crossed = dz > 0.0
+            lengths = np.where(crossed, dz / sin, 0.0)
+            times = np.where(crossed, dz / (speeds * sin), 0.0)
+        elif path_model == "straight":
+            chord = np.hypot(horizontal, dz_total)
+            lengths = chord[..., None] * dz / dz_total[..., None]
+            times = lengths / speeds
+            first = np.where(
+                z_src > z_rcv, _layer_at(boundaries, z_src, "left"), _layer_at(boundaries, z_src)
+            )
+            p = horizontal / (chord * speeds[first])
+            ok = np.ones(p.shape, dtype=bool)
+        else:
+            raise ValueError(f"unknown path model {path_model!r}")
+
+    level = dz_total == 0.0
+    if level.any():
+        layer = _layer_at(boundaries, z_lo)
+        in_layer = np.arange(len(speeds)) == layer[..., None]
+        run = np.where(in_layer, horizontal[..., None], 0.0)
+        lengths = np.where(level[..., None], run, lengths)
+        times = np.where(level[..., None], run / speeds, times)
+        p = np.where(level, np.where(horizontal > 0.0, 1.0 / speeds[layer], 0.0), p)
+
+    return lengths, times, dz, p, ok
+
+
+def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal, path_model) -> RayPath:
+    """The RayPath view of one kernel pair, segments source -> receiver."""
+    lengths, _, dz, p, ok = _layer_paths(profile, z_src, z_rcv, horizontal, path_model)
+    tof = _path_sum(lengths / np.asarray(profile.sound_speeds), z_src > z_rcv)
+    if not (ok and np.isfinite(tof)):
+        raise NoDirectPathError(
+            f"range {horizontal} m not reachable by a direct ray "
+            f"between depths {z_src} and {z_rcv} m"
         )
-
-    z_lo, z_hi = sorted((z_src, z_rcv))
-    dz = _layer_overlaps(np.asarray(profile.boundaries), np.float64(z_lo), np.float64(z_hi))
-    order = np.nonzero(dz > 0.0)[0]
+    order = np.nonzero(lengths > 0.0)[0]
     if z_src > z_rcv:
-        order = order[::-1]  # segments run source -> receiver
-    p, total_length, pieces = layer_rule(dz, order)
-
-    segments = []
-    tof = 0.0
-    for i, (length, angle) in zip(order, pieces):
-        segments.append(RaySegment(layer=int(i), length=length, grazing_angle=angle))
-        tof += length / profile.sound_speeds[i]
+        order = order[::-1]
+    segments = tuple(
+        RaySegment(
+            layer=int(i),
+            length=float(lengths[i]),
+            grazing_angle=math.asin(min(dz[i] / lengths[i], 1.0)),
+        )
+        for i in order
+    )
     return RayPath(
-        segments=tuple(segments), total_length=total_length, tof=tof, ray_parameter=p
+        segments=segments,
+        total_length=sum((seg.length for seg in segments), 0.0),
+        tof=float(tof),
+        ray_parameter=float(p),
     )
 
 
@@ -317,27 +369,7 @@ def trace_refracted(
     """
     if horizontal_range < 0:
         raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
-    speeds = np.asarray(profile.sound_speeds)
-
-    def snell(dz, order):
-        p_arr, ok = _solve_ray_parameter(dz[None, :], speeds, np.array([horizontal_range]))
-        if not ok[0]:
-            raise NoDirectPathError(
-                f"range {horizontal_range} m not reachable by a direct ray "
-                f"between depths {source_depth} and {receiver_depth} m"
-            )
-        p = float(p_arr[0])
-        pieces = []
-        total_length = 0.0
-        for i in order:
-            u = p * float(speeds[i])
-            sin_th = math.sqrt(max(1.0 - u * u, 0.0))
-            length = float(dz[i]) / sin_th if sin_th > 0 else float(dz[i])
-            pieces.append((length, math.atan2(sin_th, u)))
-            total_length += length
-        return p, total_length, pieces
-
-    return _trace_layers(profile, source_depth, receiver_depth, horizontal_range, snell)
+    return _ray_path(profile, source_depth, receiver_depth, horizontal_range, "refracted")
 
 
 def trace_straight(profile: ChannelProfile, source, receiver) -> RayPath:
@@ -346,19 +378,7 @@ def trace_straight(profile: ChannelProfile, source, receiver) -> RayPath:
     Each segment uses its layer's sound speed; no refraction. Endpoints
     are (east, north, up) with up negative underwater.
     """
-    src = np.asarray(source, float)
-    rcv = np.asarray(receiver, float)
-    z_src, z_rcv = -src[2], -rcv[2]
-    horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-
-    def chord_split(dz, order):
-        dz_total = abs(z_rcv - z_src)
-        chord = math.hypot(horizontal, dz_total)
-        angle = math.atan2(dz_total, horizontal)
-        pieces = [(chord * float(dz[i]) / dz_total, angle) for i in order]
-        return math.cos(angle) / profile.sound_speeds[int(order[0])], chord, pieces
-
-    return _trace_layers(profile, z_src, z_rcv, horizontal, chord_split)
+    return trace_path(profile, source, receiver, "straight")
 
 
 def trace_path(profile: ChannelProfile, source, receiver, path_model: str) -> RayPath:
@@ -370,12 +390,18 @@ def trace_path(profile: ChannelProfile, source, receiver, path_model: str) -> Ra
     """
     src = np.asarray(source, float)
     rcv = np.asarray(receiver, float)
-    if path_model == "refracted":
-        horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-        return trace_refracted(profile, -src[2], -rcv[2], horizontal)
-    if path_model == "straight":
-        return trace_straight(profile, src, rcv)
-    raise ValueError(f"unknown path model {path_model!r}")
+    horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
+    return _ray_path(profile, float(-src[2]), float(-rcv[2]), horizontal, path_model)
+
+
+def _absorbed_db(profile: ChannelProfile, lengths: np.ndarray, rising) -> np.ndarray:
+    """Absorption along per-layer path lengths (..., L), dB, summed source -> receiver."""
+    return _path_sum(np.asarray(profile.absorption) * 1e-3 * lengths, rising)
+
+
+def _loss_db(total_length: float, absorbed: float) -> float:
+    """Spherical spreading relative to 1 m plus the absorption along the path, dB."""
+    return 20.0 * math.log10(total_length) + absorbed
 
 
 def transmission_loss(path: RayPath, profile: ChannelProfile) -> float:
@@ -385,15 +411,15 @@ def transmission_loss(path: RayPath, profile: ChannelProfile) -> float:
     with alpha taken per layer from the profile (dB/km converted to dB/m).
     Paths shorter than the 1 m reference distance are rejected.
     """
-    if path.total_length < 1.0:
+    if path.total_length < _REFERENCE_DISTANCE:
         raise ValueError(
             f"path length {path.total_length} m is below the 1 m reference distance"
         )
-    spreading = 20.0 * math.log10(path.total_length)
-    absorbed = sum(
-        profile.absorption[seg.layer] * 1e-3 * seg.length for seg in path.segments
-    )
-    return spreading + absorbed
+    lengths = np.zeros(len(profile.absorption))
+    for seg in path.segments:
+        lengths[seg.layer] = seg.length
+    rising = path.segments[0].layer > path.segments[-1].layer
+    return _loss_db(path.total_length, float(_absorbed_db(profile, lengths, rising)))
 
 
 def snr(source_level: float, transmission_loss_db: float, noise_level: float) -> float:
@@ -401,51 +427,70 @@ def snr(source_level: float, transmission_loss_db: float, noise_level: float) ->
     return source_level - transmission_loss_db - noise_level
 
 
-def link_budget(path: RayPath, profile: ChannelProfile, config: ChannelConfig) -> LinkBudget:
-    return LinkBudget(
-        source_level=config.source_level,
-        transmission_loss=transmission_loss(path, profile),
-        noise_level=config.noise_level,
+def ping_paths(profile: ChannelProfile, path_model: str, source, receivers):
+    """Trace one source to every receiver, all ENU, in one kernel call.
+
+    receivers is (M, 3). Returns (tof, length, absorbed), each of shape
+    (M,): the travel time (s), the path length (m) and the absorption
+    along the path (dB), each summed in source -> receiver order. tof is
+    NaN where no direct path exists and non-finite where the refracted
+    ray grazes a layer.
+    """
+    src = np.asarray(source, float)
+    rcv = np.asarray(receivers, float).reshape(-1, 3)
+    z_src, z_rcv = float(-src[2]), -rcv[:, 2]
+    horizontal = [math.hypot(r[0] - src[0], r[1] - src[1]) for r in rcv]
+    lengths, _, _, _, ok = _layer_paths(profile, z_src, z_rcv, horizontal, path_model)
+    rising = z_src > z_rcv
+    tof = _path_sum(lengths / np.asarray(profile.sound_speeds), rising)
+    return (
+        np.where(ok, tof, np.nan),
+        _path_sum(lengths, rising),
+        _absorbed_db(profile, lengths, rising),
     )
 
 
 def simulate_ping(
-    profile: ChannelProfile,
     config: ChannelConfig,
     anchor_id: str,
-    source,
-    receiver,
-    rng: np.random.Generator,
+    tof: float,
+    length: float,
+    absorbed: float,
+    seed: int,
     timestamp: float,
 ) -> PingMeasurement | None:
-    """Simulate one beacon ping from source to receiver, both ENU.
+    """One anchor's observation of a ping path traced by ping_paths.
 
-    Returns None (a non-detection) when no direct path exists, when the
-    SNR falls below the detection threshold, or when timing noise would
-    produce a non-positive TOF. The measured TOF is the path TOF plus one
-    Gaussian draw from rng.
+    Returns None (a non-detection) when no direct path exists (tof not
+    finite), when the path is shorter than the 1 m reference distance of
+    the loss model, when the SNR falls below the detection threshold, or
+    when timing noise would make the TOF non-positive. The measured TOF
+    is the path TOF plus one Gaussian draw from
+    np.random.default_rng(seed), drawn only for a detected ping.
     """
-    try:
-        path = trace_path(profile, source, receiver, config.path_model)
-    except NoDirectPathError:
+    if not math.isfinite(tof):
         log.debug("anchor %s at t=%.3f: no direct path", anchor_id, timestamp)
         return None
-
-    budget = link_budget(path, profile, config)
-    if budget.snr < config.detection_threshold:
+    if length < _REFERENCE_DISTANCE:
         log.debug(
-            "anchor %s at t=%.3f: SNR %.2f dB below threshold %.2f dB",
-            anchor_id, timestamp, budget.snr, config.detection_threshold,
+            "anchor %s at t=%.3f: path length %.3f m below the 1 m reference distance",
+            anchor_id, timestamp, length,
         )
         return None
-
-    tof_measured = float(path.tof + rng.normal(0.0, config.tof_noise_sigma))
+    loss_db = _loss_db(float(length), float(absorbed))
+    snr_db = snr(config.source_level, loss_db, config.noise_level)
+    if snr_db < config.detection_threshold:
+        log.debug(
+            "anchor %s at t=%.3f: SNR %.2f dB below threshold %.2f dB",
+            anchor_id, timestamp, snr_db, config.detection_threshold,
+        )
+        return None
+    rng = np.random.default_rng(seed)
+    tof_measured = float(tof + rng.normal(0.0, config.tof_noise_sigma))
     if tof_measured <= 0.0:
         log.debug("anchor %s at t=%.3f: noisy TOF non-positive", anchor_id, timestamp)
         return None
-    return PingMeasurement(
-        anchor_id=anchor_id, tof_measured=tof_measured, snr=budget.snr, timestamp=timestamp
-    )
+    return PingMeasurement(anchor_id, tof_measured, snr_db, timestamp)
 
 
 def pairwise_tof(
@@ -456,46 +501,18 @@ def pairwise_tof(
 ):
     """Travel times from each ENU point in points_a to each in points_b.
 
-    Vectorized forward model shared with the localization fitness.
-    points_a is (N, 3), points_b is (M, 3); returns (tof, ok) with shape
-    (N, M). ok=False marks pairs with no direct refracted path (their tof
-    entry is meaningless). Agrees with trace_refracted / trace_straight
-    to within bisection tolerance.
+    The forward model of the localization fitness, on the path kernel
+    of the pings. points_a is (N, 3), points_b is (M, 3); returns (tof,
+    ok) with shape (N, M). ok=False marks pairs with no direct refracted
+    path (their tof entry is meaningless). Raises ValueError for a point
+    outside the water column.
     """
     a = np.atleast_2d(np.asarray(points_a, float))
     b = np.atleast_2d(np.asarray(points_b, float))
-    boundaries = np.asarray(profile.boundaries)
-    speeds = np.asarray(profile.sound_speeds)
-
-    z_a = -a[:, 2]
-    z_b = -b[:, 2]
-    for z, what in ((z_a, "points_a"), (z_b, "points_b")):
-        if np.any(z < 0.0) or np.any(z > profile.total_depth):
-            raise ValueError(f"{what} contains depths outside the water column")
-
     horizontal = np.hypot(
         a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]
     )
-    z_lo = np.minimum(z_a[:, None], z_b[None, :])
-    z_hi = np.maximum(z_a[:, None], z_b[None, :])
-    dz = _layer_overlaps(boundaries, z_lo, z_hi)
-    dz_total = z_hi - z_lo
-
-    # Horizontal pairs: straight run in the containing layer for both models.
-    c_flat = _layer_speed_at(boundaries, speeds, z_lo)
-
-    if path_model == "straight":
-        chord = np.hypot(horizontal, dz_total)
-        slow_sum = (np.where(dz > 0.0, dz / speeds, 0.0)).sum(axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            oblique = chord / dz_total * slow_sum
-        tof = np.where(dz_total > 0.0, oblique, horizontal / c_flat)
-        return tof, np.ones_like(tof, dtype=bool)
-
-    if path_model != "refracted":
-        raise ValueError(f"unknown path model {path_model!r}")
-
-    p, ok = _solve_ray_parameter(dz, speeds, horizontal)
-    tof = _tof_of_p(p, dz, speeds)
-    tof = np.where(dz_total > 0.0, tof, horizontal / c_flat)
-    return tof, ok
+    _, times, _, _, ok = _layer_paths(
+        profile, -a[:, 2, None], -b[None, :, 2], horizontal, path_model
+    )
+    return times.sum(axis=-1), ok

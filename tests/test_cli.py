@@ -44,6 +44,18 @@ class TestPingCommand:
         out = capsys.readouterr().out
         assert "tof_s:" in out and "snr_db:" in out and "detected: True" in out
 
+    @pytest.mark.parametrize("model", ["refracted", "straight"])
+    def test_prints_plain_floats(self, model, tmp_path, capsys):
+        doc = yaml.safe_load(Path(NOISELESS).read_text())
+        doc["channel"]["path_model"] = model
+        path = tmp_path / f"{model}.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        for dst in ("100,100,0", "0,0,-20", "30,40,-50"):  # oblique, vertical, level
+            assert main(["ping", str(path), "--src", "0,0,-50", "--dst", dst]) == 0
+            out = capsys.readouterr().out
+            assert f"path_model: {model}" in out and "snr_db:" in out
+            assert "np." not in out
+
     def test_malformed_triplet_is_validation_error(self, capsys):
         assert main(["ping", NOISELESS, "--src", "1,2", "--dst", "0,0,0"]) == 1
         assert "--src" in capsys.readouterr().err
@@ -115,6 +127,21 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "trajectory[1].east" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_waypoint_near_an_anchor_runs(self, small_scenario, tmp_path, capsys):
+        # A 0.54 m path to anchor ne is no detection; it used to exit 2.
+        doc = yaml.safe_load(Path(small_scenario).read_text())
+        doc["trajectory"][0].update(east=99.8, north=100.0, up=-0.5)
+        path = tmp_path / "near.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out_dir = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out_dir)]) == 0
+        rows = (out_dir / "epochs.csv").read_text().splitlines()[1:]
+        assert rows[0].endswith(",3")  # three anchors detected at the first epoch
+        cells = [c for row in rows for c in row.split(",") if c]
+        assert all(math.isfinite(float(c)) for c in cells)
+        summary = (out_dir / "summary.json").read_text()
+        assert "NaN" not in summary and "Infinity" not in summary
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.yaml"), "--out", str(tmp_path / "o")]) == 1

@@ -132,6 +132,24 @@ class TestRunSimulation:
         # Acoustics run on the true geometry: zero up-noise keeps TOF clean.
         assert len(measurements) == 4
 
+    def test_below_threshold_anchor_leaves_other_pings(self):
+        s = parse_scenario(FAST_NOISY)
+        profile = ChannelProfile.from_column(s.column, s.carrier_frequency)
+        anchors_true = np.asarray(s.anchors_enu())
+        anchors_true[0, :2] *= 20.0  # about 2.8 km out: the weakest link
+
+        def pings(threshold):
+            channel = dataclasses.replace(s.channel, detection_threshold=threshold)
+            scenario = dataclasses.replace(s, channel=channel)
+            return simulate_epoch(scenario, profile, anchors_true, 3, 30.0)[2]
+
+        everyone = pings(-1e6)
+        snrs = [p.snr for p in everyone]
+        near_only = pings(0.5 * (snrs[0] + min(snrs[1:])))
+        assert [p.anchor_id for p in everyone] == list(s.anchor_ids)
+        assert [p.anchor_id for p in near_only] == list(s.anchor_ids[1:])
+        assert [p.tof_measured for p in near_only] == [p.tof_measured for p in everyone[1:]]
+
 
 class TestWriteOutputs:
     def test_empty_records_header_only(self, tmp_path):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hydroloc.environment import Layer, WaterColumn, absorption_coeff, sound_speed
+from hydroloc.environment import Layer, WaterColumn, absorption_coeff, layer_index_for, sound_speed
 from hydroloc.propagation import (
     ChannelConfig,
     ChannelProfile,
     NoDirectPathError,
     pairwise_tof,
+    ping_paths,
     simulate_ping,
     snr,
     trace_path,
@@ -170,6 +171,7 @@ class TestTraceStraight:
         straight = trace_straight(TWO_LAYER, (0.0, 0.0, 0.0), (0.0, 0.0, -200.0))
         refracted = trace_refracted(TWO_LAYER, 0.0, 200.0, 0.0)
         assert straight.tof == pytest.approx(refracted.tof, rel=1e-12)
+        assert straight.ray_parameter == refracted.ray_parameter == 0.0
 
     def test_two_layer_oblique_chord(self):
         # Chord from 150 m depth to the surface over 120 m horizontally:
@@ -226,41 +228,84 @@ class TestSimulatePing:
         source_level=170.0, noise_level=50.0, detection_threshold=10.0,
         tof_noise_sigma=0.0, path_model="refracted",
     )
+    source = (0.0, 0.0, -400.0)
+    # Oblique, vertical and equal-depth paths from the source.
+    receivers = ((300.0, 0.0, 0.0), (0.0, 0.0, -20.0), (-60.0, 80.0, -400.0))
+
+    def pings(self, prof=HOMOG, config=config, receivers=receivers, seeds=(7, 8, 9),
+              source=source):
+        """One epoch as the pipeline runs it: one ping_paths call, then each anchor."""
+        tof, length, absorbed = ping_paths(prof, config.path_model, source, receivers)
+        pings = [
+            simulate_ping(config, f"a{j}", tof[j], length[j], absorbed[j], seeds[j], 1.5)
+            for j in range(len(receivers))
+        ]
+        return [p for p in pings if p is not None]
 
     def test_zero_noise_matches_trace(self):
-        rng = np.random.default_rng(0)
-        ping = simulate_ping(
-            HOMOG, self.config, "a0", (0.0, 0.0, -400.0), (300.0, 0.0, 0.0), rng, 1.5
-        )
-        expected = trace_refracted(HOMOG, 400.0, 0.0, 300.0).tof
-        assert ping.tof_measured == expected
-        assert ping.anchor_id == "a0"
-        assert ping.timestamp == 1.5
+        pings = self.pings()
+        assert [p.anchor_id for p in pings] == ["a0", "a1", "a2"]
+        for ping, rcv in zip(pings, self.receivers):
+            assert ping.tof_measured == trace_path(HOMOG, self.source, rcv, "refracted").tof
+            assert ping.timestamp == 1.5
+
+    def test_zero_noise_homogeneous_epoch(self):
+        # Every detection is the direct line: TOF r/c, SNR SL - 20 log10 r - alpha r - NL.
+        for ping, rcv in zip(self.pings(), self.receivers):
+            r = math.dist(self.source, rcv)
+            assert ping.tof_measured == pytest.approx(r / 1500.0, rel=1e-12)
+            expected_snr = 170.0 - 20.0 * math.log10(r) - 1.0e-3 * r - 50.0
+            assert ping.snr == pytest.approx(expected_snr, abs=1e-9)
 
     def test_unreachable_threshold_never_detects(self):
-        config = ChannelConfig(170.0, 50.0, 1e6, 0.0)
-        rng = np.random.default_rng(0)
-        assert simulate_ping(
-            HOMOG, config, "a0", (0.0, 0.0, -400.0), (300.0, 0.0, 0.0), rng, 0.0
-        ) is None
+        assert self.pings(config=ChannelConfig(170.0, 50.0, 1e6, 0.0)) == []
 
     def test_seeded_determinism(self):
         config = ChannelConfig(170.0, 50.0, 10.0, 1e-3)
-        pings = [
-            simulate_ping(
-                HOMOG, config, "a0", (0.0, 0.0, -400.0), (300.0, 0.0, 0.0),
-                np.random.default_rng(99), 0.0,
-            )
-            for _ in range(2)
-        ]
-        assert pings[0].tof_measured == pings[1].tof_measured
-        assert pings[0].snr == pings[1].snr
+        first, second = self.pings(config=config), self.pings(config=config)
+        assert [p.tof_measured for p in first] == [p.tof_measured for p in second]
+        assert [p.snr for p in first] == [p.snr for p in second]
+        assert first[0].tof_measured != self.pings()[0].tof_measured  # noise applied
+
+    def test_below_threshold_anchor_leaves_other_draws(self):
+        receivers = self.receivers + ((5000.0, 0.0, 0.0),)
+        snrs = [p.snr for p in self.pings(receivers=receivers, seeds=(7, 8, 9, 10))]
+        threshold = 0.5 * (snrs[-1] + min(snrs[:-1]))  # only the far anchor fails
+        everyone = self.pings(
+            config=ChannelConfig(170.0, 50.0, -1e6, 1e-3), receivers=receivers,
+            seeds=(7, 8, 9, 10),
+        )
+        near_only = self.pings(
+            config=ChannelConfig(170.0, 50.0, threshold, 1e-3), receivers=receivers,
+            seeds=(7, 8, 9, 10),
+        )
+        assert [p.anchor_id for p in near_only] == ["a0", "a1", "a2"]
+        assert [p.tof_measured for p in near_only] == [p.tof_measured for p in everyone[:3]]
 
     def test_no_direct_path_is_a_non_detection(self):
-        rng = np.random.default_rng(0)
-        assert simulate_ping(
-            TWO_LAYER, self.config, "a0", (0.0, 0.0, 0.0), (1e7, 0.0, -200.0), rng, 0.0
-        ) is None
+        pings = self.pings(
+            TWO_LAYER, receivers=[(1e7, 0.0, -200.0)], seeds=[0], source=(0.0, 0.0, 0.0)
+        )
+        assert pings == []
+
+    def test_path_below_reference_distance_is_a_non_detection(self):
+        # 0.54 m: transmission_loss rejects such a path; the ping is not detected.
+        receivers = ((0.2, 0.0, -399.5), (300.0, 0.0, 0.0))
+        pings = self.pings(receivers=receivers, seeds=(0, 1))
+        assert [p.anchor_id for p in pings] == ["a1"]
+
+    def test_straight_model_splits_the_chord(self):
+        # Deeper source, two layers: the chord split at 100 m, each piece at its own
+        # speed and absorption; the loss spreads over the whole chord.
+        prof = profile((0.0, 100.0, 200.0), (1500.0, 1480.0), absorption=(1.0, 3.0))
+        config = ChannelConfig(170.0, 50.0, 10.0, 0.0, path_model="straight")
+        source, receiver = (0.0, 0.0, -180.0), (120.0, -50.0, -40.0)
+        (ping,) = self.pings(prof, config, receivers=[receiver], seeds=[0], source=source)
+        chord = math.dist(source, receiver)
+        upper, lower = chord * 60.0 / 140.0, chord * 80.0 / 140.0
+        assert ping.tof_measured == pytest.approx(lower / 1480.0 + upper / 1500.0, rel=1e-12)
+        expected_snr = 170.0 - 20.0 * math.log10(chord) - (3.0 * lower + upper) / 1e3 - 50.0
+        assert ping.snr == pytest.approx(expected_snr, abs=1e-9)
 
     def test_invalid_path_model_rejected(self):
         with pytest.raises(ValueError, match="path_model"):
@@ -292,38 +337,96 @@ class TestTracePath:
         horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
         path = trace_path(TWO_LAYER, src, rcv, "refracted")
         assert path == trace_refracted(TWO_LAYER, -src[2], -rcv[2], horizontal)
-        assert path.segments[0].layer == TWO_LAYER.layer_index_at(-src[2])
+        assert path.segments[0].layer == layer_index_for(TWO_LAYER.boundaries, -src[2])
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="path model"):
             trace_path(HOMOG, (0.0, 0.0, -10.0), (5.0, 0.0, 0.0), "bent")
 
 
+def column_overlaps(prof, z_a, z_b):
+    lo, hi = min(z_a, z_b), max(z_a, z_b)
+    b = prof.boundaries
+    return [max(0.0, min(hi, b[i + 1]) - max(lo, b[i])) for i in range(len(b) - 1)]
+
+
+def fermat_tof(dz, speeds, horizontal):
+    """Least travel time over the layer crossing points, by zooming grids.
+
+    Straight segments within layers; the free variables are the
+    horizontal runs of all but the last traversed layer, which takes the
+    rest. The travel time is convex in them, so each grid's minimum
+    brackets the next, finer grid.
+    """
+    lo = np.zeros(len(dz) - 1)
+    hi = np.full(len(dz) - 1, horizontal)
+    for _ in range(16):
+        axes = [np.linspace(a, b, 41) for a, b in zip(lo, hi)]
+        runs = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        runs.append(horizontal - sum(runs))
+        t = sum(np.hypot(x, d) / c for x, d, c in zip(runs, dz, speeds))
+        best = np.array([x[np.argmin(t)] for x in runs[:-1]])
+        step = (hi - lo) / 40.0
+        lo, hi = best - 2.0 * step, best + 2.0 * step
+    return float(t.min())
+
+
 class TestPairwiseTof:
-    def test_matches_scalar_traces(self):
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_refracted_matches_fermat_minimum(self, n_layers):
+        rng = np.random.default_rng(40 + n_layers)
+        prof = random_profile(rng, n_layers)
+        b = prof.boundaries
+        sources = np.column_stack(
+            [rng.uniform(-200, 200, 4), rng.uniform(-200, 200, 4), -rng.uniform(b[-2], b[-1], 4)]
+        )
+        receivers = np.column_stack(
+            [rng.uniform(-200, 200, 3), rng.uniform(-200, 200, 3), -rng.uniform(0, b[1], 3)]
+        )
+        tof, ok = pairwise_tof(prof, sources, receivers)
+        assert ok.all()
+        for i, src in enumerate(sources):
+            for j, rcv in enumerate(receivers):
+                dz = column_overlaps(prof, -src[2], -rcv[2])
+                oracle = fermat_tof(dz, prof.sound_speeds, math.dist(src[:2], rcv[:2]))
+                assert tof[i, j] == pytest.approx(oracle, abs=1e-9)
+
+    def test_straight_matches_chord_split(self):
+        rng = np.random.default_rng(23)
         prof = random_profile(rng, 5)
         depth = prof.total_depth
         sources = np.column_stack(
-            [rng.uniform(-300, 300, 20), rng.uniform(-300, 300, 20),
-             -rng.uniform(0.3 * depth, depth, 20)]
+            [rng.uniform(-300, 300, 6), rng.uniform(-300, 300, 6), -rng.uniform(0, depth, 6)]
         )
         receivers = np.column_stack(
-            [rng.uniform(-300, 300, 4), rng.uniform(-300, 300, 4), -rng.uniform(0, 5, 4)]
+            [rng.uniform(-300, 300, 4), rng.uniform(-300, 300, 4), -rng.uniform(0, depth, 4)]
         )
-        for model in ("refracted", "straight"):
-            tof, ok = pairwise_tof(prof, sources, receivers, model)
-            assert ok.all()
-            for i in range(len(sources)):
-                for j in range(len(receivers)):
-                    if model == "refracted":
-                        hr = float(np.hypot(*(sources[i, :2] - receivers[j, :2])))
-                        expected = trace_refracted(
-                            prof, -sources[i, 2], -receivers[j, 2], hr
-                        ).tof
-                    else:
-                        expected = trace_straight(prof, sources[i], receivers[j]).tof
-                    assert tof[i, j] == pytest.approx(expected, abs=1e-12)
+        tof, ok = pairwise_tof(prof, sources, receivers, "straight")
+        assert ok.all()
+        for i, src in enumerate(sources):
+            for j, rcv in enumerate(receivers):
+                chord = math.dist(src, rcv)
+                rise = abs(src[2] - rcv[2])
+                dz = column_overlaps(prof, -src[2], -rcv[2])
+                expected = sum(chord * d / rise / c for d, c in zip(dz, prof.sound_speeds))
+                assert tof[i, j] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["refracted", "straight"])
+    def test_vertical_and_equal_depth_closed_forms(self, model):
+        prof = profile((0.0, 100.0, 200.0, 300.0), (1500.0, 1480.0, 1470.0))
+        points = [(10.0, 20.0, -250.0)]
+        targets = [
+            (10.0, 20.0, -30.0),    # vertical through two boundaries
+            (10.0, 20.0, 0.0),      # vertical to the surface
+            (70.0, -60.0, -250.0),  # level in the bottom layer
+            (40.0, 60.0, -100.0),   # level on a boundary: the layer below
+        ]
+        tof, ok = pairwise_tof(prof, points + [(-50.0, 140.0, -100.0)], targets, model)
+        assert ok.all()
+        assert tof[0, 0] == pytest.approx(70.0 / 1500.0 + 100.0 / 1480.0 + 50.0 / 1470.0)
+        assert tof[0, 1] == pytest.approx(100.0 / 1500.0 + 100.0 / 1480.0 + 50.0 / 1470.0)
+        assert tof[0, 2] == pytest.approx(math.hypot(60.0, 80.0) / 1470.0, rel=1e-15)
+        assert tof[1, 3] == pytest.approx(math.hypot(90.0, 80.0) / 1480.0, rel=1e-15)
 
     def test_flags_unreachable_pairs(self):
         tof, ok = pairwise_tof(
