@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from .pipeline import (
     write_outputs,
 )
 from .propagation import (
+    _REFERENCE_DISTANCE,
     ChannelProfile,
     NoDirectPathError,
     snr,
@@ -44,14 +46,22 @@ from .scenario import (
 log = logging.getLogger(__name__)
 
 
-def _parse_enu(text: str, option: str) -> np.ndarray:
+def _parse_endpoint(text: str, option: str, profile: ChannelProfile) -> np.ndarray:
+    """An ENU point given as 'east,north,up', finite and inside the water column."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ScenarioError(f"{option}: expected 'east,north,up', got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        east, north, up = (float(p) for p in parts)
     except ValueError:
         raise ScenarioError(f"{option}: expected three numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (east, north, up)):
+        raise ScenarioError(f"{option}: expected finite numbers, got {text!r}")
+    if not 0.0 <= -up <= profile.total_depth:
+        raise ScenarioError(
+            f"{option}: depth {-up!r} m outside the water column [0, {profile.total_depth!r}]"
+        )
+    return np.array([east, north, up])
 
 
 def _profile_for(scenario: Scenario) -> ChannelProfile:
@@ -72,8 +82,8 @@ def _cmd_profile(args) -> int:
 def _cmd_ping(args) -> int:
     scenario = load_scenario(args.scenario)
     profile = _profile_for(scenario)
-    src = _parse_enu(args.src, "--src")
-    dst = _parse_enu(args.dst, "--dst")
+    src = _parse_endpoint(args.src, "--src", profile)
+    dst = _parse_endpoint(args.dst, "--dst", profile)
     channel = scenario.channel
 
     try:
@@ -82,12 +92,17 @@ def _cmd_ping(args) -> int:
         print(f"no direct path: {exc}")
         return 0
 
-    loss_db = transmission_loss(path, profile)
-    snr_db = snr(channel.source_level, loss_db, channel.noise_level)
     print(f"path_model: {channel.path_model}")
     print(f"tof_s: {path.tof!r}")
     print(f"length_m: {path.total_length!r}")
     print(f"ray_parameter_s_per_m: {path.ray_parameter!r}")
+    if path.total_length < _REFERENCE_DISTANCE:
+        # The loss model is spreading relative to 1 m: no TL or SNR below it,
+        # and such a ping is not detected, as in a run.
+        print("detected: False")
+        return 0
+    loss_db = transmission_loss(path, profile)
+    snr_db = snr(channel.source_level, loss_db, channel.noise_level)
     print(f"transmission_loss_db: {loss_db!r}")
     print(f"snr_db: {snr_db!r}")
     print(f"detected: {snr_db >= channel.detection_threshold}")

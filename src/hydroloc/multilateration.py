@@ -37,6 +37,19 @@ NO_PATH_PENALTY = 1e6
 # has not improved for this many generations.
 FITNESS_STOP = 1e-12
 STAGNATION_LIMIT = 50
+# Each parent is the best of a tournament of TOURNAMENT_SIZE; a pair is
+# blended with probability CROSSOVER_RATE and each child coordinate
+# mutates with probability MUTATION_RATE.
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.3
+# 0.96 anneals the mutation noise fast enough that the stagnation stop
+# does not fire while sigma still dwarfs the remaining error.
+MUTATION_SIGMA_DECAY = 0.96
+# The best individual passes to the next generation unchanged.
+ELITE_COUNT = 1
+# A final elite dispersion above this (m) is logged as a poorly constrained fix.
+DISPERSION_WARN_M = 10.0
 
 
 @dataclass(frozen=True)
@@ -80,25 +93,16 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Tuning knobs of the genetic solver.
+    """The genetic solver settings a scenario sets.
 
     The mutation sigma starts at 10% of the largest bounds extent and
-    decays geometrically each generation.
+    decays by MUTATION_SIGMA_DECAY each generation.
     """
 
     search_bounds: SearchBounds
     population_size: int = 200
     generations: int = 300
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.3
-    # 0.96 anneals the mutation noise fast enough that the stagnation stop
-    # does not fire while sigma still dwarfs the remaining error.
-    mutation_sigma_decay: float = 0.96
-    elite_count: int = 1
     fitness_mode: str = "tof_residual"
-    snr_weighting: bool = False
-    dispersion_warn_threshold: float = 10.0  # m
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -106,20 +110,6 @@ class GaConfig:
             raise ValueError(f"population_size must be >= 4, got {self.population_size}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if self.tournament_size < 1:
-            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
-        for name in ("crossover_rate", "mutation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {rate}")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ValueError(
-                f"elite_count must be within [0, population_size), got {self.elite_count}"
-            )
-        if not 0.0 < self.mutation_sigma_decay <= 1.0:
-            raise ValueError(
-                f"mutation_sigma_decay must be in (0, 1], got {self.mutation_sigma_decay}"
-            )
         if self.fitness_mode not in ("tof_residual", "range_residual"):
             raise ValueError(
                 f"fitness_mode must be 'tof_residual' or 'range_residual', "
@@ -154,13 +144,6 @@ def _anchor_array(measurements, anchors) -> np.ndarray:
             raise ValueError(f"measurement references unknown anchor id {m.anchor_id!r}")
         rows.append(by_id[m.anchor_id].position)
     return np.asarray(rows, float)
-
-
-def _weights(measurements, snr_weighting: bool) -> np.ndarray:
-    if not snr_weighting:
-        return np.ones(len(measurements))
-    w = np.array([10.0 ** (m.snr / 10.0) for m in measurements])
-    return w / w.mean()  # scale-free: mean weight 1
 
 
 def range_from_tof(tof, profile: ChannelProfile, anchor_depth, assumed_target_depth):
@@ -198,7 +181,6 @@ def fitness(
     profile: ChannelProfile,
     mode: str = "tof_residual",
     path_model: str = "refracted",
-    snr_weighting: bool = False,
     assumed_target_depth: float | None = None,
 ):
     """Sum of squared residuals of the candidate(s) against the pings.
@@ -221,18 +203,17 @@ def fitness(
 
     anchor_pos = _anchor_array(measurements, anchors)
     tof_meas = np.array([m.tof_measured for m in measurements])
-    w = _weights(measurements, snr_weighting)
 
     if mode == "tof_residual":
         tof_model, ok = pairwise_tof(profile, cands, anchor_pos, path_model)
-        terms = w * (tof_model - tof_meas) ** 2
+        terms = (tof_model - tof_meas) ** 2
         terms = np.where(ok, terms, NO_PATH_PENALTY)
     elif mode == "range_residual":
         if assumed_target_depth is None:
             assumed_target_depth = 0.5 * profile.total_depth
         ranges = range_from_tof(tof_meas, profile, -anchor_pos[:, 2], assumed_target_depth)
         dist = np.linalg.norm(cands[:, None, :] - anchor_pos[None, :, :], axis=-1)
-        terms = w * (dist - ranges) ** 2
+        terms = (dist - ranges) ** 2
     else:
         raise ValueError(f"unknown fitness mode {mode!r}")
 
@@ -249,10 +230,10 @@ def evolve_generation(
 ) -> np.ndarray:
     """One generation step: elitism, tournament, BLX-0.5, mutation, clamp.
 
-    The elite_count best individuals are copied verbatim; the remainder
+    The ELITE_COUNT best individuals are copied verbatim; the remainder
     come from tournament-selected parents, blended with probability
-    crossover_rate (otherwise cloned from the first parent), then each
-    coordinate is perturbed with probability mutation_rate by Gaussian
+    CROSSOVER_RATE (otherwise cloned from the first parent), then each
+    coordinate is perturbed with probability MUTATION_RATE by Gaussian
     noise of the given sigma. Offspring are clamped to the search bounds.
     """
     pop = np.asarray(population, float)
@@ -262,25 +243,23 @@ def evolve_generation(
         raise ValueError(f"population shape {pop.shape} does not match config ({n}, 3)")
 
     order = np.argsort(fits, kind="stable")
-    elites = pop[order[: config.elite_count]].copy()
-    n_off = n - config.elite_count
-    if n_off == 0:
-        return elites
+    elites = pop[order[:ELITE_COUNT]].copy()
+    n_off = n - ELITE_COUNT
 
-    contenders = rng.integers(0, n, size=(n_off, 2, config.tournament_size))
+    contenders = rng.integers(0, n, size=(n_off, 2, TOURNAMENT_SIZE))
     best_slot = fits[contenders].argmin(axis=-1)
     parent_idx = np.take_along_axis(contenders, best_slot[..., None], axis=-1)[..., 0]
     p1 = pop[parent_idx[:, 0]]
     p2 = pop[parent_idx[:, 1]]
 
-    do_cross = rng.random(n_off) < config.crossover_rate
+    do_cross = rng.random(n_off) < CROSSOVER_RATE
     span = np.abs(p1 - p2)
     lo = np.minimum(p1, p2) - 0.5 * span
     hi = np.maximum(p1, p2) + 0.5 * span
     blend = lo + rng.random((n_off, 3)) * (hi - lo)
     children = np.where(do_cross[:, None], blend, p1)
 
-    mutate = rng.random((n_off, 3)) < config.mutation_rate
+    mutate = rng.random((n_off, 3)) < MUTATION_RATE
     children = children + mutate * rng.normal(0.0, sigma, size=(n_off, 3))
 
     bounds = config.search_bounds
@@ -331,7 +310,6 @@ def ga_localize(
             profile,
             mode=config.fitness_mode,
             path_model=path_model,
-            snr_weighting=config.snr_weighting,
             assumed_target_depth=assumed_depth,
         )
 
@@ -357,7 +335,7 @@ def ga_localize(
             break
         if gen < config.generations - 1:
             pop = evolve_generation(pop, fits, config, rng, sigma)
-            sigma *= config.mutation_sigma_decay
+            sigma *= MUTATION_SIGMA_DECAY
 
     best_idx = int(np.argmin(fits))
     best = pop[best_idx].copy()
@@ -366,11 +344,11 @@ def ga_localize(
     elite_idx = np.argsort(fits, kind="stable")[:decile]
     dists = np.linalg.norm(pop[elite_idx] - best, axis=1)
     dispersion = float(np.sqrt(np.mean(dists**2)))
-    if dispersion > config.dispersion_warn_threshold:
+    if dispersion > DISPERSION_WARN_M:
         log.warning(
             "position fix poorly constrained: elite dispersion %.2f m exceeds %.2f m "
             "(degenerate anchor geometry?)",
-            dispersion, config.dispersion_warn_threshold,
+            dispersion, DISPERSION_WARN_M,
         )
 
     return PositionEstimate(

@@ -122,7 +122,7 @@ def interpolate_position(waypoints, t: float) -> np.ndarray:
 
 
 def epoch_times(scenario: Scenario) -> list[float]:
-    """Ping epochs: 0, interval, ... up to the trajectory end."""
+    """Ping epochs: 0, interval, ... up to the trajectory end; at least one."""
     n = int(math.floor(scenario.duration() / scenario.ping_interval + 1e-9)) + 1
     return [k * scenario.ping_interval for k in range(n)]
 
@@ -268,18 +268,6 @@ def _summarize(scenario: Scenario, records, total_detections: int) -> RunSummary
     n_epochs = len(records)
     fix_records = [r for r in records if r.estimate is not None]
     origin = scenario.enu_origin
-
-    if n_epochs == 0:
-        return RunSummary(
-            epochs=0, fix_epochs=0, gap_epochs=0,
-            detection_rate=None,
-            rmse_raw=None, rmse_fused=None,
-            rmse_raw_axes=None, rmse_fused_axes=None,
-            max_error_raw=None, max_error_fused=None,
-            enu_origin=(origin.latitude_deg, origin.longitude_deg, origin.height),
-            origin_from_anchor=scenario.origin_from_anchor,
-            master_seed=scenario.seed,
-        )
 
     fused_diff = np.array([r.fused.position - r.true_position for r in records])
     rmse_fused_axes = tuple(_rmse(fused_diff[:, k]) for k in range(3))

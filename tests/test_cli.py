@@ -60,9 +60,28 @@ class TestPingCommand:
         assert main(["ping", NOISELESS, "--src", "1,2", "--dst", "0,0,0"]) == 1
         assert "--src" in capsys.readouterr().err
 
-    def test_out_of_column_is_runtime_error(self, capsys):
-        code = main(["ping", NOISELESS, "--src", "0,0,-500", "--dst", "0,0,0"])
-        assert code == 2
+    def test_out_of_column_is_validation_error(self, capsys):
+        # An endpoint below the column or above the surface used to exit 2.
+        assert main(["ping", NOISELESS, "--src=0,0,-500", "--dst=0,0,0"]) == 1
+        assert "--src: depth 500.0 m outside the water column" in capsys.readouterr().err
+        assert main(["ping", NOISELESS, "--src=0,0,-50", "--dst=0,0,5"]) == 1
+        assert "--dst: depth -5.0 m outside the water column" in capsys.readouterr().err
+
+    def test_non_finite_endpoint_is_validation_error(self, capsys):
+        # A NaN east used to print a vertical path and exit 0.
+        assert main(["ping", NOISELESS, "--src=nan,0,-5", "--dst=0,0,0"]) == 1
+        assert "--src: expected finite numbers" in capsys.readouterr().err
+        assert main(["ping", NOISELESS, "--src=0,0,-5", "--dst=0,inf,0"]) == 1
+        assert "--dst: expected finite numbers" in capsys.readouterr().err
+
+    def test_sub_metre_path_is_not_detected(self, capsys):
+        # Below the 1 m reference distance there is no loss model; this used to exit 2.
+        noisy = str(SCENARIO_DIR / "canonical_noisy.yaml")
+        assert main(["ping", noisy, "--src=7,7,-45", "--dst=7.3,7.4,-45.2"]) == 0
+        out = capsys.readouterr().out
+        assert "length_m: 0.538516480713" in out and "tof_s:" in out
+        assert out.endswith("detected: False\n")
+        assert "transmission_loss_db" not in out and "snr_db" not in out
 
 
 class TestLocalizeCommand:

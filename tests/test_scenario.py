@@ -194,6 +194,25 @@ class TestValidation:
             parse_scenario(yaml.safe_dump(doc))
 
     @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("tournament_size", 3),
+            ("crossover_rate", 0.9),
+            ("mutation_rate", 0.3),
+            ("mutation_sigma_decay", 0.96),
+            ("elite_count", 1),
+            ("snr_weighting", False),
+            ("dispersion_warn_threshold", 10.0),
+        ],
+    )
+    def test_fixed_ga_setting_rejected(self, key, value):
+        # These are solver constants, not scenario keys, even at their value.
+        doc = yaml.safe_load(MINIMAL)
+        doc["ga"][key] = value
+        with pytest.raises(ScenarioError, match=f"^ga: unknown key '{key}'$"):
+            parse_scenario(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize(
         "interval,end,accepted",
         [
             (1.0, MAX_EPOCHS - 1.0, True),  # epochs at t = 0, 1, ..., MAX_EPOCHS - 1
@@ -290,14 +309,7 @@ FULL = textwrap.dedent(
       search_bounds: {east: [-200.0, 200.0], north: [-200.0, 200.0], up: [-100.0, 0.0]}
       population_size: 50
       generations: 60
-      tournament_size: 4
-      crossover_rate: 0.8
-      mutation_rate: 0.2
-      mutation_sigma_decay: 0.9
-      elite_count: 2
       fitness_mode: range_residual
-      snr_weighting: true
-      dispersion_warn_threshold: 7.5
     ekf:
       accel_noise_density: {east: 0.002, north: 0.003, up: 0.004}
       initial_position_sigma: 50.0
@@ -381,7 +393,7 @@ NON_FINITE_CASES = [
     (("ekf", "accel_noise_density", "up"), math.nan, "ekf.accel_noise_density.up"),
     (("ga", "search_bounds", "east", 0), -math.inf, "ga.search_bounds.east"),
     (("ga", "search_bounds", "up", 1), math.nan, "ga.search_bounds.up"),
-    (("ga", "mutation_rate"), math.nan, "ga.mutation_rate"),
+    (("ga", "population_size"), math.nan, "ga.population_size"),
     (("water_column", "layers", 0, "thickness"), math.inf,
      "water_column.layers[0].thickness"),
     (("anchors", 2, "height"), -math.inf, "anchors[2].height"),
