@@ -53,9 +53,7 @@ from .propagation import (
     ping_paths,
     simulate_ping,
     snr,
-    trace_path,
     trace_refracted,
-    trace_straight,
     transmission_loss,
 )
 from .scenario import EkfConfig, Scenario, ScenarioError, load_scenario, parse_scenario

@@ -32,7 +32,7 @@ from .propagation import (
     ChannelProfile,
     NoDirectPathError,
     snr,
-    trace_path,
+    trace_refracted,
     transmission_loss,
 )
 from .scenario import (
@@ -44,6 +44,21 @@ from .scenario import (
 )
 
 log = logging.getLogger(__name__)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the validation-error code.
+
+    value_hint is appended when an option is given without its value.
+    """
+
+    value_hint = ""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += self.value_hint
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_endpoint(text: str, option: str, profile: ChannelProfile) -> np.ndarray:
@@ -86,13 +101,13 @@ def _cmd_ping(args) -> int:
     dst = _parse_endpoint(args.dst, "--dst", profile)
     channel = scenario.channel
 
+    horizontal = math.hypot(dst[0] - src[0], dst[1] - src[1])
     try:
-        path = trace_path(profile, src, dst, channel.path_model)
+        path = trace_refracted(profile, float(-src[2]), float(-dst[2]), horizontal)
     except NoDirectPathError as exc:
         print(f"no direct path: {exc}")
         return 0
 
-    print(f"path_model: {channel.path_model}")
     print(f"tof_s: {path.tof!r}")
     print(f"length_m: {path.total_length!r}")
     print(f"ray_parameter_s_per_m: {path.ray_parameter!r}")
@@ -137,10 +152,7 @@ def _cmd_localize(args) -> int:
         if gen % args.trace_every == 0:
             print(f"  gen {gen:4d}  best_fitness={best:.6e}  sigma={sigma:.3f} m")
 
-    estimate = ga_localize(
-        measurements, anchors, config, profile,
-        path_model=scenario.channel.path_model, trace=trace,
-    )
+    estimate = ga_localize(measurements, anchors, config, profile, trace=trace)
     e, n, u = (float(v) for v in estimate.position)
     print(f"fix: east={e!r} north={n!r} up={u!r}")
     print(f"best_fitness: {estimate.best_fitness!r}")
@@ -170,14 +182,14 @@ def _cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hydroloc",
         description="Underwater acoustic propagation and beacon localization.",
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="enable debug logging"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("profile", help="print per-layer sound speed and absorption")
     p.add_argument("scenario", help="scenario file")
@@ -187,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file")
     p.add_argument("--src", required=True, help="source ENU as 'east,north,up'")
     p.add_argument("--dst", required=True, help="receiver ENU as 'east,north,up'")
+    # argparse reads a value that starts with '-' as another option.
+    p.value_hint = "; write a value that starts with '-' with '=', as in --src=-5,0,-5"
     p.set_defaults(func=_cmd_ping)
 
     p = sub.add_parser("localize", help="run a single epoch fix with a solver trace")

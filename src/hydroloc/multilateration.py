@@ -180,7 +180,6 @@ def fitness(
     anchors,
     profile: ChannelProfile,
     mode: str = "tof_residual",
-    path_model: str = "refracted",
     assumed_target_depth: float | None = None,
 ):
     """Sum of squared residuals of the candidate(s) against the pings.
@@ -205,7 +204,7 @@ def fitness(
     tof_meas = np.array([m.tof_measured for m in measurements])
 
     if mode == "tof_residual":
-        tof_model, ok = pairwise_tof(profile, cands, anchor_pos, path_model)
+        tof_model, ok = pairwise_tof(profile, cands, anchor_pos)
         terms = (tof_model - tof_meas) ** 2
         terms = np.where(ok, terms, NO_PATH_PENALTY)
     elif mode == "range_residual":
@@ -272,7 +271,6 @@ def ga_localize(
     anchors,
     config: GaConfig,
     profile: ChannelProfile,
-    path_model: str = "refracted",
     trace=None,
 ) -> PositionEstimate:
     """Run the genetic solver and return the best fix.
@@ -309,7 +307,6 @@ def ga_localize(
             anchors,
             profile,
             mode=config.fitness_mode,
-            path_model=path_model,
             assumed_target_depth=assumed_depth,
         )
 

@@ -157,7 +157,7 @@ def simulate_epoch(
 
     # One kernel call traces every anchor; each then detects on its own noise stream.
     channel = scenario.channel
-    tof, length, absorbed = ping_paths(profile, channel.path_model, true_pos, anchors_true)
+    tof, length, absorbed = ping_paths(profile, true_pos, anchors_true)
     measurements = []
     for a, aid in enumerate(scenario.anchor_ids):
         seed = child_seed(scenario.seed, _TAG_PING, epoch_idx, a)
@@ -218,11 +218,7 @@ def run_simulation(scenario: Scenario):
         estimate = None
         if len({m.anchor_id for m in measurements}) >= 4:
             estimate = ga_localize(
-                measurements,
-                anchors,
-                ga_config_for_epoch(scenario, epoch_idx),
-                profile,
-                path_model=scenario.channel.path_model,
+                measurements, anchors, ga_config_for_epoch(scenario, epoch_idx), profile
             )
         else:
             log.info(

@@ -1,10 +1,8 @@
 """Direct acoustic paths through a layered column: TOF, loss and pings.
 
-Two path models are available. The refracted model obeys the
-Snell-Descartes law: the ray parameter p = cos(theta)/c is constant
-across layer interfaces, with theta the grazing angle from horizontal.
-The straight model splits the Euclidean chord at layer boundaries and
-ignores refraction; in a homogeneous column both coincide.
+Paths refract by the Snell-Descartes law: the ray parameter
+p = cos(theta)/c is constant across layer interfaces, with theta the
+grazing angle from horizontal.
 
 One vectorized kernel gives each path's length in every layer; travel
 times, losses, pings and the RayPath traces all derive from it.
@@ -31,8 +29,6 @@ __all__ = [
     "RayPath",
     "PingMeasurement",
     "trace_refracted",
-    "trace_straight",
-    "trace_path",
     "transmission_loss",
     "snr",
     "ping_paths",
@@ -90,13 +86,12 @@ class ChannelConfig:
     noise_level: float           # dB re 1 uPa
     detection_threshold: float = 0.0  # dB, minimum SNR that yields a detection
     tof_noise_sigma: float = 0.0      # s, Gaussian timing jitter
+    # Paths always refract; the key remains so that scenarios naming it parse.
     path_model: str = "refracted"
 
     def __post_init__(self) -> None:
-        if self.path_model not in ("refracted", "straight"):
-            raise ValueError(
-                f"path_model must be 'refracted' or 'straight', got {self.path_model!r}"
-            )
+        if self.path_model != "refracted":
+            raise ValueError(f"path_model must be 'refracted', got {self.path_model!r}")
         if self.tof_noise_sigma < 0:
             raise ValueError(f"tof_noise_sigma must be >= 0, got {self.tof_noise_sigma}")
 
@@ -142,14 +137,13 @@ def _layer_overlaps(boundaries: np.ndarray, z_lo, z_hi) -> np.ndarray:
     return np.maximum(hi - lo, 0.0)
 
 
-def _layer_at(boundaries: np.ndarray, z, side: str = "right") -> np.ndarray:
+def _layer_at(boundaries: np.ndarray, z) -> np.ndarray:
     """Index of the layer holding depth z, elementwise.
 
     As in layer_index_for, an interior boundary belongs to the layer
-    below it and the bottom boundary to the last layer; side="left"
-    gives the layer above an interior boundary instead.
+    below it and the bottom boundary to the last layer.
     """
-    return np.searchsorted(boundaries[1:-1], z, side=side)
+    return np.searchsorted(boundaries[1:-1], z, side="right")
 
 
 def _path_sum(values: np.ndarray, rising) -> np.ndarray:
@@ -258,28 +252,24 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
     return p, ok
 
 
-def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal, path_model: str):
-    """Per-layer lengths and travel times of the direct paths between depth pairs.
+def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
+    """Per-layer lengths and travel times of the direct rays between depth pairs.
 
     The one place path geometry is computed. Source and receiver depths
     and horizontal ranges (m) broadcast to the pair shape S. Returns
     (lengths, times, dz, p, ok): per-layer path lengths (m) and travel
     times (s) of shape S + (L,) in layer order, the per-layer vertical
-    extents, the ray parameter, and ok=False where no direct refracted
-    ray exists (the other outputs of such pairs are meaningless). Raises
-    ValueError for a depth outside the water column.
+    extents, the ray parameter, and ok=False where no direct ray exists
+    (the other outputs of such pairs are meaningless). Raises ValueError
+    for a depth outside the water column.
 
-    - refracted: length_i = dz_i / sin_i and time_i = dz_i / (c_i sin_i)
-      with sin_i = sqrt(1 - p^2 c_i^2), p closing the range;
-    - straight: length_i = chord * dz_i / dz, the chord split at the
-      boundaries, time_i = length_i / c_i, and p = cos(theta)/c in the
-      first layer the chord crosses;
-    - equal depths (both models): a horizontal run in the containing
-      layer, p = 1/c (the p*c -> 1 limit of refraction); zero range
-      gives an empty path with p = 0.
-    A refracted ray that grazes a traversed layer (p*c rounds to 1 or
-    more, which the closed-form single-layer solve allows for nearly
-    level pairs) gets non-finite lengths and times.
+    length_i = dz_i / sin_i and time_i = dz_i / (c_i sin_i) with
+    sin_i = sqrt(1 - p^2 c_i^2), p closing the range. Equal depths give
+    a horizontal run in the containing layer, p = 1/c (the p*c -> 1
+    limit); zero range gives an empty path with p = 0. A ray that grazes
+    a traversed layer (p*c rounds to 1 or more, which the closed-form
+    single-layer solve allows for nearly level pairs) gets non-finite
+    lengths and times.
     """
     boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
@@ -290,29 +280,16 @@ def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal, path_model: 
     z_lo = np.minimum(z_src, z_rcv)
     z_hi = np.maximum(z_src, z_rcv)
     dz = _layer_overlaps(boundaries, z_lo, z_hi)
-    dz_total = z_hi - z_lo
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        if path_model == "refracted":
-            p, ok = _solve_ray_parameter(dz, speeds, horizontal)
-            u = p[..., None] * speeds
-            sin = np.sqrt(1.0 - u * u)
-            crossed = dz > 0.0
-            lengths = np.where(crossed, dz / sin, 0.0)
-            times = np.where(crossed, dz / (speeds * sin), 0.0)
-        elif path_model == "straight":
-            chord = np.hypot(horizontal, dz_total)
-            lengths = chord[..., None] * dz / dz_total[..., None]
-            times = lengths / speeds
-            first = np.where(
-                z_src > z_rcv, _layer_at(boundaries, z_src, "left"), _layer_at(boundaries, z_src)
-            )
-            p = horizontal / (chord * speeds[first])
-            ok = np.ones(p.shape, dtype=bool)
-        else:
-            raise ValueError(f"unknown path model {path_model!r}")
+        p, ok = _solve_ray_parameter(dz, speeds, horizontal)
+        u = p[..., None] * speeds
+        sin = np.sqrt(1.0 - u * u)
+        crossed = dz > 0.0
+        lengths = np.where(crossed, dz / sin, 0.0)
+        times = np.where(crossed, dz / (speeds * sin), 0.0)
 
-    level = dz_total == 0.0
+    level = z_hi == z_lo
     if level.any():
         layer = _layer_at(boundaries, z_lo)
         in_layer = np.arange(len(speeds)) == layer[..., None]
@@ -324,9 +301,9 @@ def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal, path_model: 
     return lengths, times, dz, p, ok
 
 
-def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal, path_model) -> RayPath:
+def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal) -> RayPath:
     """The RayPath view of one kernel pair, segments source -> receiver."""
-    lengths, _, dz, p, ok = _layer_paths(profile, z_src, z_rcv, horizontal, path_model)
+    lengths, _, dz, p, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
     tof = _path_sum(lengths / np.asarray(profile.sound_speeds), z_src > z_rcv)
     if not (ok and np.isfinite(tof)):
         raise NoDirectPathError(
@@ -369,29 +346,7 @@ def trace_refracted(
     """
     if horizontal_range < 0:
         raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
-    return _ray_path(profile, source_depth, receiver_depth, horizontal_range, "refracted")
-
-
-def trace_straight(profile: ChannelProfile, source, receiver) -> RayPath:
-    """Trace the Euclidean chord between two ENU points, split per layer.
-
-    Each segment uses its layer's sound speed; no refraction. Endpoints
-    are (east, north, up) with up negative underwater.
-    """
-    return trace_path(profile, source, receiver, "straight")
-
-
-def trace_path(profile: ChannelProfile, source, receiver, path_model: str) -> RayPath:
-    """Trace the direct path between two ENU points under a path model.
-
-    "refracted" traces the Snell ray between the endpoint depths over
-    their horizontal separation; "straight" traces the chord. Raises
-    NoDirectPathError when no direct refracted ray exists.
-    """
-    src = np.asarray(source, float)
-    rcv = np.asarray(receiver, float)
-    horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-    return _ray_path(profile, float(-src[2]), float(-rcv[2]), horizontal, path_model)
+    return _ray_path(profile, source_depth, receiver_depth, horizontal_range)
 
 
 def _absorbed_db(profile: ChannelProfile, lengths: np.ndarray, rising) -> np.ndarray:
@@ -427,20 +382,20 @@ def snr(source_level: float, transmission_loss_db: float, noise_level: float) ->
     return source_level - transmission_loss_db - noise_level
 
 
-def ping_paths(profile: ChannelProfile, path_model: str, source, receivers):
+def ping_paths(profile: ChannelProfile, source, receivers):
     """Trace one source to every receiver, all ENU, in one kernel call.
 
     receivers is (M, 3). Returns (tof, length, absorbed), each of shape
     (M,): the travel time (s), the path length (m) and the absorption
     along the path (dB), each summed in source -> receiver order. tof is
-    NaN where no direct path exists and non-finite where the refracted
-    ray grazes a layer.
+    NaN where no direct path exists and non-finite where the ray grazes
+    a layer.
     """
     src = np.asarray(source, float)
     rcv = np.asarray(receivers, float).reshape(-1, 3)
     z_src, z_rcv = float(-src[2]), -rcv[:, 2]
     horizontal = [math.hypot(r[0] - src[0], r[1] - src[1]) for r in rcv]
-    lengths, _, _, _, ok = _layer_paths(profile, z_src, z_rcv, horizontal, path_model)
+    lengths, _, _, _, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
     rising = z_src > z_rcv
     tof = _path_sum(lengths / np.asarray(profile.sound_speeds), rising)
     return (
@@ -493,18 +448,12 @@ def simulate_ping(
     return PingMeasurement(anchor_id, tof_measured, snr_db, timestamp)
 
 
-def pairwise_tof(
-    profile: ChannelProfile,
-    points_a,
-    points_b,
-    path_model: str = "refracted",
-):
+def pairwise_tof(profile: ChannelProfile, points_a, points_b):
     """Travel times from each ENU point in points_a to each in points_b.
 
     The forward model of the localization fitness, on the path kernel
     of the pings. points_a is (N, 3), points_b is (M, 3); returns (tof,
-    ok) with shape (N, M). ok=False marks pairs with no direct refracted
-    path (their tof entry is meaningless). Raises ValueError for a point
+    ok) with shape (N, M). ok=False marks pairs with no direct path (their tof entry is meaningless). Raises ValueError for a point
     outside the water column.
     """
     a = np.atleast_2d(np.asarray(points_a, float))
@@ -512,7 +461,5 @@ def pairwise_tof(
     horizontal = np.hypot(
         a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]
     )
-    _, times, _, _, ok = _layer_paths(
-        profile, -a[:, 2, None], -b[None, :, 2], horizontal, path_model
-    )
+    _, times, _, _, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
     return times.sum(axis=-1), ok

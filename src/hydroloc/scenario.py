@@ -36,6 +36,8 @@ _REQUIRED = object()
 MAX_EPOCHS = 1_000_000
 _AXES = ("east", "north", "up")
 _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
+# libyaml's parser where PyYAML was built with it; both build the same documents.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -313,7 +315,7 @@ def _parse_ekf(node: dict) -> EkfConfig:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document from YAML text."""
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

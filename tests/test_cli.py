@@ -44,16 +44,11 @@ class TestPingCommand:
         out = capsys.readouterr().out
         assert "tof_s:" in out and "snr_db:" in out and "detected: True" in out
 
-    @pytest.mark.parametrize("model", ["refracted", "straight"])
-    def test_prints_plain_floats(self, model, tmp_path, capsys):
-        doc = yaml.safe_load(Path(NOISELESS).read_text())
-        doc["channel"]["path_model"] = model
-        path = tmp_path / f"{model}.yaml"
-        path.write_text(yaml.safe_dump(doc))
+    def test_prints_plain_floats(self, capsys):
         for dst in ("100,100,0", "0,0,-20", "30,40,-50"):  # oblique, vertical, level
-            assert main(["ping", str(path), "--src", "0,0,-50", "--dst", dst]) == 0
+            assert main(["ping", NOISELESS, "--src", "0,0,-50", "--dst", dst]) == 0
             out = capsys.readouterr().out
-            assert f"path_model: {model}" in out and "snr_db:" in out
+            assert "snr_db:" in out and "path_model" not in out
             assert "np." not in out
 
     def test_malformed_triplet_is_validation_error(self, capsys):
@@ -73,6 +68,17 @@ class TestPingCommand:
         assert "--src: expected finite numbers" in capsys.readouterr().err
         assert main(["ping", NOISELESS, "--src=0,0,-5", "--dst=0,inf,0"]) == 1
         assert "--dst: expected finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--src", "--dst"])
+    def test_negative_value_without_equals_is_usage_error(self, option, capsys):
+        # argparse reads "-5,0,-5" as an option; this used to exit 2.
+        other = "--dst=0,0,0" if option == "--src" else "--src=0,0,-5"
+        with pytest.raises(SystemExit) as exc:
+            main(["ping", NOISELESS, option, "-5,0,-5", other])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected one argument" in err
+        assert "--src=-5,0,-5" in err
 
     def test_sub_metre_path_is_not_detected(self, capsys):
         # Below the 1 m reference distance there is no loss model; this used to exit 2.
@@ -96,6 +102,13 @@ class TestLocalizeCommand:
     def test_epoch_out_of_range(self, small_scenario, capsys):
         assert main(["localize", small_scenario, "--epoch", "99"]) == 1
         assert "--epoch" in capsys.readouterr().err
+
+    def test_non_integer_epoch_is_usage_error(self, small_scenario, capsys):
+        # Rejected by argparse before the command runs; this used to exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["localize", small_scenario, "--epoch", "x"])
+        assert exc.value.code == 1
+        assert "argument --epoch: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -161,6 +174,22 @@ class TestRunCommand:
         assert all(math.isfinite(float(c)) for c in cells)
         summary = (out_dir / "summary.json").read_text()
         assert "NaN" not in summary and "Infinity" not in summary
+
+    def test_missing_out_is_usage_error(self, small_scenario, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", small_scenario])
+        assert exc.value.code == 1
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    def test_straight_path_model_is_validation_error(self, tmp_path, capsys):
+        # Paths always refract; the straight chord model used to run.
+        path = tmp_path / "straight.yaml"
+        path.write_text(
+            Path(NOISELESS).read_text().replace("path_model: refracted", "path_model: straight")
+        )
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "channel: path_model must be 'refracted'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.yaml"), "--out", str(tmp_path / "o")]) == 1

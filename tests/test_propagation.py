@@ -12,9 +12,7 @@ from hydroloc.propagation import (
     ping_paths,
     simulate_ping,
     snr,
-    trace_path,
     trace_refracted,
-    trace_straight,
     transmission_loss,
 )
 
@@ -86,8 +84,10 @@ class TestTraceRefracted:
 
     def test_refraction_never_slower_than_straight(self):
         path = trace_refracted(TWO_LAYER, 200.0, 0.0, 200.0)
-        straight = trace_straight(TWO_LAYER, (0.0, 0.0, -200.0), (200.0, 0.0, 0.0))
-        assert path.tof <= straight.tof
+        # The chord split at the boundary, each piece at its layer's speed.
+        chord = math.hypot(200.0, 200.0)
+        straight_tof = chord * 100.0 / 200.0 / 1500.0 + chord * 100.0 / 200.0 / 1480.0
+        assert path.tof <= straight_tof
 
     def test_snell_invariant(self):
         prof = random_profile(np.random.default_rng(3), 6)
@@ -129,6 +129,22 @@ class TestTraceRefracted:
             sum(s.length for s in path.segments), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "src,rcv,horizontal",
+        [
+            (120.0, 120.0, 98.0),   # equal depths
+            (150.0, 0.0, 0.0),      # vertical
+            (180.0, 20.0, 67.0),    # source deeper
+            (100.0, 160.0, 70.0),   # source on a boundary
+        ],
+        ids=["equal-depth", "vertical", "deeper-source", "boundary-source"],
+    )
+    def test_segments_run_source_to_receiver(self, src, rcv, horizontal):
+        path = trace_refracted(TWO_LAYER, src, rcv, horizontal)
+        layers = [seg.layer for seg in path.segments]
+        assert layers[0] == layer_index_for(TWO_LAYER.boundaries, src)
+        assert layers == sorted(layers, reverse=src > rcv)
+
     def test_same_depth_horizontal_ray(self):
         path = trace_refracted(TWO_LAYER, 150.0, 150.0, 600.0)
         assert len(path.segments) == 1
@@ -158,33 +174,6 @@ class TestTraceRefracted:
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError, match="horizontal_range"):
             trace_refracted(TWO_LAYER, 0.0, 100.0, -1.0)
-
-
-class TestTraceStraight:
-    def test_homogeneous_matches_refracted(self):
-        straight = trace_straight(HOMOG, (0.0, 0.0, -400.0), (300.0, 0.0, 0.0))
-        refracted = trace_refracted(HOMOG, 400.0, 0.0, 300.0)
-        assert straight.tof == pytest.approx(refracted.tof, rel=1e-12)
-        assert straight.total_length == pytest.approx(500.0)
-
-    def test_vertical_matches_refracted(self):
-        straight = trace_straight(TWO_LAYER, (0.0, 0.0, 0.0), (0.0, 0.0, -200.0))
-        refracted = trace_refracted(TWO_LAYER, 0.0, 200.0, 0.0)
-        assert straight.tof == pytest.approx(refracted.tof, rel=1e-12)
-        assert straight.ray_parameter == refracted.ray_parameter == 0.0
-
-    def test_two_layer_oblique_chord(self):
-        # Chord from 150 m depth to the surface over 120 m horizontally:
-        # segment lengths split in proportion to the vertical extents.
-        path = trace_straight(TWO_LAYER, (0.0, 0.0, -150.0), (120.0, 0.0, 0.0))
-        chord = math.hypot(120.0, 150.0)
-        expected = (chord * 100.0 / 150.0) / 1500.0 + (chord * 50.0 / 150.0) / 1480.0
-        assert path.tof == pytest.approx(expected, rel=1e-12)
-        assert path.total_length == pytest.approx(chord, rel=1e-12)
-
-    def test_endpoint_outside_column(self):
-        with pytest.raises(ValueError, match="depth"):
-            trace_straight(TWO_LAYER, (0.0, 0.0, 10.0), (0.0, 0.0, -50.0))
 
 
 class TestLinkBudget:
@@ -226,7 +215,7 @@ class TestLinkBudget:
 class TestSimulatePing:
     config = ChannelConfig(
         source_level=170.0, noise_level=50.0, detection_threshold=10.0,
-        tof_noise_sigma=0.0, path_model="refracted",
+        tof_noise_sigma=0.0,
     )
     source = (0.0, 0.0, -400.0)
     # Oblique, vertical and equal-depth paths from the source.
@@ -235,7 +224,7 @@ class TestSimulatePing:
     def pings(self, prof=HOMOG, config=config, receivers=receivers, seeds=(7, 8, 9),
               source=source):
         """One epoch as the pipeline runs it: one ping_paths call, then each anchor."""
-        tof, length, absorbed = ping_paths(prof, config.path_model, source, receivers)
+        tof, length, absorbed = ping_paths(prof, source, receivers)
         pings = [
             simulate_ping(config, f"a{j}", tof[j], length[j], absorbed[j], seeds[j], 1.5)
             for j in range(len(receivers))
@@ -245,8 +234,10 @@ class TestSimulatePing:
     def test_zero_noise_matches_trace(self):
         pings = self.pings()
         assert [p.anchor_id for p in pings] == ["a0", "a1", "a2"]
+        src = self.source
         for ping, rcv in zip(pings, self.receivers):
-            assert ping.tof_measured == trace_path(HOMOG, self.source, rcv, "refracted").tof
+            horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
+            assert ping.tof_measured == trace_refracted(HOMOG, -src[2], -rcv[2], horizontal).tof
             assert ping.timestamp == 1.5
 
     def test_zero_noise_homogeneous_epoch(self):
@@ -294,54 +285,9 @@ class TestSimulatePing:
         pings = self.pings(receivers=receivers, seeds=(0, 1))
         assert [p.anchor_id for p in pings] == ["a1"]
 
-    def test_straight_model_splits_the_chord(self):
-        # Deeper source, two layers: the chord split at 100 m, each piece at its own
-        # speed and absorption; the loss spreads over the whole chord.
-        prof = profile((0.0, 100.0, 200.0), (1500.0, 1480.0), absorption=(1.0, 3.0))
-        config = ChannelConfig(170.0, 50.0, 10.0, 0.0, path_model="straight")
-        source, receiver = (0.0, 0.0, -180.0), (120.0, -50.0, -40.0)
-        (ping,) = self.pings(prof, config, receivers=[receiver], seeds=[0], source=source)
-        chord = math.dist(source, receiver)
-        upper, lower = chord * 60.0 / 140.0, chord * 80.0 / 140.0
-        assert ping.tof_measured == pytest.approx(lower / 1480.0 + upper / 1500.0, rel=1e-12)
-        expected_snr = 170.0 - 20.0 * math.log10(chord) - (3.0 * lower + upper) / 1e3 - 50.0
-        assert ping.snr == pytest.approx(expected_snr, abs=1e-9)
-
     def test_invalid_path_model_rejected(self):
         with pytest.raises(ValueError, match="path_model"):
             ChannelConfig(170.0, 50.0, 10.0, 0.0, path_model="bent")
-
-
-class TestTracePath:
-    def test_dispatches_to_the_scalar_traces(self):
-        src, rcv = (0.0, 0.0, -200.0), (150.0, 80.0, 0.0)
-        horizontal = math.hypot(150.0, 80.0)
-        assert trace_path(TWO_LAYER, src, rcv, "refracted") == trace_refracted(
-            TWO_LAYER, 200.0, 0.0, horizontal
-        )
-        assert trace_path(TWO_LAYER, src, rcv, "straight") == trace_straight(
-            TWO_LAYER, src, rcv
-        )
-
-    @pytest.mark.parametrize(
-        "src,rcv",
-        [
-            ((0.0, 0.0, -120.0), (90.0, 40.0, -120.0)),  # equal depths
-            ((10.0, 20.0, -150.0), (10.0, 20.0, 0.0)),   # vertical
-            ((0.0, 0.0, -180.0), (60.0, -30.0, -20.0)),  # source deeper
-            ((0.0, 0.0, -100.0), (70.0, 0.0, -160.0)),   # source on a boundary
-        ],
-        ids=["equal-depth", "vertical", "deeper-source", "boundary-source"],
-    )
-    def test_refracted_equals_trace_refracted(self, src, rcv):
-        horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-        path = trace_path(TWO_LAYER, src, rcv, "refracted")
-        assert path == trace_refracted(TWO_LAYER, -src[2], -rcv[2], horizontal)
-        assert path.segments[0].layer == layer_index_for(TWO_LAYER.boundaries, -src[2])
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError, match="path model"):
-            trace_path(HOMOG, (0.0, 0.0, -10.0), (5.0, 0.0, 0.0), "bent")
 
 
 def column_overlaps(prof, z_a, z_b):
@@ -391,28 +337,7 @@ class TestPairwiseTof:
                 oracle = fermat_tof(dz, prof.sound_speeds, math.dist(src[:2], rcv[:2]))
                 assert tof[i, j] == pytest.approx(oracle, abs=1e-9)
 
-    def test_straight_matches_chord_split(self):
-        rng = np.random.default_rng(23)
-        prof = random_profile(rng, 5)
-        depth = prof.total_depth
-        sources = np.column_stack(
-            [rng.uniform(-300, 300, 6), rng.uniform(-300, 300, 6), -rng.uniform(0, depth, 6)]
-        )
-        receivers = np.column_stack(
-            [rng.uniform(-300, 300, 4), rng.uniform(-300, 300, 4), -rng.uniform(0, depth, 4)]
-        )
-        tof, ok = pairwise_tof(prof, sources, receivers, "straight")
-        assert ok.all()
-        for i, src in enumerate(sources):
-            for j, rcv in enumerate(receivers):
-                chord = math.dist(src, rcv)
-                rise = abs(src[2] - rcv[2])
-                dz = column_overlaps(prof, -src[2], -rcv[2])
-                expected = sum(chord * d / rise / c for d, c in zip(dz, prof.sound_speeds))
-                assert tof[i, j] == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("model", ["refracted", "straight"])
-    def test_vertical_and_equal_depth_closed_forms(self, model):
+    def test_vertical_and_equal_depth_closed_forms(self):
         prof = profile((0.0, 100.0, 200.0, 300.0), (1500.0, 1480.0, 1470.0))
         points = [(10.0, 20.0, -250.0)]
         targets = [
@@ -421,7 +346,7 @@ class TestPairwiseTof:
             (70.0, -60.0, -250.0),  # level in the bottom layer
             (40.0, 60.0, -100.0),   # level on a boundary: the layer below
         ]
-        tof, ok = pairwise_tof(prof, points + [(-50.0, 140.0, -100.0)], targets, model)
+        tof, ok = pairwise_tof(prof, points + [(-50.0, 140.0, -100.0)], targets)
         assert ok.all()
         assert tof[0, 0] == pytest.approx(70.0 / 1500.0 + 100.0 / 1480.0 + 50.0 / 1470.0)
         assert tof[0, 1] == pytest.approx(100.0 / 1500.0 + 100.0 / 1480.0 + 50.0 / 1470.0)
