@@ -102,8 +102,10 @@ def _cmd_ping(args) -> int:
     channel = scenario.channel
 
     horizontal = math.hypot(dst[0] - src[0], dst[1] - src[1])
+    # 0.0 - up rather than -up, so that a surface endpoint has depth 0.0, not -0.0.
+    depth_src, depth_dst = float(0.0 - src[2]), float(0.0 - dst[2])
     try:
-        path = trace_refracted(profile, float(-src[2]), float(-dst[2]), horizontal)
+        path = trace_refracted(profile, depth_src, depth_dst, horizontal)
     except NoDirectPathError as exc:
         print(f"no direct path: {exc}")
         return 0

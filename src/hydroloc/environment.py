@@ -34,7 +34,7 @@ PH_RANGE = (6.0, 9.0)
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not (lo <= value <= hi):
-        raise ValueError(f"{name} must be within [{lo}, {hi}], got {value}")
+        raise ValueError(f"{name}: must be within [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class Layer:
 
     def __post_init__(self) -> None:
         if not self.thickness > 0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
+            raise ValueError(f"thickness: must be > 0, got {self.thickness}")
         _check_range("temperature", self.temperature, *TEMPERATURE_RANGE)
         _check_range("salinity", self.salinity, *SALINITY_RANGE)
         _check_range("ph", self.ph, *PH_RANGE)

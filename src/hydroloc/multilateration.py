@@ -71,11 +71,11 @@ class SearchBounds:
     def __post_init__(self) -> None:
         for name, (lo, hi) in (("east", self.east), ("north", self.north), ("up", self.up)):
             if not lo < hi:
-                raise ValueError(f"search_bounds.{name} must satisfy lo < hi, got {(lo, hi)}")
+                raise ValueError(f"{name}: must satisfy lo < hi, got {(lo, hi)}")
             if not np.isfinite(hi - lo):
-                raise ValueError(f"search_bounds.{name} extent must be finite, got {(lo, hi)}")
+                raise ValueError(f"{name}: extent must be finite, got {(lo, hi)}")
         if self.up[1] > 0.0:
-            raise ValueError(f"search_bounds.up upper limit must be <= 0, got {self.up[1]}")
+            raise ValueError(f"up: upper limit must be <= 0, got {self.up[1]}")
 
     def lows(self) -> np.ndarray:
         return np.array([self.east[0], self.north[0], self.up[0]])
@@ -107,12 +107,12 @@ class GaConfig:
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
-            raise ValueError(f"population_size must be >= 4, got {self.population_size}")
+            raise ValueError(f"population_size: must be >= 4, got {self.population_size}")
         if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
+            raise ValueError(f"generations: must be >= 1, got {self.generations}")
         if self.fitness_mode not in ("tof_residual", "range_residual"):
             raise ValueError(
-                f"fitness_mode must be 'tof_residual' or 'range_residual', "
+                f"fitness_mode: must be 'tof_residual' or 'range_residual', "
                 f"got {self.fitness_mode!r}"
             )
 

@@ -1,11 +1,14 @@
 """Direct acoustic paths through a layered column: TOF, loss and pings.
 
-Paths refract by the Snell-Descartes law: the ray parameter
-p = cos(theta)/c is constant across layer interfaces, with theta the
-grazing angle from horizontal.
+One vectorized kernel gives each direct path's length in every layer.
+Travel time, path length and absorption are sums over those lengths in
+layer order (TOF = sum of length_i / c_i), so pings, the fitness's
+pairwise travel times and the RayPath traces share one rule.
 
-One vectorized kernel gives each path's length in every layer; travel
-times, losses, pings and the RayPath traces all derive from it.
+A path that crosses at most one layer is the chord between its
+endpoints. A path across two or more layers refracts by the
+Snell-Descartes law: the ray parameter p = cos(theta)/c is constant
+across layer interfaces, with theta the grazing angle from horizontal.
 
 Positions at module boundaries are ENU (up negative underwater); depth
 is positive down internally, converted by negation.
@@ -91,9 +94,9 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         if self.path_model != "refracted":
-            raise ValueError(f"path_model must be 'refracted', got {self.path_model!r}")
+            raise ValueError(f"path_model: must be 'refracted', got {self.path_model!r}")
         if self.tof_noise_sigma < 0:
-            raise ValueError(f"tof_noise_sigma must be >= 0, got {self.tof_noise_sigma}")
+            raise ValueError(f"tof_noise_sigma: must be >= 0, got {self.tof_noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -146,166 +149,124 @@ def _layer_at(boundaries: np.ndarray, z) -> np.ndarray:
     return np.searchsorted(boundaries[1:-1], z, side="right")
 
 
-def _path_sum(values: np.ndarray, rising) -> np.ndarray:
-    """Sum over the layer axis in source -> receiver order, term by term.
-
-    rising marks pairs whose source lies below the receiver; their layers
-    are summed bottom-up. The fixed sequential order makes a batch of
-    paths add up exactly as a loop along each path's segments would.
-    """
-    down, up = values[..., 0], values[..., -1]
-    for k in range(1, values.shape[-1]):
-        down = down + values[..., k]
-        up = up + values[..., -1 - k]
-    return np.where(rising, up, down)
-
-
 def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray):
-    """Ray parameters that close the requested horizontal ranges.
+    """Ray parameters that close the horizontal ranges of refracted rays.
 
-    dz is (..., L) per-layer vertical extent (rows may be all zero), ranges
-    broadcasts with dz[..., 0]. Returns (p, ok); pairs whose range is not
-    reachable before the ray turns get ok=False. Purely vertical rows give
-    p = 0; a single traversed layer is solved in closed form, two or more
-    by a bracketed bisection/Newton solve of the monotone p -> range map.
+    dz is (K, L) per-layer vertical extent, each row crossing two or more
+    layers, and ranges (K,) the rows' horizontal ranges, all > 0. Returns
+    (p, ok); rows whose range is not reachable before the ray turns get
+    ok=False and p = 0. A bracketed bisection/Newton solve of the
+    monotone p -> range map; each row stops at its own convergence, so
+    its p does not depend on the other rows.
     """
-    dz = np.asarray(dz, float)
-    ranges = np.asarray(ranges, float)
-    traversed = dz > 0.0
-    n_traversed = traversed.sum(axis=-1)
-    dz_total = dz.sum(axis=-1)
+    # Zeroing the speed of non-traversed layers makes their contribution
+    # vanish without masking inside the loops (dz is 0 there too).
+    c_eff = np.where(dz > 0.0, speeds, 0.0)
+    dzc = dz * c_eff
 
-    shape = np.broadcast(dz[..., 0], ranges).shape
-    p = np.zeros(shape)
-    ok = np.ones(shape, dtype=bool)
+    def horizontal_range(pv):
+        u = pv[:, None] * c_eff
+        u *= u
+        np.subtract(1.0, u, out=u)
+        np.sqrt(u, out=u)
+        step = dzc * pv[:, None]
+        step /= u
+        return step.sum(axis=-1)
 
-    # Single traversed layer: p*c = cos(theta) of the chord, exactly.
-    single = (n_traversed == 1) & (ranges > 0.0)
-    if np.any(single):
-        c_single = np.where(traversed, speeds, 0.0).max(axis=-1)
-        chord = np.hypot(ranges, dz_total)
-        denom = np.where(single, chord * c_single, 1.0)
-        p = np.where(single, ranges / denom, p)
+    c_max = c_eff.max(axis=-1)
+    c_min = np.where(dz > 0.0, speeds, np.inf).min(axis=-1)
+    p_cap = (1.0 - _P_MARGIN) / c_max
+    ok = horizontal_range(p_cap) >= ranges
+    # Unreachable rows would invert the bracket below; aim them at range 0
+    # (their p is masked out).
+    ranges = np.where(ok, ranges, 0.0)
 
-    multi = (n_traversed > 1) & (ranges > 0.0)
-    if np.any(multi):
-        # Solve only the multi-layer pairs, as flat arrays. Zeroing the
-        # speed of non-traversed layers makes their contribution vanish
-        # without masking inside the loop (dz is 0 there too).
-        n_layers = dz.shape[-1]
-        rows = np.nonzero(multi.ravel())[0]
-        dz_m = np.broadcast_to(dz, shape + (n_layers,)).reshape(-1, n_layers)[rows]
-        r_m = np.broadcast_to(ranges, shape).reshape(-1)[rows]
-        c_eff = np.where(dz_m > 0.0, speeds, 0.0)
-        dzc = dz_m * c_eff
+    # The root lies between the chord solutions for the fastest and
+    # slowest traversed speeds (range grows with each layer's speed).
+    chord = np.hypot(ranges, dz.sum(axis=-1))
+    lo = ranges / (chord * c_max)
+    hi = np.minimum(ranges / (chord * c_min), p_cap)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        short = horizontal_range(mid) < ranges
+        np.copyto(lo, mid, where=short)
+        np.copyto(hi, mid, where=~short)
 
-        def horizontal_range(pv):
-            u = pv[:, None] * c_eff
-            u *= u
-            np.subtract(1.0, u, out=u)
-            np.sqrt(u, out=u)
-            step = dzc * pv[:, None]
-            step /= u
-            return step.sum(axis=-1)
+    pv = lo
+    active = np.ones(pv.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        u2 = pv[:, None] * c_eff
+        u2 *= u2
+        np.subtract(1.0, u2, out=u2)
+        np.sqrt(u2, out=u2)
+        rs = np.reciprocal(u2, out=u2)  # 1/sqrt(1 - u^2)
+        term = dzc * rs
+        x = pv * term.sum(axis=-1)      # range at pv
+        term *= rs
+        term *= rs
+        slope = term.sum(axis=-1)       # d range / d p
+        step = (ranges - x) / slope
+        pv = np.where(active, np.minimum(pv + step, p_cap), pv)
+        active &= np.abs(step) > 1e-14 * pv + 1e-20
+        if not active.any():
+            break
 
-        c_max = c_eff.max(axis=-1)
-        c_min = np.where(dz_m > 0.0, speeds, np.inf).min(axis=-1)
-        p_cap = (1.0 - _P_MARGIN) / c_max
-        ok_m = horizontal_range(p_cap) >= r_m
-        # Unreachable rows would invert the bracket below and stall the
-        # Newton early exit; aim them at range 0 (their p is masked out).
-        r_m = np.where(ok_m, r_m, 0.0)
-
-        # The root lies between the chord solutions for the fastest and
-        # slowest traversed speeds (range grows with each layer's speed).
-        chord = np.hypot(r_m, dz_m.sum(axis=-1))
-        lo = r_m / (chord * c_max)
-        hi = np.minimum(r_m / (chord * c_min), p_cap)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            short = horizontal_range(mid) < r_m
-            np.copyto(lo, mid, where=short)
-            np.copyto(hi, mid, where=~short)
-
-        pv = lo
-        for _ in range(_NEWTON_STEPS):
-            u2 = pv[:, None] * c_eff
-            u2 *= u2
-            np.subtract(1.0, u2, out=u2)
-            np.sqrt(u2, out=u2)
-            rs = np.reciprocal(u2, out=u2)  # 1/sqrt(1 - u^2)
-            term = dzc * rs
-            x = pv * term.sum(axis=-1)      # range at pv
-            term *= rs
-            term *= rs
-            slope = term.sum(axis=-1)       # d range / d p
-            step = (r_m - x) / slope
-            pv = np.minimum(pv + step, p_cap)
-            if np.all(np.abs(step) <= 1e-14 * pv + 1e-20):
-                break
-
-        p_flat = p.reshape(-1)
-        ok_flat = ok.reshape(-1)
-        p_flat[rows] = np.where(ok_m, pv, 0.0)
-        ok_flat[rows] = ok_m
-
-    return p, ok
+    return np.where(ok, pv, 0.0), ok
 
 
 def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
-    """Per-layer lengths and travel times of the direct rays between depth pairs.
+    """Per-layer lengths of the direct rays between depth pairs.
 
     The one place path geometry is computed. Source and receiver depths
     and horizontal ranges (m) broadcast to the pair shape S. Returns
-    (lengths, times, dz, p, ok): per-layer path lengths (m) and travel
-    times (s) of shape S + (L,) in layer order, the per-layer vertical
-    extents, the ray parameter, and ok=False where no direct ray exists
-    (the other outputs of such pairs are meaningless). Raises ValueError
-    for a depth outside the water column.
+    (lengths, dz, p, ok): per-layer path lengths (m) of shape S + (L,)
+    in layer order, the per-layer vertical extents, the ray parameter
+    (s/m), and ok=False where no direct ray exists (the other outputs of
+    such pairs are meaningless). Raises ValueError for a depth outside
+    the water column.
 
-    length_i = dz_i / sin_i and time_i = dz_i / (c_i sin_i) with
-    sin_i = sqrt(1 - p^2 c_i^2), p closing the range. Equal depths give
-    a horizontal run in the containing layer, p = 1/c (the p*c -> 1
-    limit); zero range gives an empty path with p = 0. A ray that grazes
-    a traversed layer (p*c rounds to 1 or more, which the closed-form
-    single-layer solve allows for nearly level pairs) gets non-finite
-    lengths and times.
+    A pair that crosses at most one layer, level and coincident pairs
+    included, is its chord hypot(range, z_hi - z_lo), placed in the layer
+    at the shallower depth, with p = range / (chord c), or 0 for a zero
+    chord. A pair across two or more layers has
+    length_i = dz_i / sqrt(1 - p^2 c_i^2), with p closing the range.
     """
     boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
     z_src, z_rcv = np.asarray(z_src, float), np.asarray(z_rcv, float)
     _check_depth(profile, z_src, "source")
     _check_depth(profile, z_rcv, "receiver")
-    horizontal = np.asarray(horizontal, float)
-    z_lo = np.minimum(z_src, z_rcv)
-    z_hi = np.maximum(z_src, z_rcv)
+    z_lo, z_hi, horizontal = np.broadcast_arrays(
+        np.minimum(z_src, z_rcv), np.maximum(z_src, z_rcv), np.asarray(horizontal, float)
+    )
     dz = _layer_overlaps(boundaries, z_lo, z_hi)
+    crossed = dz > 0.0
+    refracted = crossed.sum(axis=-1) > 1
+    chord = np.hypot(horizontal, z_hi - z_lo)
+    layer = _layer_at(boundaries, z_lo)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        p, ok = _solve_ray_parameter(dz, speeds, horizontal)
-        u = p[..., None] * speeds
-        sin = np.sqrt(1.0 - u * u)
-        crossed = dz > 0.0
-        lengths = np.where(crossed, dz / sin, 0.0)
-        times = np.where(crossed, dz / (speeds * sin), 0.0)
+        p = np.where(chord > 0.0, horizontal / (chord * speeds[layer]), 0.0)
+        ok = np.ones(p.shape, dtype=bool)
+        solve = refracted & (horizontal > 0.0)
+        if solve.any():
+            p[solve], ok[solve] = _solve_ray_parameter(dz[solve], speeds, horizontal[solve])
+        sin = np.sqrt(1.0 - (p[..., None] * speeds) ** 2)
+        bent = np.where(crossed, dz / sin, 0.0)
+    straight = np.where(np.arange(len(speeds)) == layer[..., None], chord[..., None], 0.0)
+    lengths = np.where(refracted[..., None], bent, straight)
+    return lengths, dz, p, ok
 
-    level = z_hi == z_lo
-    if level.any():
-        layer = _layer_at(boundaries, z_lo)
-        in_layer = np.arange(len(speeds)) == layer[..., None]
-        run = np.where(in_layer, horizontal[..., None], 0.0)
-        lengths = np.where(level[..., None], run, lengths)
-        times = np.where(level[..., None], run / speeds, times)
-        p = np.where(level, np.where(horizontal > 0.0, 1.0 / speeds[layer], 0.0), p)
 
-    return lengths, times, dz, p, ok
+def _tof(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
+    """Travel time (s) along per-layer path lengths (..., L), summed in layer order."""
+    return (lengths / np.asarray(profile.sound_speeds)).sum(axis=-1)
 
 
 def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal) -> RayPath:
     """The RayPath view of one kernel pair, segments source -> receiver."""
-    lengths, _, dz, p, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
-    tof = _path_sum(lengths / np.asarray(profile.sound_speeds), z_src > z_rcv)
-    if not (ok and np.isfinite(tof)):
+    lengths, dz, p, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
+    if not ok:
         raise NoDirectPathError(
             f"range {horizontal} m not reachable by a direct ray "
             f"between depths {z_src} and {z_rcv} m"
@@ -323,8 +284,8 @@ def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal) -> RayPath:
     )
     return RayPath(
         segments=segments,
-        total_length=sum((seg.length for seg in segments), 0.0),
-        tof=float(tof),
+        total_length=float(lengths.sum(axis=-1)),
+        tof=float(_tof(profile, lengths)),
         ray_parameter=float(p),
     )
 
@@ -337,21 +298,20 @@ def trace_refracted(
 ) -> RayPath:
     """Trace the direct refracted ray between two depths.
 
-    The per-layer grazing angles share a single ray parameter
-    p = cos(theta_i)/c_i; p is found by a bracketed solve of the
+    Endpoints within one layer are joined by their chord. Across two or
+    more layers the per-layer grazing angles share a single ray
+    parameter p = cos(theta_i)/c_i, found by a bracketed solve of the
     monotone map from p to horizontal range. Raises NoDirectPathError
     when the requested range cannot be closed before the ray turns.
-    Equal depths with nonzero range degenerate to a horizontal ray in
-    the containing layer (the p*c -> 1 limit).
     """
     if horizontal_range < 0:
         raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
     return _ray_path(profile, source_depth, receiver_depth, horizontal_range)
 
 
-def _absorbed_db(profile: ChannelProfile, lengths: np.ndarray, rising) -> np.ndarray:
-    """Absorption along per-layer path lengths (..., L), dB, summed source -> receiver."""
-    return _path_sum(np.asarray(profile.absorption) * 1e-3 * lengths, rising)
+def _absorbed_db(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
+    """Absorption along per-layer path lengths (..., L), dB, summed in layer order."""
+    return (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1)
 
 
 def _loss_db(total_length: float, absorbed: float) -> float:
@@ -373,8 +333,7 @@ def transmission_loss(path: RayPath, profile: ChannelProfile) -> float:
     lengths = np.zeros(len(profile.absorption))
     for seg in path.segments:
         lengths[seg.layer] = seg.length
-    rising = path.segments[0].layer > path.segments[-1].layer
-    return _loss_db(path.total_length, float(_absorbed_db(profile, lengths, rising)))
+    return _loss_db(path.total_length, float(_absorbed_db(profile, lengths)))
 
 
 def snr(source_level: float, transmission_loss_db: float, noise_level: float) -> float:
@@ -387,21 +346,18 @@ def ping_paths(profile: ChannelProfile, source, receivers):
 
     receivers is (M, 3). Returns (tof, length, absorbed), each of shape
     (M,): the travel time (s), the path length (m) and the absorption
-    along the path (dB), each summed in source -> receiver order. tof is
-    NaN where no direct path exists and non-finite where the ray grazes
-    a layer.
+    along the path (dB), each summed in layer order. tof is NaN where no
+    direct path exists.
     """
     src = np.asarray(source, float)
     rcv = np.asarray(receivers, float).reshape(-1, 3)
     z_src, z_rcv = float(-src[2]), -rcv[:, 2]
     horizontal = [math.hypot(r[0] - src[0], r[1] - src[1]) for r in rcv]
-    lengths, _, _, _, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
-    rising = z_src > z_rcv
-    tof = _path_sum(lengths / np.asarray(profile.sound_speeds), rising)
+    lengths, _, _, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
     return (
-        np.where(ok, tof, np.nan),
-        _path_sum(lengths, rising),
-        _absorbed_db(profile, lengths, rising),
+        np.where(ok, _tof(profile, lengths), np.nan),
+        lengths.sum(axis=-1),
+        _absorbed_db(profile, lengths),
     )
 
 
@@ -453,7 +409,8 @@ def pairwise_tof(profile: ChannelProfile, points_a, points_b):
 
     The forward model of the localization fitness, on the path kernel
     of the pings. points_a is (N, 3), points_b is (M, 3); returns (tof,
-    ok) with shape (N, M). ok=False marks pairs with no direct path (their tof entry is meaningless). Raises ValueError for a point
+    ok) with shape (N, M). ok=False marks pairs with no direct path
+    (their tof entry is meaningless). Raises ValueError for a point
     outside the water column.
     """
     a = np.atleast_2d(np.asarray(points_a, float))
@@ -461,5 +418,5 @@ def pairwise_tof(profile: ChannelProfile, points_a, points_b):
     horizontal = np.hypot(
         a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]
     )
-    _, times, _, _, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
-    return times.sum(axis=-1), ok
+    lengths, _, _, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
+    return _tof(profile, lengths), ok

@@ -36,8 +36,28 @@ _REQUIRED = object()
 MAX_EPOCHS = 1_000_000
 _AXES = ("east", "north", "up")
 _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
-# libyaml's parser where PyYAML was built with it; both build the same documents.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser where PyYAML was built with it.
+
+    A string key repeated within one mapping is an error at the repeated
+    key, where PyYAML would keep the last value.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag != _STR_TAG:
+                continue  # merge keys and non-string keys go to the base loader
+            if key_node.value in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key_node.value!r}", key_node.start_mark,
+                )
+            seen.add(key_node.value)
+        return super().construct_mapping(node, deep=deep)
 
 
 class ScenarioError(ValueError):
@@ -62,13 +82,13 @@ class EkfConfig:
     def __post_init__(self) -> None:
         for axis, value in zip(_AXES, self.accel_noise_density):
             if not value > 0:
-                raise ValueError(f"accel_noise_density.{axis} must be > 0, got {value}")
+                raise ValueError(f"accel_noise_density.{axis}: must be > 0, got {value}")
         for name in (
             "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_floor",
             "pressure_sigma_depth", "water_density",
         ):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +175,8 @@ def _read_config(cls, node, ctx: str, **parsers):
     The fields of cls are the section's keys: their annotations give the
     value types and their defaults fill absent keys. A field with a
     structured value is read by parsers[name](value, key_path) instead.
+    The checks of cls raise ValueError("field: problem"), reported here
+    as "ctx.field: problem".
     """
     section = _mapping(node, ctx)
     _check_unknown(section, [f.name for f in fields(cls)], ctx)
@@ -172,7 +194,7 @@ def _read_config(cls, node, ctx: str, **parsers):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from None
+        raise ScenarioError(f"{ctx}.{exc}") from None
 
 
 def _sequence(node: dict, key: str, ctx: str) -> list:
@@ -286,7 +308,7 @@ def _parse_bounds(node, ctx: str) -> SearchBounds:
     try:
         return SearchBounds(**spans)
     except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from None
+        raise ScenarioError(f"{ctx}.{exc}") from None
 
 
 def _parse_ga(node: dict, column: WaterColumn) -> GaConfig:

@@ -89,6 +89,14 @@ class TestPingCommand:
         assert out.endswith("detected: False\n")
         assert "transmission_loss_db" not in out and "snr_db" not in out
 
+    def test_surface_endpoint_depth_prints_without_sign(self, capsys):
+        # Negating a surface endpoint's up of 0.0 used to print depth -0.0.
+        noisy = str(SCENARIO_DIR / "canonical_noisy.yaml")
+        assert main(["ping", noisy, "--src=0,0,0", "--dst=1e6,0,-150"]) == 0
+        out = capsys.readouterr().out
+        assert "between depths 0.0 and 150.0 m" in out
+        assert "-0.0" not in out
+
 
 class TestLocalizeCommand:
     def test_single_epoch_fix(self, small_scenario, capsys):
@@ -188,7 +196,20 @@ class TestRunCommand:
             Path(NOISELESS).read_text().replace("path_model: refracted", "path_model: straight")
         )
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "channel: path_model must be 'refracted'" in capsys.readouterr().err
+        assert "channel.path_model: must be 'refracted', got 'straight'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "extra,key",
+        [("seed: 6\n", "seed"), ("ekf:\n  pressure_sigma_depth: 0.2\n", "ekf")],
+        ids=["seed", "ekf"],
+    )
+    def test_repeated_key_is_validation_error(self, tmp_path, capsys, extra, key):
+        # YAML keeps the last of a repeated key; such a scenario used to run.
+        path = tmp_path / "repeated.yaml"
+        path.write_text(Path(NOISELESS).read_text() + extra)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"found duplicate key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):

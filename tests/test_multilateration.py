@@ -164,6 +164,16 @@ class TestFitness:
         for row, expected in zip(cands, vec):
             assert fitness(row, MEASUREMENTS, ANCHORS, HOMOG) == expected
 
+    def test_surface_candidates_against_near_surface_anchors_are_finite(self):
+        # Candidates clipped to the surface against anchors a hair below it
+        # make near-level pairs, which used to score inf or NaN.
+        near = [Anchor(a.id, (*a.position[:2], up)) for a, up in
+                zip(ANCHORS, (-1e-6, -1e-7, -3e-9, -1e-8))]
+        meas = noiseless_measurements(near)
+        grid = np.linspace(-150.0, 150.0, 31)
+        cands = np.array([(e, n, 0.0) for e in grid for n in grid])
+        assert np.isfinite(fitness(cands, meas, near, HOMOG)).all()
+
     def test_unknown_anchor_id_rejected(self):
         bad = [PingMeasurement("ghost", 0.1, 20.0, 0.0)] + MEASUREMENTS[1:]
         with pytest.raises(ValueError, match="ghost"):

@@ -353,6 +353,29 @@ class TestPairwiseTof:
         assert tof[0, 2] == pytest.approx(math.hypot(60.0, 80.0) / 1470.0, rel=1e-15)
         assert tof[1, 3] == pytest.approx(math.hypot(90.0, 80.0) / 1480.0, rel=1e-15)
 
+    @pytest.mark.parametrize("slope", [1e-5, 1e-6, 1e-7, 1e-8, 0.0])
+    def test_near_level_pair_is_its_chord(self, slope):
+        # 100 m apart at 10 m depth; a near-level pair used to lose accuracy
+        # and, at slope 1e-8, get a non-finite TOF.
+        z_a, z_b = 10.0, 10.0 + slope * 100.0
+        expected = math.hypot(100.0, z_b - z_a) / 1500.0
+        tof, ok = pairwise_tof(HOMOG, [(0.0, 0.0, -z_a)], [(100.0, 0.0, -z_b)])
+        assert ok[0, 0] and tof[0, 0] == expected
+        assert ping_paths(HOMOG, (0.0, 0.0, -z_a), [(100.0, 0.0, -z_b)])[0][0] == expected
+
+    def test_batch_rows_equal_rows_solved_alone(self):
+        # A pair's ray parameter must not depend on the pairs solved with it.
+        prof = profile((0.0, 30.0, 80.0, 150.0), (1510.0, 1495.0, 1485.0))
+        rng = np.random.default_rng(12)
+        candidates = rng.uniform((-150.0, -150.0, -150.0), (150.0, 150.0, 0.0), (100, 3))
+        anchors = [(100.0, 100.0, 0.0), (100.0, -100.0, 0.0), (-100.0, 100.0, -0.5),
+                   (-100.0, -100.0, -1.0)]
+        tof, ok = pairwise_tof(prof, candidates, anchors)
+        for i, cand in enumerate(candidates):
+            for j, anchor in enumerate(anchors):
+                alone, alone_ok = pairwise_tof(prof, [cand], [anchor])
+                assert alone[0, 0] == tof[i, j] and alone_ok[0, 0] == ok[i, j]
+
     def test_flags_unreachable_pairs(self):
         tof, ok = pairwise_tof(
             TWO_LAYER, [(0.0, 0.0, 0.0)], [(1e7, 0.0, -200.0), (100.0, 0.0, -200.0)]

@@ -411,6 +411,29 @@ def test_non_finite_number_rejected_naming_key(path, value, key):
         parse_scenario(yaml.safe_dump(doc))
 
 
+OUT_OF_RANGE_CASES = [
+    (("channel", "tof_noise_sigma"), -1.0, "channel.tof_noise_sigma: must be >= 0, got -1.0"),
+    (("ga", "population_size"), 2, "ga.population_size: must be >= 4, got 2"),
+    (("ga", "search_bounds", "north"), [5.0, -5.0],
+     "ga.search_bounds.north: must satisfy lo < hi, got (5.0, -5.0)"),
+    (("ekf", "accel_noise_density", "up"), 0.0,
+     "ekf.accel_noise_density.up: must be > 0, got 0.0"),
+    (("water_column", "layers", 0, "ph"), 10.0,
+     "water_column.layers[0].ph: must be within [6.0, 9.0], got 10.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,message", OUT_OF_RANGE_CASES,
+    ids=[message.split(":")[0] for _, _, message in OUT_OF_RANGE_CASES],
+)
+def test_out_of_range_value_names_key(path, value, message):
+    doc = yaml.safe_load((SCENARIO_DIR / "canonical_noisy.yaml").read_text())
+    _set(doc, path, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(yaml.safe_dump(doc))
+
+
 def test_integer_beyond_float_range_rejected():
     text = MINIMAL.replace("carrier_frequency: 25.0", f"carrier_frequency: {10**400}")
     with pytest.raises(ScenarioError, match="carrier_frequency: expected a finite number"):
@@ -419,7 +442,7 @@ def test_integer_beyond_float_range_rejected():
 
 def test_bounds_extent_past_float_range_rejected():
     text = MINIMAL.replace("east: [-200.0, 200.0]", "east: [-1.0e+308, 1.0e+308]")
-    with pytest.raises(ScenarioError, match="ga.search_bounds: .*east extent must be finite"):
+    with pytest.raises(ScenarioError, match=r"^ga\.search_bounds\.east: extent must be finite"):
         parse_scenario(text)
 
 
