@@ -8,8 +8,6 @@ driven by scenario files through a CLI.
 
 from .environment import (
     Layer,
-    LayerAcoustics,
-    WaterColumn,
     absorption_coeff,
     acoustics_profile,
     sound_speed,

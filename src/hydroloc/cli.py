@@ -36,7 +36,6 @@ from .propagation import (
     transmission_loss,
 )
 from .scenario import (
-    Scenario,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -79,14 +78,9 @@ def _parse_endpoint(text: str, option: str, profile: ChannelProfile) -> np.ndarr
     return np.array([east, north, up])
 
 
-def _profile_for(scenario: Scenario) -> ChannelProfile:
-    return ChannelProfile.from_column(scenario.column, scenario.carrier_frequency)
-
-
 def _cmd_profile(args) -> int:
-    scenario = load_scenario(args.scenario)
-    profile = _profile_for(scenario)
-    print(f"# {len(scenario.column)} layers, carrier {scenario.carrier_frequency} kHz")
+    profile = load_scenario(args.scenario).profile
+    print(f"# {len(profile.sound_speeds)} layers, carrier {profile.frequency} kHz")
     print("layer  z_top_m  z_bottom_m  sound_speed_m_s  absorption_db_km")
     b = profile.boundaries
     for i, (c, a) in enumerate(zip(profile.sound_speeds, profile.absorption)):
@@ -96,7 +90,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_ping(args) -> int:
     scenario = load_scenario(args.scenario)
-    profile = _profile_for(scenario)
+    profile = scenario.profile
     src = _parse_endpoint(args.src, "--src", profile)
     dst = _parse_endpoint(args.dst, "--dst", profile)
     channel = scenario.channel
@@ -128,7 +122,6 @@ def _cmd_ping(args) -> int:
 
 def _cmd_localize(args) -> int:
     scenario = load_scenario(args.scenario)
-    profile = _profile_for(scenario)
     times = epoch_times(scenario)
     if not 0 <= args.epoch < len(times):
         raise ScenarioError(
@@ -138,9 +131,7 @@ def _cmd_localize(args) -> int:
         raise ScenarioError(f"--trace-every: must be >= 1, got {args.trace_every}")
     t = times[args.epoch]
     anchors_true = np.asarray(scenario.anchors_enu(), float)
-    true_pos, anchors, measurements, _ = simulate_epoch(
-        scenario, profile, anchors_true, args.epoch, t
-    )
+    true_pos, anchors, measurements, _ = simulate_epoch(scenario, anchors_true, args.epoch, t)
     print(f"epoch {args.epoch} (t={t!r} s): {len(measurements)} detections")
     for m in measurements:
         print(f"  anchor {m.anchor_id}: tof={m.tof_measured!r} s  snr={m.snr!r} dB")
@@ -154,7 +145,7 @@ def _cmd_localize(args) -> int:
         if gen % args.trace_every == 0:
             print(f"  gen {gen:4d}  best_fitness={best:.6e}  sigma={sigma:.3f} m")
 
-    estimate = ga_localize(measurements, anchors, config, profile, trace=trace)
+    estimate = ga_localize(measurements, anchors, config, scenario.profile, trace=trace)
     e, n, u = (float(v) for v in estimate.position)
     print(f"fix: east={e!r} north={n!r} up={u!r}")
     print(f"best_fitness: {estimate.best_fitness!r}")

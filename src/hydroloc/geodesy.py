@@ -23,7 +23,6 @@ __all__ = [
     "ecef_to_enu",
     "enu_to_ecef",
     "geodetic_to_enu",
-    "enu_to_geodetic",
 ]
 
 WGS84_A = 6378137.0                 # semi-major axis, m
@@ -170,7 +169,3 @@ def enu_to_ecef(p: EnuCoord, origin: GeodeticCoord) -> EcefCoord:
 
 def geodetic_to_enu(g: GeodeticCoord, origin: GeodeticCoord) -> EnuCoord:
     return ecef_to_enu(geodetic_to_ecef(g), origin)
-
-
-def enu_to_geodetic(p: EnuCoord, origin: GeodeticCoord) -> GeodeticCoord:
-    return ecef_to_geodetic(enu_to_ecef(p, origin))

@@ -29,7 +29,7 @@ from .fusion import (
     pressure_to_depth,
 )
 from .multilateration import Anchor, PositionEstimate, ga_localize
-from .propagation import ChannelProfile, ping_paths, simulate_ping
+from .propagation import ping_paths, simulate_ping
 from .scenario import Scenario
 
 __all__ = [
@@ -127,13 +127,7 @@ def epoch_times(scenario: Scenario) -> list[float]:
     return [k * scenario.ping_interval for k in range(n)]
 
 
-def simulate_epoch(
-    scenario: Scenario,
-    profile: ChannelProfile,
-    anchors_true: np.ndarray,
-    epoch_idx: int,
-    t: float,
-):
+def simulate_epoch(scenario: Scenario, anchors_true: np.ndarray, epoch_idx: int, t: float):
     """Generate one epoch's observations.
 
     Returns (true_position, reported_anchors, measurements, depth_measured).
@@ -141,6 +135,7 @@ def simulate_epoch(
     carry that epoch's GPS noise and are what the localizer sees.
     """
     true_pos = interpolate_position(scenario.waypoints, t)
+    profile = scenario.profile
 
     gps_rng = np.random.default_rng(child_seed(scenario.seed, _TAG_GPS, epoch_idx))
     noise = gps_rng.normal(0.0, 1.0, size=anchors_true.shape) * np.asarray(
@@ -202,7 +197,6 @@ def _initial_state(scenario: Scenario) -> EkfState:
 
 def run_simulation(scenario: Scenario):
     """Run the full pipeline; returns (records, summary)."""
-    profile = ChannelProfile.from_column(scenario.column, scenario.carrier_frequency)
     anchors_true = np.asarray(scenario.anchors_enu(), float)
     ekf_cfg = scenario.ekf
     state = _initial_state(scenario)
@@ -211,14 +205,15 @@ def run_simulation(scenario: Scenario):
     total_detections = 0
     for epoch_idx, t in enumerate(epoch_times(scenario)):
         true_pos, anchors, measurements, depth_measured = simulate_epoch(
-            scenario, profile, anchors_true, epoch_idx, t
+            scenario, anchors_true, epoch_idx, t
         )
         total_detections += len(measurements)
 
         estimate = None
         if len({m.anchor_id for m in measurements}) >= 4:
             estimate = ga_localize(
-                measurements, anchors, ga_config_for_epoch(scenario, epoch_idx), profile
+                measurements, anchors, ga_config_for_epoch(scenario, epoch_idx),
+                scenario.profile,
             )
         else:
             log.info(

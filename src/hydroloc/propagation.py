@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import WaterColumn, acoustics_profile
+from .environment import acoustics_profile
 
 __all__ = [
     "NoDirectPathError",
@@ -67,14 +67,23 @@ class ChannelProfile:
     frequency: float                 # kHz
 
     @classmethod
-    def from_column(cls, column: WaterColumn, frequency: float) -> "ChannelProfile":
-        acoustics = acoustics_profile(column, frequency)
-        return cls(
-            boundaries=column.boundaries,
-            sound_speeds=tuple(a.sound_speed for a in acoustics),
-            absorption=tuple(a.absorption for a in acoustics),
-            frequency=frequency,
-        )
+    def from_layers(cls, layers, frequency: float) -> "ChannelProfile":
+        """The profile of a stack of Layers, surface first, at frequency (kHz).
+
+        Raises ValueError for an empty stack, a total depth that is not
+        finite, or a mid-depth or frequency outside the acoustic models'
+        validity ranges.
+        """
+        layers = tuple(layers)
+        if not layers:
+            raise ValueError("at least one layer is required")
+        boundaries = [0.0]
+        for layer in layers:
+            boundaries.append(boundaries[-1] + layer.thickness)
+        if not math.isfinite(boundaries[-1]):
+            raise ValueError(f"total thickness must be finite, got {boundaries[-1]}")
+        sound_speeds, absorption = acoustics_profile(layers, frequency)
+        return cls(tuple(boundaries), sound_speeds, absorption, frequency)
 
     @property
     def total_depth(self) -> float:
@@ -143,8 +152,8 @@ def _layer_overlaps(boundaries: np.ndarray, z_lo, z_hi) -> np.ndarray:
 def _layer_at(boundaries: np.ndarray, z) -> np.ndarray:
     """Index of the layer holding depth z, elementwise.
 
-    As in layer_index_for, an interior boundary belongs to the layer
-    below it and the bottom boundary to the last layer.
+    An interior boundary belongs to the layer below it and the bottom
+    boundary to the last layer.
     """
     return np.searchsorted(boundaries[1:-1], z, side="right")
 

@@ -16,10 +16,10 @@ from typing import get_type_hints
 
 import yaml
 
-from .environment import Layer, WaterColumn
+from .environment import FREQUENCY_RANGE, Layer
 from .geodesy import GeodeticCoord, geodetic_to_enu
 from .multilateration import GaConfig, SearchBounds
-from .propagation import ChannelConfig
+from .propagation import ChannelConfig, ChannelProfile
 
 __all__ = [
     "MAX_EPOCHS",
@@ -95,8 +95,7 @@ class EkfConfig:
 class Scenario:
     """A fully validated simulation setup."""
 
-    column: WaterColumn
-    carrier_frequency: float  # kHz
+    profile: ChannelProfile  # the water column's acoustics at the carrier frequency
     channel: ChannelConfig
     anchor_ids: tuple[str, ...]
     anchor_positions: tuple[GeodeticCoord, ...]
@@ -129,7 +128,8 @@ def _mapping(node, ctx: str) -> dict:
 
 
 def _check_unknown(node: dict, allowed, ctx: str) -> None:
-    unknown = sorted(set(node) - set(allowed))
+    # YAML keys need not be strings, nor of one type.
+    unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
         raise ScenarioError(f"{ctx}: unknown key '{unknown[0]}'")
 
@@ -204,17 +204,21 @@ def _sequence(node: dict, key: str, ctx: str) -> list:
     return value
 
 
-def _parse_column(node: dict) -> WaterColumn:
+def _parse_profile(node: dict) -> ChannelProfile:
     section = _mapping(_get(node, "water_column", "scenario"), "water_column")
     _check_unknown(section, ("layers",), "water_column")
     layers = [
         _read_config(Layer, item, f"water_column.layers[{i}]")
         for i, item in enumerate(_sequence(section, "layers", "water_column"))
     ]
-    if not layers:
-        raise ScenarioError("water_column.layers: at least one layer is required")
+    carrier = _read(node, "carrier_frequency", "scenario")
+    lo, hi = FREQUENCY_RANGE
+    if not lo <= carrier <= hi:
+        raise ScenarioError(
+            f"carrier_frequency: must be within [{lo}, {hi}] kHz, got {carrier}"
+        )
     try:
-        return WaterColumn(layers)
+        return ChannelProfile.from_layers(layers, carrier)
     except ValueError as exc:
         raise ScenarioError(f"water_column.layers: {exc}") from None
 
@@ -222,10 +226,12 @@ def _parse_column(node: dict) -> WaterColumn:
 def _parse_geodetic(m: dict, ctx: str) -> GeodeticCoord:
     latitude, longitude = _read(m, "latitude", ctx), _read(m, "longitude", ctx)
     height = _read(m, "height", ctx, float, 0.0)
-    try:
-        return GeodeticCoord.from_degrees(latitude, longitude, height)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from None
+    if not -90.0 <= latitude <= 90.0:
+        raise ScenarioError(f"{ctx}.latitude: must be within [-90, 90], got {latitude}")
+    if not -180.0 < longitude <= 180.0:
+        raise ScenarioError(f"{ctx}.longitude: must be within (-180, 180], got {longitude}")
+    # These degree ranges convert exactly onto GeodeticCoord's radian ranges.
+    return GeodeticCoord.from_degrees(latitude, longitude, height)
 
 
 def _parse_anchors(node: dict):
@@ -259,7 +265,7 @@ def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
     return sigma
 
 
-def _parse_trajectory(node: dict, column: WaterColumn, bounds: SearchBounds):
+def _parse_trajectory(node: dict, profile: ChannelProfile, bounds: SearchBounds):
     items = _sequence(node, "trajectory", "scenario")
     if len(items) < 2:
         raise ScenarioError(
@@ -272,10 +278,10 @@ def _parse_trajectory(node: dict, column: WaterColumn, bounds: SearchBounds):
         keys = ("time", *_AXES)
         _check_unknown(m, keys, ctx)
         t, e, n, u = (_read(m, key, ctx) for key in keys)
-        if not 0.0 <= -u <= column.total_depth:
+        if not 0.0 <= -u <= profile.total_depth:
             raise ScenarioError(
                 f"{ctx}.up: depth {-u} m outside the water column "
-                f"[0, {column.total_depth}]"
+                f"[0, {profile.total_depth}]"
             )
         for axis, value in zip(_AXES, (e, n, u)):
             lo, hi = getattr(bounds, axis)
@@ -311,7 +317,7 @@ def _parse_bounds(node, ctx: str) -> SearchBounds:
         raise ScenarioError(f"{ctx}.{exc}") from None
 
 
-def _parse_ga(node: dict, column: WaterColumn) -> GaConfig:
+def _parse_ga(node: dict, profile: ChannelProfile) -> GaConfig:
     section = _mapping(_get(node, "ga", "scenario"), "ga")
     if "seed" in section:
         raise ScenarioError(
@@ -319,10 +325,10 @@ def _parse_ga(node: dict, column: WaterColumn) -> GaConfig:
             "the top-level seed"
         )
     ga = _read_config(GaConfig, section, "ga", search_bounds=_parse_bounds)
-    if -ga.search_bounds.up[0] > column.total_depth:
+    if -ga.search_bounds.up[0] > profile.total_depth:
         raise ScenarioError(
             f"ga.search_bounds.up: reaches {-ga.search_bounds.up[0]} m, below the "
-            f"{column.total_depth} m water column"
+            f"{profile.total_depth} m water column"
         )
     return ga
 
@@ -351,10 +357,7 @@ def parse_scenario(text: str) -> Scenario:
     )
     _check_unknown(root, allowed, "scenario")
 
-    column = _parse_column(root)
-    carrier = _read(root, "carrier_frequency", "scenario")
-    if carrier <= 0:
-        raise ScenarioError(f"carrier_frequency: must be > 0 kHz, got {carrier}")
+    profile = _parse_profile(root)
     channel = _read_config(ChannelConfig, _get(root, "channel", "scenario"), "channel")
     anchor_ids, anchor_coords = _parse_anchors(root)
     gps_sigma = _parse_gps_sigma(root)
@@ -368,8 +371,8 @@ def parse_scenario(text: str) -> Scenario:
         origin = anchor_coords[0]
         origin_from_anchor = True
 
-    ga = _parse_ga(root, column)
-    waypoints = _parse_trajectory(root, column, ga.search_bounds)
+    ga = _parse_ga(root, profile)
+    waypoints = _parse_trajectory(root, profile, ga.search_bounds)
     ping_interval = _read(root, "ping_interval", "scenario")
     if ping_interval <= 0:
         raise ScenarioError(f"ping_interval: must be > 0, got {ping_interval}")
@@ -386,8 +389,7 @@ def parse_scenario(text: str) -> Scenario:
     seed = _read(root, "seed", "scenario", int, 0)
 
     scenario = Scenario(
-        column=column,
-        carrier_frequency=carrier,
+        profile=profile,
         channel=channel,
         anchor_ids=anchor_ids,
         anchor_positions=anchor_coords,
@@ -405,7 +407,7 @@ def parse_scenario(text: str) -> Scenario:
         depth = -geodetic_to_enu(g, scenario.enu_origin).up
         # Allow micrometre-scale excursions above the surface from
         # transform round-off; anchors_enu() pins those back to 0.
-        if not -1e-6 <= depth <= column.total_depth:
+        if not -1e-6 <= depth <= profile.total_depth:
             raise ScenarioError(
                 f"anchors[{i}]: ENU depth {depth:.3f} m falls outside the water "
                 "column; check anchor heights against the ENU origin"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from hydroloc.cli import main as cli_main
-from hydroloc.environment import Layer, WaterColumn, absorption_coeff, sound_speed
+from hydroloc.environment import Layer, absorption_coeff, sound_speed
 from hydroloc.fusion import (
     EkfState,
     ekf_predict,
@@ -56,7 +56,7 @@ def random_layered_profile(rng, n_layers):
             )
         )
         temperature = max(2.0, temperature - rng.uniform(0.0, 3.0))
-    return ChannelProfile.from_column(WaterColumn(layers), 25.0)
+    return ChannelProfile.from_layers(layers, 25.0)
 
 
 def homogeneous_profile(c=1500.0, depth=100.0):

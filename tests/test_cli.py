@@ -10,6 +10,7 @@ from hydroloc.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NOISELESS = str(SCENARIO_DIR / "canonical_noiseless.yaml")
+NOISY = str(SCENARIO_DIR / "canonical_noisy.yaml")
 
 
 @pytest.fixture()
@@ -31,6 +32,24 @@ class TestProfileCommand:
         lines = out.strip().splitlines()
         assert "sound_speed_m_s" in lines[1]
         assert len(lines) == 3  # comment, header, one layer
+
+    def test_prints_noisy_profile(self, capsys):
+        assert main(["profile", NOISY]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "# 3 layers, carrier 25.0 kHz",
+            "layer  z_top_m  z_bottom_m  sound_speed_m_s  absorption_db_km",
+        ]
+        rows = [line.split() for line in lines[2:]]
+        # The speeds are polynomials in the layer properties, exact in any libm.
+        assert [row[:4] for row in rows] == [
+            ["0", "0.0", "30.0", "1510.2898880489495"],
+            ["1", "30.0", "80.0", "1500.0266145778114"],
+            ["2", "80.0", "150.0", "1490.8619856978494"],
+        ]
+        assert [float(row[4]) for row in rows] == pytest.approx(
+            [4.279524920925963, 4.7759550154528565, 5.182483102507722], rel=1e-12
+        )
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["profile", "no_such_file.yaml"]) == 1
@@ -210,6 +229,26 @@ class TestRunCommand:
         path.write_text(Path(NOISELESS).read_text() + extra)
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"found duplicate key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("thickness: 100.0", "thickness: 1.0e+6", "water_column.layers: "),
+            ("thickness: 100.0", "thickness: 1.0e+300", "water_column.layers: "),
+            ("carrier_frequency: 25.0", "carrier_frequency: 1.0e+160", "carrier_frequency: "),
+            ("carrier_frequency: 25.0", "carrier_frequency: 1.0e+6", "carrier_frequency: "),
+        ],
+        ids=["thickness-1e6", "thickness-1e300", "carrier-1e160", "carrier-1e6"],
+    )
+    def test_non_physical_acoustics_is_validation_error(self, tmp_path, capsys, old, new, key):
+        # These ran to exit 0 on a negative or NaN sound speed or absorption.
+        text = Path(NOISELESS).read_text()
+        assert old in text
+        path = tmp_path / "acoustics.yaml"
+        path.write_text(text.replace(old, new))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"validation error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):

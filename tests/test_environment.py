@@ -1,14 +1,16 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from hydroloc.environment import (
     Layer,
-    WaterColumn,
     absorption_coeff,
     acoustics_profile,
     sound_speed,
 )
+from hydroloc.propagation import ChannelProfile, _layer_at
 
 
 def layer(thickness=100.0, temperature=10.0, salinity=35.0, ph=8.0):
@@ -42,38 +44,31 @@ class TestLayer:
 
 
 class TestWaterColumn:
+    """The column geometry of ChannelProfile.from_layers and its layer lookup."""
+
     def test_single_layer_identity(self):
-        col = WaterColumn([layer(thickness=100.0)])
+        col = ChannelProfile.from_layers([layer(thickness=100.0)], 25.0)
         assert col.total_depth == 100.0
         assert col.boundaries == (0.0, 100.0)
 
     def test_boundaries_are_prefix_sums(self):
-        col = WaterColumn([layer(thickness=50.0), layer(thickness=150.0)])
+        col = ChannelProfile.from_layers([layer(thickness=50.0), layer(thickness=150.0)], 25.0)
         assert col.boundaries == (0.0, 50.0, 200.0)
         assert col.total_depth == 200.0
 
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
-            WaterColumn([])
+            ChannelProfile.from_layers([], 25.0)
 
     def test_layer_index_conventions(self):
-        col = WaterColumn([layer(thickness=50.0), layer(thickness=150.0)])
-        assert col.layer_index_at(0.0) == 0
-        assert col.layer_index_at(49.999) == 0
+        col = ChannelProfile.from_layers([layer(thickness=50.0), layer(thickness=150.0)], 25.0)
+        boundaries = np.asarray(col.boundaries)
+        assert _layer_at(boundaries, 0.0) == 0
+        assert _layer_at(boundaries, 49.999) == 0
         # A boundary depth belongs to the layer below it.
-        assert col.layer_index_at(50.0) == 1
+        assert _layer_at(boundaries, 50.0) == 1
         # The bottom boundary belongs to the last layer.
-        assert col.layer_index_at(200.0) == 1
-
-    @pytest.mark.parametrize("depth", [-0.1, 200.1])
-    def test_layer_index_range_errors(self, depth):
-        col = WaterColumn([layer(thickness=50.0), layer(thickness=150.0)])
-        with pytest.raises(ValueError, match="outside"):
-            col.layer_index_at(depth)
-
-    def test_mid_depths(self):
-        col = WaterColumn([layer(thickness=50.0), layer(thickness=150.0)])
-        assert col.mid_depths() == (25.0, 125.0)
+        assert _layer_at(boundaries, 200.0) == 1
 
 
 class TestSoundSpeed:
@@ -108,7 +103,7 @@ class TestSoundSpeed:
     @pytest.mark.parametrize(
         "t,s,d,field",
         [(50.0, 35.0, 0.0, "temperature"), (10.0, 50.0, 0.0, "salinity"),
-         (10.0, 35.0, -1.0, "depth")],
+         (10.0, 35.0, -1.0, "depth"), (10.0, 35.0, 8000.1, "depth")],
     )
     def test_domain_errors(self, t, s, d, field):
         with pytest.raises(ValueError, match=field):
@@ -135,46 +130,71 @@ class TestAbsorption:
         with pytest.raises(ValueError, match="frequency"):
             absorption_coeff(0.0, 10.0, 35.0, 8.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "frequency,depth,message",
+        [
+            (0.09, 0.0, "frequency: must be within [0.1, 1000.0], got 0.09"),
+            (1000.1, 0.0, "frequency: must be within [0.1, 1000.0], got 1000.1"),
+            (10.0, 8000.1, "depth: must be within [0.0, 8000.0], got 8000.1"),
+        ],
+    )
+    def test_out_of_model_range_rejected(self, frequency, depth, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            absorption_coeff(frequency, 10.0, 35.0, 8.0, depth)
+
+    def test_range_ends_accepted(self):
+        for frequency in (0.1, 1000.0):
+            for depth in (0.0, 8000.0):
+                assert math.isfinite(absorption_coeff(frequency, 10.0, 35.0, 8.0, depth))
+                assert math.isfinite(sound_speed(10.0, 35.0, depth))
+
     def test_non_negative(self):
         assert absorption_coeff(0.1, -2.0, 0.0, 6.0, 8000.0) >= 0.0
 
 
 class TestAcousticsProfile:
     def test_single_layer_matches_direct_calls(self):
-        col = WaterColumn([layer(thickness=100.0)])
-        (entry,) = acoustics_profile(col, 25.0)
-        assert entry.sound_speed == sound_speed(10.0, 35.0, 50.0)
-        assert entry.absorption == absorption_coeff(25.0, 10.0, 35.0, 8.0, 50.0)
+        (speed,), (absorption,) = acoustics_profile([layer(thickness=100.0)], 25.0)
+        assert speed == sound_speed(10.0, 35.0, 50.0)
+        assert absorption == absorption_coeff(25.0, 10.0, 35.0, 8.0, 50.0)
 
     def test_identical_layers_differ_only_by_depth_terms(self):
-        col = WaterColumn([layer(thickness=100.0), layer(thickness=100.0)])
-        top, bottom = acoustics_profile(col, 25.0)
+        speeds, absorption = acoustics_profile(
+            [layer(thickness=100.0), layer(thickness=100.0)], 25.0
+        )
         # Deeper evaluation point: faster sound, slightly less absorption.
-        assert bottom.sound_speed > top.sound_speed
-        assert bottom.absorption < top.absorption
-        assert top.sound_speed == sound_speed(10.0, 35.0, 50.0)
-        assert bottom.sound_speed == sound_speed(10.0, 35.0, 150.0)
+        assert speeds[1] > speeds[0]
+        assert absorption[1] < absorption[0]
+        assert speeds[0] == sound_speed(10.0, 35.0, 50.0)
+        assert speeds[1] == sound_speed(10.0, 35.0, 150.0)
+
+    def test_mid_depth_evaluation(self):
+        # Layers of 50 m and 150 m are evaluated at 25 m and 125 m.
+        layers = [layer(thickness=50.0), layer(thickness=150.0, temperature=8.0, ph=7.9)]
+        speeds, absorption = acoustics_profile(layers, 25.0)
+        assert speeds == (sound_speed(10.0, 35.0, 25.0), sound_speed(8.0, 35.0, 125.0))
+        assert absorption == (
+            absorption_coeff(25.0, 10.0, 35.0, 8.0, 25.0),
+            absorption_coeff(25.0, 8.0, 35.0, 7.9, 125.0),
+        )
 
     def test_warm_surface_cold_deep_ordering(self):
-        col = WaterColumn(
-            [layer(thickness=30.0, temperature=18.0), layer(thickness=40.0, temperature=6.0)]
+        speeds, _ = acoustics_profile(
+            [layer(thickness=30.0, temperature=18.0), layer(thickness=40.0, temperature=6.0)],
+            25.0,
         )
-        entries = acoustics_profile(col, 25.0)
         expected_top = sound_speed(18.0, 35.0, 15.0)
         expected_bottom = sound_speed(6.0, 35.0, 50.0)
-        assert (entries[0].sound_speed > entries[1].sound_speed) == (
-            expected_top > expected_bottom
-        )
+        assert (speeds[0] > speeds[1]) == (expected_top > expected_bottom)
 
     def test_entry_count_and_invariants(self):
         layers = [
             layer(thickness=20.0 + 10 * i, temperature=4.0 + 2 * i, ph=7.8 + 0.05 * i)
             for i in range(7)
         ]
-        col = WaterColumn(layers)
-        entries = acoustics_profile(col, 12.0)
-        assert len(entries) == 7
-        for e in entries:
-            assert 1300.0 <= e.sound_speed <= 1700.0
-            assert e.absorption >= 0.0
-            assert math.isfinite(e.sound_speed)
+        speeds, absorption = acoustics_profile(layers, 12.0)
+        assert len(speeds) == len(absorption) == 7
+        for c, a in zip(speeds, absorption):
+            assert 1300.0 <= c <= 1700.0
+            assert a >= 0.0
+            assert math.isfinite(c)

@@ -13,7 +13,6 @@ from hydroloc.pipeline import (
     simulate_epoch,
     write_outputs,
 )
-from hydroloc.propagation import ChannelProfile
 from hydroloc.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -123,9 +122,8 @@ class TestRunSimulation:
 
     def test_gps_noise_perturbs_reported_anchors_only(self):
         s = parse_scenario(FAST_NOISY)
-        profile = ChannelProfile.from_column(s.column, s.carrier_frequency)
         anchors_true = np.asarray(s.anchors_enu())
-        _, anchors, measurements, _ = simulate_epoch(s, profile, anchors_true, 0, 0.0)
+        _, anchors, measurements, _ = simulate_epoch(s, anchors_true, 0, 0.0)
         reported = np.array([a.position for a in anchors])
         assert not np.allclose(reported[:, :2], anchors_true[:, :2])
         assert np.all(reported[:, 2] <= 0.0)
@@ -134,14 +132,13 @@ class TestRunSimulation:
 
     def test_below_threshold_anchor_leaves_other_pings(self):
         s = parse_scenario(FAST_NOISY)
-        profile = ChannelProfile.from_column(s.column, s.carrier_frequency)
         anchors_true = np.asarray(s.anchors_enu())
         anchors_true[0, :2] *= 20.0  # about 2.8 km out: the weakest link
 
         def pings(threshold):
             channel = dataclasses.replace(s.channel, detection_threshold=threshold)
             scenario = dataclasses.replace(s, channel=channel)
-            return simulate_epoch(scenario, profile, anchors_true, 3, 30.0)[2]
+            return simulate_epoch(scenario, anchors_true, 3, 30.0)[2]
 
         everyone = pings(-1e6)
         snrs = [p.snr for p in everyone]

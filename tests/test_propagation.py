@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hydroloc.environment import Layer, WaterColumn, absorption_coeff, layer_index_for, sound_speed
+from hydroloc.environment import Layer, absorption_coeff, sound_speed
 from hydroloc.propagation import (
     ChannelConfig,
     ChannelProfile,
@@ -45,7 +45,7 @@ def random_profile(rng, n_layers):
             )
         )
         t = max(2.0, t - rng.uniform(0.0, 3.0))  # cool with depth
-    return ChannelProfile.from_column(WaterColumn(layers), 25.0)
+    return ChannelProfile.from_layers(layers, 25.0)
 
 
 def closure_error(path, horizontal_range):
@@ -54,9 +54,10 @@ def closure_error(path, horizontal_range):
 
 
 class TestProfile:
-    def test_from_column_matches_environment(self):
-        col = WaterColumn([Layer(100.0, 10.0, 35.0, 8.0), Layer(50.0, 8.0, 35.0, 8.0)])
-        prof = ChannelProfile.from_column(col, 12.0)
+    def test_from_layers_matches_environment(self):
+        prof = ChannelProfile.from_layers(
+            [Layer(100.0, 10.0, 35.0, 8.0), Layer(50.0, 8.0, 35.0, 8.0)], 12.0
+        )
         assert prof.boundaries == (0.0, 100.0, 150.0)
         assert prof.sound_speeds[0] == sound_speed(10.0, 35.0, 50.0)
         assert prof.absorption[1] == absorption_coeff(12.0, 8.0, 35.0, 8.0, 125.0)
@@ -130,19 +131,19 @@ class TestTraceRefracted:
         )
 
     @pytest.mark.parametrize(
-        "src,rcv,horizontal",
+        "src,rcv,horizontal,first",
         [
-            (120.0, 120.0, 98.0),   # equal depths
-            (150.0, 0.0, 0.0),      # vertical
-            (180.0, 20.0, 67.0),    # source deeper
-            (100.0, 160.0, 70.0),   # source on a boundary
+            (120.0, 120.0, 98.0, 1),   # equal depths
+            (150.0, 0.0, 0.0, 1),      # vertical
+            (180.0, 20.0, 67.0, 1),    # source deeper
+            (100.0, 160.0, 70.0, 1),   # source on a boundary: the layer below
         ],
         ids=["equal-depth", "vertical", "deeper-source", "boundary-source"],
     )
-    def test_segments_run_source_to_receiver(self, src, rcv, horizontal):
+    def test_segments_run_source_to_receiver(self, src, rcv, horizontal, first):
         path = trace_refracted(TWO_LAYER, src, rcv, horizontal)
         layers = [seg.layer for seg in path.segments]
-        assert layers[0] == layer_index_for(TWO_LAYER.boundaries, src)
+        assert layers[0] == first
         assert layers == sorted(layers, reverse=src > rcv)
 
     def test_same_depth_horizontal_ray(self):

@@ -10,9 +10,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroloc.environment import Layer, WaterColumn
+from hydroloc.environment import Layer
 from hydroloc.multilateration import GaConfig, SearchBounds
-from hydroloc.propagation import ChannelConfig
+from hydroloc.propagation import ChannelConfig, ChannelProfile
 from hydroloc.scenario import (
     MAX_EPOCHS,
     EkfConfig,
@@ -125,6 +125,11 @@ class TestStrictness:
         text = MINIMAL.replace("carrier_frequency: 25.0", "carrier_frequency: fast")
         with pytest.raises(ScenarioError, match="carrier_frequency"):
             parse_scenario(text)
+
+    def test_unknown_keys_of_mixed_types(self):
+        # Sorting the unknown keys 1 and 'foo' used to raise TypeError.
+        with pytest.raises(ScenarioError, match="^scenario: unknown key '1'$"):
+            parse_scenario(MINIMAL + "1: 2\nfoo: 3\n")
 
 
 class TestValidation:
@@ -245,6 +250,54 @@ class TestValidation:
         ):
             parse_scenario(yaml.safe_dump(doc))
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            # Mid-depth 5e5 m: the sound speed read -840860 m/s.
+            ("thickness: 100.0", "thickness: 1.0e+6",
+             "water_column.layers: depth: must be within [0.0, 8000.0], got 500000.0"),
+            # Mid-depth 5e299 m: the sound speed was NaN.
+            ("thickness: 100.0", "thickness: 1.0e+300",
+             "water_column.layers: depth: must be within [0.0, 8000.0], got 5e+299"),
+            # The absorption was NaN, and every ping passed the SNR threshold.
+            ("carrier_frequency: 25.0", "carrier_frequency: 1.0e+160",
+             "carrier_frequency: must be within [0.1, 1000.0] kHz, got 1e+160"),
+            # 3.4e8 dB/km: no ping was ever detected.
+            ("carrier_frequency: 25.0", "carrier_frequency: 1.0e+6",
+             "carrier_frequency: must be within [0.1, 1000.0] kHz, got 1000000.0"),
+            ("carrier_frequency: 25.0", "carrier_frequency: 0.0",
+             "carrier_frequency: must be within [0.1, 1000.0] kHz, got 0.0"),
+        ],
+        ids=["thickness-1e6", "thickness-1e300", "carrier-1e160", "carrier-1e6", "carrier-0"],
+    )
+    def test_non_physical_acoustics_rejected(self, old, new, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("{id: a0, latitude: 41.0,", "{id: a0, latitude: -90.5,",
+             "anchors[0].latitude: must be within [-90, 90], got -90.5"),
+            ("{id: a0, latitude: 41.0, longitude: -8.0}",
+             "{id: a0, latitude: 41.0, longitude: 200.0}",
+             "anchors[0].longitude: must be within (-180, 180], got 200.0"),
+            ("{id: a0, latitude: 41.0, longitude: -8.0}",
+             "{id: a0, latitude: 41.0, longitude: -180.0}",
+             "anchors[0].longitude: must be within (-180, 180], got -180.0"),
+        ],
+        ids=["latitude-below-90", "longitude-200", "longitude-minus-180"],
+    )
+    def test_geodetic_range_names_key_in_degrees(self, old, new, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL.replace(old, new))
+
+    def test_origin_latitude_names_key_in_degrees(self):
+        text = MINIMAL + "enu_origin: {latitude: 95.0, longitude: -8.0}\n"
+        message = "enu_origin.latitude: must be within [-90, 90], got 95.0"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(text)
+
     def test_boolean_is_not_a_number(self):
         text = MINIMAL.replace("carrier_frequency: 25.0", "carrier_frequency: true")
         with pytest.raises(ScenarioError, match="carrier_frequency"):
@@ -347,10 +400,9 @@ class TestEveryKey:
     def test_every_key_is_read(self):
         doc = yaml.safe_load(FULL)
         s = parse_scenario(FULL)
-        assert s.column.layers == tuple(
-            Layer(**layer) for layer in doc["water_column"]["layers"]
+        assert s.profile == ChannelProfile.from_layers(
+            [Layer(**layer) for layer in doc["water_column"]["layers"]], 30.0
         )
-        assert s.carrier_frequency == 30.0
         assert s.channel == ChannelConfig(**doc["channel"])
         ga = dict(doc["ga"])
         bounds = {axis: tuple(span) for axis, span in ga.pop("search_bounds").items()}
@@ -483,8 +535,6 @@ def _key_of(path) -> str:
 def _all_finite(value) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
-    if isinstance(value, WaterColumn):
-        return _all_finite(value.layers) and _all_finite(value.boundaries)
     if is_dataclass(value):
         return all(_all_finite(getattr(value, f.name)) for f in fields(value))
     if isinstance(value, (tuple, list)):
