@@ -39,7 +39,7 @@ from .multilateration import (
     ga_localize,
     range_from_tof,
 )
-from .pipeline import EpochRecord, RunSummary, run_simulation, write_outputs
+from .pipeline import EpochRecord, RunSummary, localize_epoch, run_simulation, write_outputs
 from .propagation import (
     ChannelConfig,
     ChannelProfile,

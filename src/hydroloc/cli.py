@@ -19,10 +19,9 @@ import sys
 
 import numpy as np
 
-from .multilateration import ga_localize
 from .pipeline import (
     epoch_times,
-    ga_config_for_epoch,
+    localize_epoch,
     run_simulation,
     simulate_epoch,
     write_outputs,
@@ -135,17 +134,15 @@ def _cmd_localize(args) -> int:
     print(f"epoch {args.epoch} (t={t!r} s): {len(measurements)} detections")
     for m in measurements:
         print(f"  anchor {m.anchor_id}: tof={m.tof_measured!r} s  snr={m.snr!r} dB")
-    if len({m.anchor_id for m in measurements}) < 4:
-        print("fewer than 4 detections; no fix possible at this epoch")
-        return 0
-
-    config = ga_config_for_epoch(scenario, args.epoch)
 
     def trace(gen, best, sigma):
         if gen % args.trace_every == 0:
             print(f"  gen {gen:4d}  best_fitness={best:.6e}  sigma={sigma:.3f} m")
 
-    estimate = ga_localize(measurements, anchors, config, scenario.profile, trace=trace)
+    estimate = localize_epoch(scenario, args.epoch, anchors, measurements, trace=trace)
+    if estimate is None:
+        print("fewer than 4 detections; no fix possible at this epoch")
+        return 0
     e, n, u = (float(v) for v in estimate.position)
     print(f"fix: east={e!r} north={n!r} up={u!r}")
     print(f"best_fitness: {estimate.best_fitness!r}")

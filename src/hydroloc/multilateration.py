@@ -103,7 +103,6 @@ class GaConfig:
     population_size: int = 200
     generations: int = 300
     fitness_mode: str = "tof_residual"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -136,17 +135,7 @@ class PositionEstimate:
     generations_run: int
 
 
-def _anchor_array(measurements, anchors) -> np.ndarray:
-    by_id = {a.id: a for a in anchors}
-    rows = []
-    for m in measurements:
-        if m.anchor_id not in by_id:
-            raise ValueError(f"measurement references unknown anchor id {m.anchor_id!r}")
-        rows.append(by_id[m.anchor_id].position)
-    return np.asarray(rows, float)
-
-
-def range_from_tof(tof, profile: ChannelProfile, anchor_depth, assumed_target_depth):
+def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
     """Convert TOFs to slant ranges with the harmonic-mean sound speed.
 
     The speed is thickness-weighted over the depth interval between the
@@ -155,13 +144,13 @@ def range_from_tof(tof, profile: ChannelProfile, anchor_depth, assumed_target_de
     arguments give a float.
     """
     tof = np.asarray(tof, float)
-    z_lo = np.minimum(anchor_depth, assumed_target_depth)
-    z_hi = np.maximum(anchor_depth, assumed_target_depth)
+    z_lo = np.minimum(anchor_depth, target_depth)
+    z_hi = np.maximum(anchor_depth, target_depth)
     if not ((tof > 0.0) & (z_lo >= 0.0) & (z_hi <= profile.total_depth)).all():
         raise ValueError(
             f"need tof > 0 and depths in the water column [0, {profile.total_depth}], "
             f"got tof {tof}, anchor depth {anchor_depth}, target depth "
-            f"{assumed_target_depth}"
+            f"{target_depth}"
         )
 
     boundaries = np.asarray(profile.boundaries)
@@ -176,23 +165,20 @@ def range_from_tof(tof, profile: ChannelProfile, anchor_depth, assumed_target_de
 
 def fitness(
     candidates,
-    measurements,
-    anchors,
+    anchor_pos,
+    observed,
     profile: ChannelProfile,
     mode: str = "tof_residual",
-    assumed_target_depth: float | None = None,
 ):
-    """Sum of squared residuals of the candidate(s) against the pings.
+    """Sum of squared residuals of the candidate(s) against one fix's pings.
 
-    tof_residual compares modelled travel times with measured ones (s^2);
-    range_residual first converts each measured TOF to a range using the
-    harmonic-mean speed down to assumed_target_depth (default: half the
-    column depth) and compares Euclidean distances (m^2). Candidates may
-    be a single ENU triple or an (N, 3) array; no-direct-path terms add a
-    large finite penalty instead of raising.
+    anchor_pos is the (M, 3) ENU array of the pinged anchors. observed
+    holds their measured TOFs (s) for tof_residual, which compares
+    modelled travel times (s^2), or their slant ranges (m) for
+    range_residual, which compares Euclidean distances (m^2). Candidates
+    may be a single ENU triple or an (N, 3) array; no-direct-path terms
+    add a large finite penalty instead of raising.
     """
-    if not measurements:
-        raise ValueError("fitness needs at least one measurement")
     cands = np.asarray(candidates, float)
     scalar_in = cands.ndim == 1
     cands = np.atleast_2d(cands)
@@ -200,19 +186,13 @@ def fitness(
     if (depths < 0.0).any() or (depths > profile.total_depth).any():
         raise ValueError("candidate depth outside the water column")
 
-    anchor_pos = _anchor_array(measurements, anchors)
-    tof_meas = np.array([m.tof_measured for m in measurements])
-
     if mode == "tof_residual":
         tof_model, ok = pairwise_tof(profile, cands, anchor_pos)
-        terms = (tof_model - tof_meas) ** 2
+        terms = (tof_model - observed) ** 2
         terms = np.where(ok, terms, NO_PATH_PENALTY)
     elif mode == "range_residual":
-        if assumed_target_depth is None:
-            assumed_target_depth = 0.5 * profile.total_depth
-        ranges = range_from_tof(tof_meas, profile, -anchor_pos[:, 2], assumed_target_depth)
         dist = np.linalg.norm(cands[:, None, :] - anchor_pos[None, :, :], axis=-1)
-        terms = (dist - ranges) ** 2
+        terms = (dist - observed) ** 2
     else:
         raise ValueError(f"unknown fitness mode {mode!r}")
 
@@ -271,14 +251,18 @@ def ga_localize(
     anchors,
     config: GaConfig,
     profile: ChannelProfile,
+    seed: int,
     trace=None,
 ) -> PositionEstimate:
     """Run the genetic solver and return the best fix.
 
-    Needs measurements from at least four distinct anchors. Deterministic
-    given (measurements, anchors, config): all randomness flows from
-    config.seed. trace, if given, is called as trace(generation,
-    best_fitness, sigma) after every evaluated generation.
+    Needs measurements from at least four distinct anchors, each with a
+    finite, positive TOF. The residual problem is built once: the pinged
+    anchors' positions, and in range_residual mode the measured ranges,
+    converted at the middle of the search depths. Deterministic given
+    (measurements, anchors, config, seed): all randomness flows from
+    seed. trace, if given, is called as trace(generation, best_fitness,
+    sigma) after every evaluated generation.
     """
     measurements = list(measurements)
     if not measurements:
@@ -289,7 +273,15 @@ def ga_localize(
             f"underdetermined fix: need measurements from >= 4 distinct anchors, "
             f"got {len(distinct)}"
         )
-    _anchor_array(measurements, anchors)  # fail fast on unknown ids
+    by_id = {a.id: a for a in anchors}
+    for m in measurements:
+        if m.anchor_id not in by_id:
+            raise ValueError(f"measurement references unknown anchor id {m.anchor_id!r}")
+        if not (np.isfinite(m.tof_measured) and m.tof_measured > 0.0):
+            raise ValueError(
+                f"anchor {m.anchor_id!r}: measured TOF must be finite and > 0, "
+                f"got {m.tof_measured!r}"
+            )
 
     bounds = config.search_bounds
     if -bounds.up[0] > profile.total_depth:
@@ -298,19 +290,13 @@ def ga_localize(
             f"({-bounds.up[0]} m > {profile.total_depth} m)"
         )
 
-    assumed_depth = -0.5 * (bounds.up[0] + bounds.up[1])
+    anchor_pos = np.asarray([by_id[m.anchor_id].position for m in measurements], float)
+    observed = np.array([m.tof_measured for m in measurements])
+    if config.fitness_mode == "range_residual":
+        assumed_depth = -0.5 * (bounds.up[0] + bounds.up[1])
+        observed = range_from_tof(observed, profile, -anchor_pos[:, 2], assumed_depth)
 
-    def evaluate(pop):
-        return fitness(
-            pop,
-            measurements,
-            anchors,
-            profile,
-            mode=config.fitness_mode,
-            assumed_target_depth=assumed_depth,
-        )
-
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     pop = rng.uniform(bounds.lows(), bounds.highs(), size=(config.population_size, 3))
     sigma = config.initial_sigma()
 
@@ -318,7 +304,7 @@ def ga_localize(
     stagnant = 0
     generations_run = config.generations
     for gen in range(config.generations):
-        fits = evaluate(pop)
+        fits = fitness(pop, anchor_pos, observed, profile, mode=config.fitness_mode)
         gen_best = float(fits.min())
         if gen_best < best_fit:
             best_fit = gen_best

@@ -37,6 +37,7 @@ __all__ = [
     "RunSummary",
     "child_seed",
     "simulate_epoch",
+    "localize_epoch",
     "run_simulation",
     "write_outputs",
     "CSV_COLUMNS",
@@ -176,10 +177,16 @@ def simulate_epoch(scenario: Scenario, anchors_true: np.ndarray, epoch_idx: int,
     return true_pos, anchors, measurements, depth_measured
 
 
-def ga_config_for_epoch(scenario: Scenario, epoch_idx: int):
-    """The scenario's solver config reseeded for one epoch."""
-    return dataclasses.replace(
-        scenario.ga, seed=child_seed(scenario.seed, _TAG_GA, epoch_idx)
+def localize_epoch(scenario: Scenario, epoch_idx: int, anchors, measurements, trace=None):
+    """One epoch's fix, or None when fewer than 4 distinct anchors were heard.
+
+    The solver draws from the epoch's own child seed of the master seed.
+    """
+    if len({m.anchor_id for m in measurements}) < 4:
+        return None
+    return ga_localize(
+        measurements, anchors, scenario.ga, scenario.profile,
+        child_seed(scenario.seed, _TAG_GA, epoch_idx), trace=trace,
     )
 
 
@@ -209,13 +216,8 @@ def run_simulation(scenario: Scenario):
         )
         total_detections += len(measurements)
 
-        estimate = None
-        if len({m.anchor_id for m in measurements}) >= 4:
-            estimate = ga_localize(
-                measurements, anchors, ga_config_for_epoch(scenario, epoch_idx),
-                scenario.profile,
-            )
-        else:
+        estimate = localize_epoch(scenario, epoch_idx, anchors, measurements)
+        if estimate is None:
             log.info(
                 "epoch %d (t=%.3f): %d detections, skipping fix",
                 epoch_idx, t, len(measurements),

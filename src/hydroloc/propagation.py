@@ -383,10 +383,11 @@ def simulate_ping(
 
     Returns None (a non-detection) when no direct path exists (tof not
     finite), when the path is shorter than the 1 m reference distance of
-    the loss model, when the SNR falls below the detection threshold, or
-    when timing noise would make the TOF non-positive. The measured TOF
-    is the path TOF plus one Gaussian draw from
-    np.random.default_rng(seed), drawn only for a detected ping.
+    the loss model, when the SNR is not at or above the detection
+    threshold (so a NaN SNR is no detection), or when timing noise would
+    make the TOF non-positive. The measured TOF is the path TOF plus one
+    Gaussian draw from np.random.default_rng(seed), drawn only for a
+    detected ping.
     """
     if not math.isfinite(tof):
         log.debug("anchor %s at t=%.3f: no direct path", anchor_id, timestamp)
@@ -399,7 +400,7 @@ def simulate_ping(
         return None
     loss_db = _loss_db(float(length), float(absorbed))
     snr_db = snr(config.source_level, loss_db, config.noise_level)
-    if snr_db < config.detection_threshold:
+    if not snr_db >= config.detection_threshold:
         log.debug(
             "anchor %s at t=%.3f: SNR %.2f dB below threshold %.2f dB",
             anchor_id, timestamp, snr_db, config.detection_threshold,

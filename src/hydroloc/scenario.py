@@ -318,12 +318,7 @@ def _parse_bounds(node, ctx: str) -> SearchBounds:
 
 
 def _parse_ga(node: dict, profile: ChannelProfile) -> GaConfig:
-    section = _mapping(_get(node, "ga", "scenario"), "ga")
-    if "seed" in section:
-        raise ScenarioError(
-            "ga.seed: not a scenario key; each epoch's solver seed derives from "
-            "the top-level seed"
-        )
+    section = _get(node, "ga", "scenario")
     ga = _read_config(GaConfig, section, "ga", search_bounds=_parse_bounds)
     if -ga.search_bounds.up[0] > profile.total_depth:
         raise ScenarioError(

@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from hydroloc.cli import main
+from hydroloc.pipeline import run_simulation
+from hydroloc.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NOISELESS = str(SCENARIO_DIR / "canonical_noiseless.yaml")
@@ -125,6 +127,13 @@ class TestLocalizeCommand:
         assert "fix: east=" in out
         assert "gen " in out  # solver trace
         assert "error_vs_truth_m:" in out
+
+    def test_fix_matches_run(self, small_scenario, capsys):
+        # localize and run solve an epoch through the same fix path.
+        records, _ = run_simulation(load_scenario(small_scenario))
+        e, n, u = (float(v) for v in records[1].estimate.position)
+        assert main(["localize", small_scenario, "--epoch", "1"]) == 0
+        assert f"fix: east={e!r} north={n!r} up={u!r}\n" in capsys.readouterr().out
 
     def test_epoch_out_of_range(self, small_scenario, capsys):
         assert main(["localize", small_scenario, "--epoch", "99"]) == 1

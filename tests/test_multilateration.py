@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from hydroloc import multilateration
 from hydroloc.multilateration import (
     DISPERSION_WARN_M,
     Anchor,
@@ -42,7 +43,17 @@ def noiseless_measurements(anchors=ANCHORS, truth=TRUTH, profile=HOMOG):
     return out
 
 
+def observed_tofs(measurements):
+    return np.array([m.tof_measured for m in measurements])
+
+
+def anchor_array(anchors):
+    return np.array([a.position for a in anchors])
+
+
 MEASUREMENTS = noiseless_measurements()
+TOFS = observed_tofs(MEASUREMENTS)
+ANCHOR_POS = anchor_array(ANCHORS)
 
 
 class TestSearchBounds:
@@ -140,29 +151,30 @@ class TestRangeFromTof:
 
 class TestFitness:
     def test_zero_at_truth_tof_mode(self):
-        value = fitness(TRUTH, MEASUREMENTS, ANCHORS, HOMOG, mode="tof_residual")
+        value = fitness(TRUTH, ANCHOR_POS, TOFS, HOMOG, mode="tof_residual")
         assert 0.0 <= value < 1e-18
 
     def test_zero_at_truth_range_mode(self):
-        value = fitness(TRUTH, MEASUREMENTS, ANCHORS, HOMOG, mode="range_residual")
+        ranges = range_from_tof(TOFS, HOMOG, -ANCHOR_POS[:, 2], 50.0)
+        value = fitness(TRUTH, ANCHOR_POS, ranges, HOMOG, mode="range_residual")
         assert 0.0 <= value < 1e-18
 
     def test_perturbation_increases_fitness(self):
-        base = fitness(TRUTH, MEASUREMENTS, ANCHORS, HOMOG)
+        base = fitness(TRUTH, ANCHOR_POS, TOFS, HOMOG)
         for delta in ((10.0, 0, 0), (0, 10.0, 0), (0, 0, -10.0)):
-            assert fitness(TRUTH + delta, MEASUREMENTS, ANCHORS, HOMOG) > base
+            assert fitness(TRUTH + delta, ANCHOR_POS, TOFS, HOMOG) > base
 
     def test_surface_clamped_mirror_has_positive_residual(self):
         # The true mirror (0, 0, +50) is outside the bounds; forcing it to
         # the surface plane leaves a strictly positive residual.
         assert not BOUNDS.contains((0.0, 0.0, 50.0))
-        assert fitness((0.0, 0.0, 0.0), MEASUREMENTS, ANCHORS, HOMOG) > 0.0
+        assert fitness((0.0, 0.0, 0.0), ANCHOR_POS, TOFS, HOMOG) > 0.0
 
     def test_vectorized_matches_scalar(self):
         cands = np.array([[0.0, 0.0, -50.0], [10.0, -5.0, -40.0], [-30.0, 20.0, -70.0]])
-        vec = fitness(cands, MEASUREMENTS, ANCHORS, HOMOG)
+        vec = fitness(cands, ANCHOR_POS, TOFS, HOMOG)
         for row, expected in zip(cands, vec):
-            assert fitness(row, MEASUREMENTS, ANCHORS, HOMOG) == expected
+            assert fitness(row, ANCHOR_POS, TOFS, HOMOG) == expected
 
     def test_surface_candidates_against_near_surface_anchors_are_finite(self):
         # Candidates clipped to the surface against anchors a hair below it
@@ -172,16 +184,11 @@ class TestFitness:
         meas = noiseless_measurements(near)
         grid = np.linspace(-150.0, 150.0, 31)
         cands = np.array([(e, n, 0.0) for e in grid for n in grid])
-        assert np.isfinite(fitness(cands, meas, near, HOMOG)).all()
-
-    def test_unknown_anchor_id_rejected(self):
-        bad = [PingMeasurement("ghost", 0.1, 20.0, 0.0)] + MEASUREMENTS[1:]
-        with pytest.raises(ValueError, match="ghost"):
-            fitness(TRUTH, bad, ANCHORS, HOMOG)
+        assert np.isfinite(fitness(cands, anchor_array(near), observed_tofs(meas), HOMOG)).all()
 
     def test_candidate_outside_column_rejected(self):
         with pytest.raises(ValueError, match="water column"):
-            fitness((0.0, 0.0, -150.0), MEASUREMENTS, ANCHORS, HOMOG)
+            fitness((0.0, 0.0, -150.0), ANCHOR_POS, TOFS, HOMOG)
 
     def test_no_path_candidates_get_finite_penalty(self):
         prof = ChannelProfile(
@@ -190,7 +197,7 @@ class TestFitness:
         )
         far = [Anchor("far", (5e6, 0.0, 0.0))] + ANCHORS[1:]
         meas = [PingMeasurement("far", 0.5, 20.0, 0.0)] + MEASUREMENTS[1:]
-        value = fitness((0.0, 0.0, -150.0), meas, far, prof)
+        value = fitness((0.0, 0.0, -150.0), anchor_array(far), observed_tofs(meas), prof)
         assert np.isfinite(value)
         assert value >= 1e6
 
@@ -199,7 +206,7 @@ class TestEvolveGeneration:
     cfg = GaConfig(search_bounds=BOUNDS, population_size=16)
 
     def evaluate(self, pop):
-        return fitness(pop, MEASUREMENTS, ANCHORS, HOMOG)
+        return fitness(pop, ANCHOR_POS, TOFS, HOMOG)
 
     def test_population_size_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -227,17 +234,17 @@ class TestEvolveGeneration:
 
 class TestGaLocalize:
     def test_canonical_recovery(self):
-        cfg = GaConfig(search_bounds=BOUNDS, seed=42)
-        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG)
+        cfg = GaConfig(search_bounds=BOUNDS)
+        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=42)
         assert np.linalg.norm(est.position - TRUTH) < 0.1
         assert BOUNDS.contains(est.position)
         assert 0.0 <= est.best_fitness < 1e-6
         assert est.population_dispersion < 1.0
 
     def test_seed_determinism_is_bit_exact(self):
-        cfg = GaConfig(search_bounds=BOUNDS, seed=7)
-        a = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG)
-        b = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG)
+        cfg = GaConfig(search_bounds=BOUNDS)
+        a = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=7)
+        b = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=7)
         assert np.array_equal(a.position, b.position)
         assert a.best_fitness == b.best_fitness
         assert a.population_dispersion == b.population_dispersion
@@ -245,41 +252,69 @@ class TestGaLocalize:
 
     def test_best_fitness_monotone_over_generations(self):
         history = []
-        cfg = GaConfig(search_bounds=BOUNDS, seed=3, generations=80)
+        cfg = GaConfig(search_bounds=BOUNDS, generations=80)
         ga_localize(
-            MEASUREMENTS, ANCHORS, cfg, HOMOG,
+            MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=3,
             trace=lambda gen, best, sigma: history.append(best),
         )
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_underdetermined_with_three_anchors(self):
         with pytest.raises(ValueError, match="underdetermined"):
-            ga_localize(MEASUREMENTS[:3], ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG)
+            ga_localize(MEASUREMENTS[:3], ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
 
     def test_duplicate_anchor_measurements_do_not_count_twice(self):
         meas = MEASUREMENTS[:3] + [MEASUREMENTS[0]]
         with pytest.raises(ValueError, match="underdetermined"):
-            ga_localize(meas, ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG)
+            ga_localize(meas, ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
 
     def test_empty_measurements_rejected(self):
         with pytest.raises(ValueError, match="no measurements"):
-            ga_localize([], ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG)
+            ga_localize([], ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
 
     def test_bounds_below_column_rejected(self):
         bounds = SearchBounds(east=(-10.0, 10.0), north=(-10.0, 10.0), up=(-500.0, 0.0))
         with pytest.raises(ValueError, match="water column"):
-            ga_localize(MEASUREMENTS, ANCHORS, GaConfig(search_bounds=bounds), HOMOG)
+            ga_localize(MEASUREMENTS, ANCHORS, GaConfig(search_bounds=bounds), HOMOG, 0)
 
     def test_coincident_anchors_flagged_by_dispersion(self, caplog):
         anchors = [Anchor(f"a{k}", (0.0, 0.0, 0.0)) for k in range(4)]
         meas = [PingMeasurement(a.id, 50.0 / 1500.0, 20.0, 0.0) for a in anchors]
-        cfg = GaConfig(search_bounds=BOUNDS, seed=1)
+        cfg = GaConfig(search_bounds=BOUNDS)
         with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
-            est = ga_localize(meas, anchors, cfg, HOMOG)
+            est = ga_localize(meas, anchors, cfg, HOMOG, seed=1)
         assert est.population_dispersion > DISPERSION_WARN_M
         assert any("poorly constrained" in r.message for r in caplog.records)
 
     def test_range_residual_mode_recovers_truth(self):
-        cfg = GaConfig(search_bounds=BOUNDS, seed=5, fitness_mode="range_residual")
-        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG)
+        cfg = GaConfig(search_bounds=BOUNDS, fitness_mode="range_residual")
+        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=5)
         assert np.linalg.norm(est.position - TRUTH) < 0.1
+
+    def test_unknown_anchor_id_rejected(self):
+        bad = [PingMeasurement("ghost", 0.1, 20.0, 0.0)] + MEASUREMENTS[1:]
+        with pytest.raises(ValueError, match="ghost"):
+            ga_localize(bad, ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    @pytest.mark.parametrize("tof", [np.nan, np.inf, 0.0, -0.5])
+    def test_bad_measured_tof_rejected(self, mode, tof):
+        bad = MEASUREMENTS[:3] + [PingMeasurement("sw", tof, 20.0, 0.0)]
+        cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
+        with pytest.raises(ValueError, match="anchor 'sw': measured TOF"):
+            ga_localize(bad, ANCHORS, cfg, HOMOG, 0)
+
+    def test_range_mode_converts_tofs_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return range_from_tof(*args, **kwargs)
+
+        monkeypatch.setattr(multilateration, "range_from_tof", counted)
+        cfg = GaConfig(search_bounds=BOUNDS, generations=20, fitness_mode="range_residual")
+        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=5)
+        assert est.generations_run > 1
+        assert len(calls) == 1
+        # converted at the middle of the search depths
+        assert calls[0][3] == 50.0

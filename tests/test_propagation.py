@@ -286,6 +286,15 @@ class TestSimulatePing:
         pings = self.pings(receivers=receivers, seeds=(0, 1))
         assert [p.anchor_id for p in pings] == ["a1"]
 
+    def test_nan_snr_is_a_non_detection(self):
+        # NaN absorption gives a NaN SNR, which is not at or above any threshold.
+        prof = ChannelProfile((0.0, 100.0), (1500.0,), (math.nan,), 25.0)
+        pings = self.pings(
+            prof, ChannelConfig(170.0, 50.0, 10.0), receivers=[(100.0, 0.0, 0.0)],
+            seeds=[0], source=(0.0, 0.0, -50.0),
+        )
+        assert pings == []
+
     def test_invalid_path_model_rejected(self):
         with pytest.raises(ValueError, match="path_model"):
             ChannelConfig(170.0, 50.0, 10.0, 0.0, path_model="bent")

@@ -192,10 +192,10 @@ class TestValidation:
             parse_scenario(text)
 
     def test_ga_seed_rejected(self):
-        # The solver is reseeded every epoch, so a ga.seed would be ignored.
+        # Each epoch's solver seed derives from the top-level seed.
         doc = yaml.safe_load(MINIMAL)
         doc["ga"]["seed"] = 11
-        with pytest.raises(ScenarioError, match="^ga.seed: .*top-level seed"):
+        with pytest.raises(ScenarioError, match="^ga: unknown key 'seed'$"):
             parse_scenario(yaml.safe_dump(doc))
 
     @pytest.mark.parametrize(
@@ -378,8 +378,7 @@ FULL = textwrap.dedent(
 class TestEveryKey:
     """FULL sets every accepted key, each to a value other than its default.
 
-    GaConfig.seed is no key: each epoch's solver seed derives from the
-    top-level seed. channel.path_model has one accepted value, its default.
+    channel.path_model has one accepted value, its default.
     """
 
     def test_full_sets_every_config_field(self):
@@ -395,7 +394,7 @@ class TestEveryKey:
             (GaConfig, doc["ga"]),
             (EkfConfig, doc["ekf"]),
         ):
-            assert set(section) == {f.name for f in fields(cls)} - {"seed"}, cls.__name__
+            assert set(section) == {f.name for f in fields(cls)}, cls.__name__
 
     def test_every_key_is_read(self):
         doc = yaml.safe_load(FULL)
@@ -420,7 +419,7 @@ class TestEveryKey:
         assert s.seed == 7
         for config in (s.channel, s.ga, s.ekf):
             for f in fields(config):
-                if f.name not in ("seed", "path_model"):
+                if f.name != "path_model":
                     assert getattr(config, f.name) != f.default, f.name
 
 
