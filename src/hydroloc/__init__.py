@@ -13,6 +13,7 @@ from .environment import (
     sound_speed,
 )
 from .fusion import (
+    EkfConfig,
     EkfState,
     PressureReading,
     ekf_predict,
@@ -37,7 +38,6 @@ from .multilateration import (
     evolve_generation,
     fitness,
     ga_localize,
-    range_from_tof,
 )
 from .pipeline import EpochRecord, RunSummary, localize_epoch, run_simulation, write_outputs
 from .propagation import (
@@ -47,13 +47,15 @@ from .propagation import (
     PingMeasurement,
     RayPath,
     RaySegment,
+    link_budget,
     pairwise_tof,
     ping_paths,
+    range_from_tof,
     simulate_ping,
     snr,
     trace_refracted,
     transmission_loss,
 )
-from .scenario import EkfConfig, Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 __version__ = "0.1.0"

@@ -27,12 +27,11 @@ from .pipeline import (
     write_outputs,
 )
 from .propagation import (
-    _REFERENCE_DISTANCE,
     ChannelProfile,
     NoDirectPathError,
-    snr,
+    link_budget,
+    ping_paths,
     trace_refracted,
-    transmission_loss,
 )
 from .scenario import (
     ScenarioError,
@@ -92,7 +91,6 @@ def _cmd_ping(args) -> int:
     profile = scenario.profile
     src = _parse_endpoint(args.src, "--src", profile)
     dst = _parse_endpoint(args.dst, "--dst", profile)
-    channel = scenario.channel
 
     horizontal = math.hypot(dst[0] - src[0], dst[1] - src[1])
     # 0.0 - up rather than -up, so that a surface endpoint has depth 0.0, not -0.0.
@@ -103,19 +101,16 @@ def _cmd_ping(args) -> int:
         print(f"no direct path: {exc}")
         return 0
 
+    # The run's link rule, on the kernel's own length and absorption sums.
+    _, length, absorbed = ping_paths(profile, src, dst)
+    loss_db, snr_db, detected = link_budget(scenario.channel, length[0], absorbed[0])
     print(f"tof_s: {path.tof!r}")
     print(f"length_m: {path.total_length!r}")
     print(f"ray_parameter_s_per_m: {path.ray_parameter!r}")
-    if path.total_length < _REFERENCE_DISTANCE:
-        # The loss model is spreading relative to 1 m: no TL or SNR below it,
-        # and such a ping is not detected, as in a run.
-        print("detected: False")
-        return 0
-    loss_db = transmission_loss(path, profile)
-    snr_db = snr(channel.source_level, loss_db, channel.noise_level)
-    print(f"transmission_loss_db: {loss_db!r}")
-    print(f"snr_db: {snr_db!r}")
-    print(f"detected: {snr_db >= channel.detection_threshold}")
+    if loss_db is not None:
+        print(f"transmission_loss_db: {loss_db!r}")
+        print(f"snr_db: {snr_db!r}")
+    print(f"detected: {detected}")
     return 0
 
 

@@ -17,6 +17,10 @@ __all__ = [
     "ATMOSPHERIC_PRESSURE",
     "SEAWATER_DENSITY",
     "STANDARD_GRAVITY",
+    "SIGMA_RANGE",
+    "ACCEL_NOISE_MAX",
+    "WATER_DENSITY_RANGE",
+    "EkfConfig",
     "PressureReading",
     "EkfState",
     "pressure_to_depth",
@@ -28,6 +32,52 @@ __all__ = [
 ATMOSPHERIC_PRESSURE = 101325.0  # Pa
 SEAWATER_DENSITY = 1025.0        # kg/m^3
 STANDARD_GRAVITY = 9.80665       # m/s^2
+# Ranges of the filter's settings that keep its arithmetic finite and
+# meaningful: each variance sigma**2 is positive, and q * dt**3 and the
+# covariance predicted over a run (at most scenario.MAX_EPOCHS epochs
+# of scenario.PING_INTERVAL_MAX) stay far inside the float range. Values
+# outside are rejected, naming the key.
+SIGMA_RANGE = (1e-6, 1e6)              # m or m/s, each EkfConfig sigma
+ACCEL_NOISE_MAX = 1e6                  # m^2/s^3, each accel_noise_density axis
+WATER_DENSITY_RANGE = (900.0, 1100.0)  # kg/m^3, fresh water to dense seawater
+
+
+@dataclass(frozen=True)
+class EkfConfig:
+    """Fusion settings: process noise, priors and measurement variances.
+
+    The fix sigma is the solver's population dispersion, clamped below by
+    fix_sigma_floor.
+    """
+
+    accel_noise_density: tuple[float, float, float] = (1e-3, 1e-3, 1e-3)  # m^2/s^3
+    initial_position_sigma: float = 100.0  # m
+    initial_velocity_sigma: float = 1.0    # m/s
+    fix_sigma_floor: float = 0.5           # m
+    pressure_sigma_depth: float = 0.1      # m
+    water_density: float = SEAWATER_DENSITY  # kg/m^3
+
+    def __post_init__(self) -> None:
+        for axis, value in zip(("east", "north", "up"), self.accel_noise_density):
+            if not value > 0:
+                raise ValueError(f"accel_noise_density.{axis}: must be > 0, got {value}")
+            if not value <= ACCEL_NOISE_MAX:
+                raise ValueError(
+                    f"accel_noise_density.{axis}: must be <= {ACCEL_NOISE_MAX}, got {value}"
+                )
+        lo, hi = SIGMA_RANGE
+        for name in (
+            "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_floor",
+            "pressure_sigma_depth",
+        ):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name}: must be within [{lo}, {hi}], got {value}")
+        lo, hi = WATER_DENSITY_RANGE
+        if not lo <= self.water_density <= hi:
+            raise ValueError(
+                f"water_density: must be within [{lo}, {hi}] kg/m^3, got {self.water_density}"
+            )
 
 
 @dataclass(frozen=True)

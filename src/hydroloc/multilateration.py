@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import ChannelProfile, _layer_at, _layer_overlaps, pairwise_tof
+from .propagation import ChannelProfile, pairwise_tof, range_from_tof
 
 __all__ = [
     "Anchor",
@@ -23,7 +23,6 @@ __all__ = [
     "GaConfig",
     "PositionEstimate",
     "fitness",
-    "range_from_tof",
     "ga_localize",
     "evolve_generation",
 ]
@@ -133,34 +132,6 @@ class PositionEstimate:
     best_fitness: float
     population_dispersion: float
     generations_run: int
-
-
-def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
-    """Convert TOFs to slant ranges with the harmonic-mean sound speed.
-
-    The speed is thickness-weighted over the depth interval between the
-    anchor and an assumed target depth; a zero-thickness interval uses
-    the local layer speed. Arguments broadcast elementwise; scalar
-    arguments give a float.
-    """
-    tof = np.asarray(tof, float)
-    z_lo = np.minimum(anchor_depth, target_depth)
-    z_hi = np.maximum(anchor_depth, target_depth)
-    if not ((tof > 0.0) & (z_lo >= 0.0) & (z_hi <= profile.total_depth)).all():
-        raise ValueError(
-            f"need tof > 0 and depths in the water column [0, {profile.total_depth}], "
-            f"got tof {tof}, anchor depth {anchor_depth}, target depth "
-            f"{target_depth}"
-        )
-
-    boundaries = np.asarray(profile.boundaries)
-    speeds = np.asarray(profile.sound_speeds)
-    thickness = z_hi - z_lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        harmonic = thickness / (_layer_overlaps(boundaries, z_lo, z_hi) / speeds).sum(axis=-1)
-    local = speeds[_layer_at(boundaries, z_lo)]
-    ranges = tof * np.where(thickness > 0.0, harmonic, local)
-    return float(ranges) if ranges.ndim == 0 else ranges
 
 
 def fitness(

@@ -3,7 +3,8 @@
 One vectorized kernel gives each direct path's length in every layer.
 Travel time, path length and absorption are sums over those lengths in
 layer order (TOF = sum of length_i / c_i), so pings, the fitness's
-pairwise travel times and the RayPath traces share one rule.
+pairwise travel times and the RayPath traces share one rule. A run's
+pings and `hydroloc ping` share one link rule, link_budget.
 
 A path that crosses at most one layer is the chord between its
 endpoints. A path across two or more layers refracts by the
@@ -34,9 +35,11 @@ __all__ = [
     "trace_refracted",
     "transmission_loss",
     "snr",
+    "link_budget",
     "ping_paths",
     "simulate_ping",
     "pairwise_tof",
+    "range_from_tof",
 ]
 
 log = logging.getLogger(__name__)
@@ -272,16 +275,31 @@ def _tof(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
     return (lengths / np.asarray(profile.sound_speeds)).sum(axis=-1)
 
 
-def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal) -> RayPath:
-    """The RayPath view of one kernel pair, segments source -> receiver."""
-    lengths, dz, p, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
+def trace_refracted(
+    profile: ChannelProfile,
+    source_depth: float,
+    receiver_depth: float,
+    horizontal_range: float,
+) -> RayPath:
+    """Trace the direct refracted ray between two depths.
+
+    The RayPath view of one kernel pair, segments source -> receiver.
+    Endpoints within one layer are joined by their chord. Across two or
+    more layers the per-layer grazing angles share a single ray
+    parameter p = cos(theta_i)/c_i, found by a bracketed solve of the
+    monotone map from p to horizontal range. Raises NoDirectPathError
+    when the requested range cannot be closed before the ray turns.
+    """
+    if horizontal_range < 0:
+        raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
+    lengths, dz, p, ok = _layer_paths(profile, source_depth, receiver_depth, horizontal_range)
     if not ok:
         raise NoDirectPathError(
-            f"range {horizontal} m not reachable by a direct ray "
-            f"between depths {z_src} and {z_rcv} m"
+            f"range {horizontal_range} m not reachable by a direct ray "
+            f"between depths {source_depth} and {receiver_depth} m"
         )
     order = np.nonzero(lengths > 0.0)[0]
-    if z_src > z_rcv:
+    if source_depth > receiver_depth:
         order = order[::-1]
     segments = tuple(
         RaySegment(
@@ -299,32 +317,13 @@ def _ray_path(profile: ChannelProfile, z_src, z_rcv, horizontal) -> RayPath:
     )
 
 
-def trace_refracted(
-    profile: ChannelProfile,
-    source_depth: float,
-    receiver_depth: float,
-    horizontal_range: float,
-) -> RayPath:
-    """Trace the direct refracted ray between two depths.
+def _loss_db(total_length: float, absorbed: float) -> float | None:
+    """Spherical spreading relative to 1 m plus the absorption along the path, dB.
 
-    Endpoints within one layer are joined by their chord. Across two or
-    more layers the per-layer grazing angles share a single ray
-    parameter p = cos(theta_i)/c_i, found by a bracketed solve of the
-    monotone map from p to horizontal range. Raises NoDirectPathError
-    when the requested range cannot be closed before the ray turns.
+    None below the 1 m reference distance, where the model has no loss.
     """
-    if horizontal_range < 0:
-        raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
-    return _ray_path(profile, source_depth, receiver_depth, horizontal_range)
-
-
-def _absorbed_db(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
-    """Absorption along per-layer path lengths (..., L), dB, summed in layer order."""
-    return (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1)
-
-
-def _loss_db(total_length: float, absorbed: float) -> float:
-    """Spherical spreading relative to 1 m plus the absorption along the path, dB."""
+    if total_length < _REFERENCE_DISTANCE:
+        return None
     return 20.0 * math.log10(total_length) + absorbed
 
 
@@ -335,19 +334,31 @@ def transmission_loss(path: RayPath, profile: ChannelProfile) -> float:
     with alpha taken per layer from the profile (dB/km converted to dB/m).
     Paths shorter than the 1 m reference distance are rejected.
     """
-    if path.total_length < _REFERENCE_DISTANCE:
+    absorbed = sum(profile.absorption[seg.layer] * 1e-3 * seg.length for seg in path.segments)
+    loss_db = _loss_db(path.total_length, absorbed)
+    if loss_db is None:
         raise ValueError(
             f"path length {path.total_length} m is below the 1 m reference distance"
         )
-    lengths = np.zeros(len(profile.absorption))
-    for seg in path.segments:
-        lengths[seg.layer] = seg.length
-    return _loss_db(path.total_length, float(_absorbed_db(profile, lengths)))
+    return loss_db
 
 
 def snr(source_level: float, transmission_loss_db: float, noise_level: float) -> float:
     """Passive sonar equation: SNR = SL - TL - NL, all dB."""
     return source_level - transmission_loss_db - noise_level
+
+
+def link_budget(config: ChannelConfig, length: float, absorbed: float):
+    """(loss_db, snr_db, detected) of a path's length (m) and absorption (dB).
+
+    Below the 1 m reference distance: (None, None, False). Otherwise the
+    path is detected when SNR >= the threshold, so a NaN SNR is not.
+    """
+    loss_db = _loss_db(float(length), float(absorbed))
+    if loss_db is None:
+        return None, None, False
+    snr_db = snr(config.source_level, loss_db, config.noise_level)
+    return loss_db, snr_db, snr_db >= config.detection_threshold
 
 
 def ping_paths(profile: ChannelProfile, source, receivers):
@@ -366,7 +377,7 @@ def ping_paths(profile: ChannelProfile, source, receivers):
     return (
         np.where(ok, _tof(profile, lengths), np.nan),
         lengths.sum(axis=-1),
-        _absorbed_db(profile, lengths),
+        (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1),
     )
 
 
@@ -382,28 +393,19 @@ def simulate_ping(
     """One anchor's observation of a ping path traced by ping_paths.
 
     Returns None (a non-detection) when no direct path exists (tof not
-    finite), when the path is shorter than the 1 m reference distance of
-    the loss model, when the SNR is not at or above the detection
-    threshold (so a NaN SNR is no detection), or when timing noise would
-    make the TOF non-positive. The measured TOF is the path TOF plus one
-    Gaussian draw from np.random.default_rng(seed), drawn only for a
-    detected ping.
+    finite), when link_budget does not detect the path, or when timing
+    noise would make the TOF non-positive. The measured TOF is the path
+    TOF plus one Gaussian draw from np.random.default_rng(seed), drawn
+    only for a detected ping.
     """
     if not math.isfinite(tof):
         log.debug("anchor %s at t=%.3f: no direct path", anchor_id, timestamp)
         return None
-    if length < _REFERENCE_DISTANCE:
+    _, snr_db, detected = link_budget(config, length, absorbed)
+    if not detected:
         log.debug(
-            "anchor %s at t=%.3f: path length %.3f m below the 1 m reference distance",
-            anchor_id, timestamp, length,
-        )
-        return None
-    loss_db = _loss_db(float(length), float(absorbed))
-    snr_db = snr(config.source_level, loss_db, config.noise_level)
-    if not snr_db >= config.detection_threshold:
-        log.debug(
-            "anchor %s at t=%.3f: SNR %.2f dB below threshold %.2f dB",
-            anchor_id, timestamp, snr_db, config.detection_threshold,
+            "anchor %s at t=%.3f: not detected (path %.3f m, SNR %s dB, threshold %.2f dB)",
+            anchor_id, timestamp, length, snr_db, config.detection_threshold,
         )
         return None
     rng = np.random.default_rng(seed)
@@ -430,3 +432,31 @@ def pairwise_tof(profile: ChannelProfile, points_a, points_b):
     )
     lengths, _, _, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
     return _tof(profile, lengths), ok
+
+
+def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
+    """Convert TOFs to slant ranges with the harmonic-mean sound speed.
+
+    The speed is thickness-weighted over the depth interval between the
+    anchor and an assumed target depth; a zero-thickness interval uses
+    the local layer speed. Arguments broadcast elementwise; scalar
+    arguments give a float.
+    """
+    tof = np.asarray(tof, float)
+    z_lo = np.minimum(anchor_depth, target_depth)
+    z_hi = np.maximum(anchor_depth, target_depth)
+    if not ((tof > 0.0) & (z_lo >= 0.0) & (z_hi <= profile.total_depth)).all():
+        raise ValueError(
+            f"need tof > 0 and depths in the water column [0, {profile.total_depth}], "
+            f"got tof {tof}, anchor depth {anchor_depth}, target depth "
+            f"{target_depth}"
+        )
+
+    boundaries = np.asarray(profile.boundaries)
+    speeds = np.asarray(profile.sound_speeds)
+    thickness = z_hi - z_lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        harmonic = thickness / (_layer_overlaps(boundaries, z_lo, z_hi) / speeds).sum(axis=-1)
+    local = speeds[_layer_at(boundaries, z_lo)]
+    ranges = tof * np.where(thickness > 0.0, harmonic, local)
+    return float(ranges) if ranges.ndim == 0 else ranges

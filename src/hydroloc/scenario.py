@@ -17,14 +17,15 @@ from typing import get_type_hints
 import yaml
 
 from .environment import FREQUENCY_RANGE, Layer
+from .fusion import EkfConfig
 from .geodesy import GeodeticCoord, geodetic_to_enu
 from .multilateration import GaConfig, SearchBounds
 from .propagation import ChannelConfig, ChannelProfile
 
 __all__ = [
     "MAX_EPOCHS",
+    "PING_INTERVAL_MAX",
     "ScenarioError",
-    "EkfConfig",
     "Scenario",
     "load_scenario",
     "parse_scenario",
@@ -34,6 +35,9 @@ __all__ = [
 _REQUIRED = object()
 # Epochs one scenario may ask for; epoch_times builds a list this long.
 MAX_EPOCHS = 1_000_000
+# Longest ping interval, s: the filter's dt, whose dt**3 must stay finite
+# (see fusion.ACCEL_NOISE_MAX).
+PING_INTERVAL_MAX = 1e6
 _AXES = ("east", "north", "up")
 _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -62,33 +66,6 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""
-
-
-@dataclass(frozen=True)
-class EkfConfig:
-    """Fusion settings: process noise, priors and measurement variances.
-
-    The fix sigma is the solver's population dispersion, clamped below by
-    fix_sigma_floor.
-    """
-
-    accel_noise_density: tuple[float, float, float] = (1e-3, 1e-3, 1e-3)  # m^2/s^3
-    initial_position_sigma: float = 100.0  # m
-    initial_velocity_sigma: float = 1.0    # m/s
-    fix_sigma_floor: float = 0.5           # m
-    pressure_sigma_depth: float = 0.1      # m
-    water_density: float = 1025.0          # kg/m^3
-
-    def __post_init__(self) -> None:
-        for axis, value in zip(_AXES, self.accel_noise_density):
-            if not value > 0:
-                raise ValueError(f"accel_noise_density.{axis}: must be > 0, got {value}")
-        for name in (
-            "initial_position_sigma", "initial_velocity_sigma", "fix_sigma_floor",
-            "pressure_sigma_depth", "water_density",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +202,7 @@ def _parse_profile(node: dict) -> ChannelProfile:
 
 def _parse_geodetic(m: dict, ctx: str) -> GeodeticCoord:
     latitude, longitude = _read(m, "latitude", ctx), _read(m, "longitude", ctx)
-    height = _read(m, "height", ctx, float, 0.0)
+    height = _read(m, "height", ctx, float, GeodeticCoord.height)
     if not -90.0 <= latitude <= 90.0:
         raise ScenarioError(f"{ctx}.latitude: must be within [-90, 90], got {latitude}")
     if not -180.0 < longitude <= 180.0:
@@ -371,6 +348,10 @@ def parse_scenario(text: str) -> Scenario:
     ping_interval = _read(root, "ping_interval", "scenario")
     if ping_interval <= 0:
         raise ScenarioError(f"ping_interval: must be > 0, got {ping_interval}")
+    if ping_interval > PING_INTERVAL_MAX:
+        raise ScenarioError(
+            f"ping_interval: must be <= {PING_INTERVAL_MAX} s, got {ping_interval}"
+        )
 
     # epoch_times makes floor(duration / ping_interval + 1e-9) + 1 epochs;
     # compare as floats, since that count may not fit an int.

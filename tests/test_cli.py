@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import yaml
 
 from hydroloc.cli import main
 from hydroloc.pipeline import run_simulation
+from hydroloc.propagation import ping_paths, simulate_ping, snr
 from hydroloc.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -117,6 +119,76 @@ class TestPingCommand:
         out = capsys.readouterr().out
         assert "between depths 0.0 and 150.0 m" in out
         assert "-0.0" not in out
+
+
+PING_SRC = (0.0, 0.0, -50.0)
+# Receivers from PING_SRC across the 1 m reference distance, then out past
+# the range where canonical_noisy's SNR falls below its 10 dB threshold.
+LINK_SWEEP = [
+    ((0.6, 0.79, -50.0), "sub-metre"),
+    ((0.6, 0.8, -50.0), "detected"),  # exactly 1 m
+    ((0.6, 0.81, -50.0), "detected"),
+    ((0.0, 0.0, -50.5), "sub-metre"),
+    ((0.0, 0.0, -51.0), "detected"),
+    ((100.0, 100.0, 0.0), "detected"),
+    ((6800.0, 0.0, -50.0), "detected"),
+    ((7000.0, 0.0, -50.0), "below threshold"),
+    ((9000.0, 0.0, -50.0), "below threshold"),
+]
+
+
+def _ping_lines(capsys, scenario, dst):
+    src = ",".join(repr(v) for v in PING_SRC)
+    assert main(["ping", scenario, f"--src={src}", f"--dst={','.join(map(repr, dst))}"]) == 0
+    return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def _run_ping(channel, profile, dst):
+    """A run's observation of the path from PING_SRC to dst, without timing noise."""
+    tof, length, absorbed = ping_paths(profile, PING_SRC, dst)
+    config = dataclasses.replace(channel, tof_noise_sigma=0.0)
+    return simulate_ping(config, "a", tof[0], length[0], absorbed[0], seed=0, timestamp=0.0)
+
+
+class TestPingLinkRule:
+    """hydroloc ping prints the link a run's simulate_ping gives the same path."""
+
+    @pytest.mark.parametrize("dst,outcome", LINK_SWEEP, ids=[o for _, o in LINK_SWEEP])
+    def test_matches_run_rule(self, dst, outcome, capsys):
+        lines = _ping_lines(capsys, NOISY, dst)
+        scenario = load_scenario(NOISY)
+        channel, profile = scenario.channel, scenario.profile
+        ping = _run_ping(channel, profile, dst)
+        # With no threshold the run reports the SNR of every path it models.
+        heard = _run_ping(
+            dataclasses.replace(channel, detection_threshold=-math.inf), profile, dst
+        )
+        assert lines["detected"] == str(ping is not None)
+        if heard is None:
+            assert "transmission_loss_db" not in lines and "snr_db" not in lines
+        else:
+            assert float(lines["snr_db"]) == heard.snr
+            loss_db = float(lines["transmission_loss_db"])
+            assert snr(channel.source_level, loss_db, channel.noise_level) == heard.snr
+        got = "sub-metre" if heard is None else "detected" if ping else "below threshold"
+        assert got == outcome
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at-snr", "one-ulp-above"])
+    def test_threshold_at_snr_detects(self, above, tmp_path, capsys):
+        doc = yaml.safe_load(Path(NOISY).read_text())
+        scenario = load_scenario(NOISY)
+        dst = (6900.0, 0.0, -50.0)
+        open_channel = dataclasses.replace(scenario.channel, detection_threshold=-math.inf)
+        snr_db = _run_ping(open_channel, scenario.profile, dst).snr
+        threshold = math.nextafter(snr_db, math.inf) if above else snr_db
+        doc["channel"]["detection_threshold"] = threshold
+        path = tmp_path / "threshold.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        channel = load_scenario(path).channel
+        assert channel.detection_threshold == threshold
+        lines = _ping_lines(capsys, str(path), dst)
+        detected = _run_ping(channel, scenario.profile, dst) is not None
+        assert lines["detected"] == str(detected) == str(not above)
 
 
 class TestLocalizeCommand:

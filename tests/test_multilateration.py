@@ -12,9 +12,13 @@ from hydroloc.multilateration import (
     evolve_generation,
     fitness,
     ga_localize,
-    range_from_tof,
 )
-from hydroloc.propagation import ChannelProfile, PingMeasurement, trace_refracted
+from hydroloc.propagation import (
+    ChannelProfile,
+    PingMeasurement,
+    range_from_tof,
+    trace_refracted,
+)
 
 HOMOG = ChannelProfile(
     boundaries=(0.0, 100.0), sound_speeds=(1500.0,), absorption=(1.0,), frequency=25.0

@@ -1,4 +1,6 @@
 import copy
+import csv
+import json
 import math
 import re
 import textwrap
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from hydroloc.environment import Layer
 from hydroloc.multilateration import GaConfig, SearchBounds
+from hydroloc.pipeline import run_simulation, write_outputs
 from hydroloc.propagation import ChannelConfig, ChannelProfile
 from hydroloc.scenario import (
     MAX_EPOCHS,
@@ -471,6 +474,13 @@ OUT_OF_RANGE_CASES = [
      "ekf.accel_noise_density.up: must be > 0, got 0.0"),
     (("water_column", "layers", 0, "ph"), 10.0,
      "water_column.layers[0].ph: must be within [6.0, 9.0], got 10.0"),
+    (("ekf", "accel_noise_density", "east"), 1e7,
+     "ekf.accel_noise_density.east: must be <= 1000000.0, got 10000000.0"),
+    (("ekf", "pressure_sigma_depth"), 1e-300,
+     "ekf.pressure_sigma_depth: must be within [1e-06, 1000000.0], got 1e-300"),
+    (("ekf", "water_density"), 1e-300,
+     "ekf.water_density: must be within [900.0, 1100.0] kg/m^3, got 1e-300"),
+    (("ping_interval",), 1e199, "ping_interval: must be <= 1000000.0 s, got 1e+199"),
 ]
 
 
@@ -576,3 +586,48 @@ def test_mutated_numbers_rejected_or_finite(leaf, others, values):
     assert all(v in HUGE for v in mutants.values())
     assert _all_finite(scenario)
     assert _all_finite(scenario.anchors_enu())
+
+
+# Run-level mutants of a short canonical_noisy run: every ekf number, the
+# ping interval and the trajectory's end time at sizes that overflowed
+# the filter's arithmetic or turned it to NaN, a density that lost the
+# pressure depth, and an end time and interval that overflowed dt**3.
+LAST_TIME = ("trajectory", 4, "time")
+RUN_LEAVES = [
+    path for path in _numeric_leaves(SHIPPED["canonical_noisy.yaml"]) if path[0] == "ekf"
+] + [("ping_interval",), LAST_TIME]
+RUN_MUTANTS = [((path, value),) for path in RUN_LEAVES for value in (1e154, 1e200, 1e300)] + [
+    ((("ekf", "water_density"), 1e-300),),
+    ((LAST_TIME, 1e200), (("ping_interval",), 1e199)),
+]
+
+
+@pytest.mark.parametrize(
+    "mutants", RUN_MUTANTS,
+    ids=[",".join(f"{_key_of(p)}={v:g}" for p, v in m) for m in RUN_MUTANTS],
+)
+def test_mutated_numbers_rejected_or_run_finite(mutants, tmp_path):
+    """A mutant either fails naming a key, or its run writes finite, sane outputs."""
+    doc = copy.deepcopy(SHIPPED["canonical_noisy.yaml"])
+    doc["ping_interval"] = 150.0  # 4 epochs
+    doc["ga"].update(population_size=20, generations=10)
+    for path, value in mutants:
+        _set(doc, path, value)
+    named = {_key_of(path) for path, _ in mutants}
+    if any(path == LAST_TIME for path, _ in mutants):
+        named.add("ping_interval")  # the epoch-count limit names the interval
+    try:
+        scenario = parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError as exc:
+        assert str(exc).split(": ", 1)[0] in named, str(exc)
+        return
+    records, summary = run_simulation(scenario)
+    paths = write_outputs(records, summary, tmp_path)
+    with open(paths["epochs"], encoding="utf-8") as fh:
+        cells = [cell for row in list(csv.reader(fh))[1:] for cell in row if cell]
+    assert all(math.isfinite(float(cell)) for cell in cells)
+    with open(paths["summary"], encoding="utf-8") as fh:
+        assert _all_finite(list(json.load(fh).values()))
+    # Pressure depth holds the fused up axis to about 0.1 m in the unmutated
+    # run; a density that lost the depth left it 53 m off.
+    assert summary.rmse_fused_axes[2] < 1.0
