@@ -116,16 +116,14 @@ def _cmd_ping(args) -> int:
 
 def _cmd_localize(args) -> int:
     scenario = load_scenario(args.scenario)
-    times = epoch_times(scenario)
-    if not 0 <= args.epoch < len(times):
+    if not 0 <= args.epoch < scenario.epochs:
         raise ScenarioError(
-            f"--epoch: must be within [0, {len(times) - 1}], got {args.epoch}"
+            f"--epoch: must be within [0, {scenario.epochs - 1}], got {args.epoch}"
         )
     if args.trace_every < 1:
         raise ScenarioError(f"--trace-every: must be >= 1, got {args.trace_every}")
-    t = times[args.epoch]
-    anchors_true = np.asarray(scenario.anchors_enu(), float)
-    true_pos, anchors, measurements, _ = simulate_epoch(scenario, anchors_true, args.epoch, t)
+    t = epoch_times(scenario)[args.epoch]
+    true_pos, anchors, measurements, _ = simulate_epoch(scenario, args.epoch, t)
     print(f"epoch {args.epoch} (t={t!r} s): {len(measurements)} detections")
     for m in measurements:
         print(f"  anchor {m.anchor_id}: tof={m.tof_measured!r} s  snr={m.snr!r} dB")

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass
 
@@ -124,11 +123,10 @@ def interpolate_position(waypoints, t: float) -> np.ndarray:
 
 def epoch_times(scenario: Scenario) -> list[float]:
     """Ping epochs: 0, interval, ... up to the trajectory end; at least one."""
-    n = int(math.floor(scenario.duration() / scenario.ping_interval + 1e-9)) + 1
-    return [k * scenario.ping_interval for k in range(n)]
+    return [k * scenario.ping_interval for k in range(scenario.epochs)]
 
 
-def simulate_epoch(scenario: Scenario, anchors_true: np.ndarray, epoch_idx: int, t: float):
+def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
     """Generate one epoch's observations.
 
     Returns (true_position, reported_anchors, measurements, depth_measured).
@@ -137,6 +135,7 @@ def simulate_epoch(scenario: Scenario, anchors_true: np.ndarray, epoch_idx: int,
     """
     true_pos = interpolate_position(scenario.waypoints, t)
     profile = scenario.profile
+    anchors_true = np.asarray(scenario.anchor_enu, float)
 
     gps_rng = np.random.default_rng(child_seed(scenario.seed, _TAG_GPS, epoch_idx))
     noise = gps_rng.normal(0.0, 1.0, size=anchors_true.shape) * np.asarray(
@@ -204,7 +203,6 @@ def _initial_state(scenario: Scenario) -> EkfState:
 
 def run_simulation(scenario: Scenario):
     """Run the full pipeline; returns (records, summary)."""
-    anchors_true = np.asarray(scenario.anchors_enu(), float)
     ekf_cfg = scenario.ekf
     state = _initial_state(scenario)
 
@@ -212,7 +210,7 @@ def run_simulation(scenario: Scenario):
     total_detections = 0
     for epoch_idx, t in enumerate(epoch_times(scenario)):
         true_pos, anchors, measurements, depth_measured = simulate_epoch(
-            scenario, anchors_true, epoch_idx, t
+            scenario, epoch_idx, t
         )
         total_detections += len(measurements)
 

@@ -17,7 +17,7 @@ from typing import get_type_hints
 import yaml
 
 from .environment import FREQUENCY_RANGE, Layer
-from .fusion import EkfConfig
+from .fusion import SIGMA_RANGE, EkfConfig
 from .geodesy import GeodeticCoord, geodetic_to_enu
 from .multilateration import GaConfig, SearchBounds
 from .propagation import ChannelConfig, ChannelProfile
@@ -70,32 +70,26 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated simulation setup."""
+    """A fully validated simulation setup; only parse_scenario sets anchor_enu and epochs."""
 
     profile: ChannelProfile  # the water column's acoustics at the carrier frequency
     channel: ChannelConfig
     anchor_ids: tuple[str, ...]
     anchor_positions: tuple[GeodeticCoord, ...]
+    anchor_enu: tuple[tuple[float, float, float], ...]  # m, up <= 0
     gps_noise_sigma: tuple[float, float, float]  # m per ENU axis
     enu_origin: GeodeticCoord
     origin_from_anchor: bool
     waypoints: tuple[tuple[float, float, float, float], ...]  # (time, e, n, u)
     ping_interval: float  # s
+    epochs: int  # pings at 0, ping_interval, ... up to the last waypoint
     ga: GaConfig
     ekf: EkfConfig
     seed: int
 
-    def anchors_enu(self) -> list[tuple[float, float, float]]:
-        out = []
-        for g in self.anchor_positions:
-            p = geodetic_to_enu(g, self.enu_origin)
-            # Transform round-off can leave an anchor a hair above the
-            # surface; pin it back so path tracing sees a valid depth.
-            out.append((p.east, p.north, min(p.up, 0.0)))
-        return out
-
-    def duration(self) -> float:
-        return self.waypoints[-1][0]
+    def anchors_enu(self):
+        """anchor_enu, by the name the benchmark harness's self-test reads."""
+        return self.anchor_enu
 
 
 def _mapping(node, ctx: str) -> dict:
@@ -236,9 +230,13 @@ def _parse_axes(node, ctx: str, defaults) -> tuple[float, float, float]:
 
 def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
     sigma = _parse_axes(node.get("gps_noise_sigma", {}), "gps_noise_sigma", (0.0,) * 3)
+    # The EKF sigmas' ceiling keeps the solver's squared residuals finite.
+    hi = SIGMA_RANGE[1]
     for axis, value in zip(_AXES, sigma):
-        if value < 0:
-            raise ScenarioError(f"gps_noise_sigma.{axis}: must be >= 0, got {value}")
+        if not 0 <= value <= hi:
+            raise ScenarioError(
+                f"gps_noise_sigma.{axis}: must be within [0, {hi}], got {value}"
+            )
     return sigma
 
 
@@ -334,14 +332,13 @@ def parse_scenario(text: str) -> Scenario:
     anchor_ids, anchor_coords = _parse_anchors(root)
     gps_sigma = _parse_gps_sigma(root)
 
-    if "enu_origin" in root:
+    origin_from_anchor = "enu_origin" not in root
+    if origin_from_anchor:
+        origin = anchor_coords[0]
+    else:
         m = _mapping(root["enu_origin"], "enu_origin")
         _check_unknown(m, ("latitude", "longitude", "height"), "enu_origin")
         origin = _parse_geodetic(m, "enu_origin")
-        origin_from_anchor = False
-    else:
-        origin = anchor_coords[0]
-        origin_from_anchor = True
 
     ga = _parse_ga(root, profile)
     waypoints = _parse_trajectory(root, profile, ga.search_bounds)
@@ -353,9 +350,9 @@ def parse_scenario(text: str) -> Scenario:
             f"ping_interval: must be <= {PING_INTERVAL_MAX} s, got {ping_interval}"
         )
 
-    # epoch_times makes floor(duration / ping_interval + 1e-9) + 1 epochs;
-    # compare as floats, since that count may not fit an int.
-    if not waypoints[-1][0] / ping_interval + 1e-9 < MAX_EPOCHS:
+    # Compare as floats first: the epoch count may not fit an int.
+    steps = waypoints[-1][0] / ping_interval + 1e-9
+    if not steps < MAX_EPOCHS:
         raise ScenarioError(
             f"ping_interval: {ping_interval} s over the {waypoints[-1][0]} s "
             f"trajectory gives more than {MAX_EPOCHS} epochs"
@@ -364,31 +361,34 @@ def parse_scenario(text: str) -> Scenario:
     ekf = _parse_ekf(root)
     seed = _read(root, "seed", "scenario", int, 0)
 
-    scenario = Scenario(
+    anchor_enu = []
+    for i, g in enumerate(anchor_coords):
+        p = geodetic_to_enu(g, origin)
+        # Allow micrometre-scale round-off above the surface, pinned back
+        # to 0 so path tracing sees a valid depth.
+        if not -profile.total_depth <= p.up <= 1e-6:
+            raise ScenarioError(
+                f"anchors[{i}]: ENU depth {-p.up:.3f} m falls outside the water "
+                "column; check anchor heights against the ENU origin"
+            )
+        anchor_enu.append((p.east, p.north, min(p.up, 0.0)))
+
+    return Scenario(
         profile=profile,
         channel=channel,
         anchor_ids=anchor_ids,
         anchor_positions=anchor_coords,
+        anchor_enu=tuple(anchor_enu),
         gps_noise_sigma=gps_sigma,
         enu_origin=origin,
         origin_from_anchor=origin_from_anchor,
         waypoints=waypoints,
         ping_interval=ping_interval,
+        epochs=math.floor(steps) + 1,
         ga=ga,
         ekf=ekf,
         seed=seed,
     )
-
-    for i, g in enumerate(scenario.anchor_positions):
-        depth = -geodetic_to_enu(g, scenario.enu_origin).up
-        # Allow micrometre-scale excursions above the surface from
-        # transform round-off; anchors_enu() pins those back to 0.
-        if not -1e-6 <= depth <= profile.total_depth:
-            raise ScenarioError(
-                f"anchors[{i}]: ENU depth {depth:.3f} m falls outside the water "
-                "column; check anchor heights against the ENU origin"
-            )
-    return scenario
 
 
 def read_scenario_text(path) -> str:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hydroloc.geodesy import geodetic_to_enu
 from hydroloc.pipeline import (
     CSV_COLUMNS,
     child_seed,
@@ -120,10 +121,23 @@ class TestRunSimulation:
         b = run_simulation(s2)[0]
         assert a[1].estimate.position.tolist() != b[1].estimate.position.tolist()
 
+    def test_one_transform_per_anchor(self, monkeypatch):
+        # The parser resolves each anchor's ENU position once; the run reads it.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return geodetic_to_enu(*args)
+
+        monkeypatch.setattr("hydroloc.scenario.geodetic_to_enu", counted)
+        s = load_scenario(SCENARIO_DIR / "canonical_noiseless.yaml")
+        run_simulation(s)
+        assert len(calls) == len(s.anchor_ids) == 4
+
     def test_gps_noise_perturbs_reported_anchors_only(self):
         s = parse_scenario(FAST_NOISY)
-        anchors_true = np.asarray(s.anchors_enu())
-        _, anchors, measurements, _ = simulate_epoch(s, anchors_true, 0, 0.0)
+        anchors_true = np.asarray(s.anchor_enu)
+        _, anchors, measurements, _ = simulate_epoch(s, 0, 0.0)
         reported = np.array([a.position for a in anchors])
         assert not np.allclose(reported[:, :2], anchors_true[:, :2])
         assert np.all(reported[:, 2] <= 0.0)
@@ -132,13 +146,14 @@ class TestRunSimulation:
 
     def test_below_threshold_anchor_leaves_other_pings(self):
         s = parse_scenario(FAST_NOISY)
-        anchors_true = np.asarray(s.anchors_enu())
+        anchors_true = np.asarray(s.anchor_enu)
         anchors_true[0, :2] *= 20.0  # about 2.8 km out: the weakest link
+        s = dataclasses.replace(s, anchor_enu=tuple(map(tuple, anchors_true)))
 
         def pings(threshold):
             channel = dataclasses.replace(s.channel, detection_threshold=threshold)
             scenario = dataclasses.replace(s, channel=channel)
-            return simulate_epoch(scenario, anchors_true, 3, 30.0)[2]
+            return simulate_epoch(scenario, 3, 30.0)[2]
 
         everyone = pings(-1e6)
         snrs = [p.snr for p in everyone]

@@ -4,12 +4,13 @@ import json
 import math
 import re
 import textwrap
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydroloc.environment import Layer
@@ -78,7 +79,7 @@ class TestMinimalScenario:
         s = parse_scenario(MINIMAL)
         assert s.origin_from_anchor
         assert s.enu_origin == s.anchor_positions[0]
-        east, north, up = s.anchors_enu()[0]
+        east, north, up = s.anchor_enu[0]
         assert abs(east) < 1e-9 and abs(north) < 1e-9 and abs(up) < 1e-9
 
     def test_explicit_origin_respected(self):
@@ -88,7 +89,7 @@ class TestMinimalScenario:
         assert s.enu_origin.latitude_deg == pytest.approx(41.0005)
 
     def test_duration(self):
-        assert parse_scenario(MINIMAL).duration() == 60.0
+        assert parse_scenario(MINIMAL).epochs == 7  # pings at t = 0, 10, ..., 60 s
 
 
 class TestStrictness:
@@ -236,7 +237,9 @@ class TestValidation:
         doc["trajectory"][1]["time"] = end
         text = yaml.safe_dump(doc)
         if accepted:
-            assert parse_scenario(text).ping_interval == interval
+            scenario = parse_scenario(text)
+            assert scenario.ping_interval == interval
+            assert scenario.epochs == MAX_EPOCHS
         else:
             with pytest.raises(ScenarioError, match="^ping_interval: .* epochs"):
                 parse_scenario(text)
@@ -329,7 +332,7 @@ class TestLoadScenario:
     )
     def test_shipped_scenarios_are_valid(self, name):
         s = load_scenario(SCENARIO_DIR / name)
-        enu = s.anchors_enu()
+        enu = s.anchor_enu
         assert len(enu) == 4
         # The shipped files pin the anchors on a +-100 m square.
         for east, north, _ in enu:
@@ -567,6 +570,16 @@ TOP_LEVEL_KEYS = set(yaml.safe_load(FULL)) | {"scenario"}
     others=st.lists(st.sampled_from(LEAVES), max_size=2),
     values=st.lists(st.sampled_from(NON_FINITE + HUGE), min_size=3, max_size=3),
 )
+# Accepted mutants, so the finiteness half runs whatever examples the
+# derandomized search draws from this test's source.
+@example(
+    leaf=("canonical_noisy.yaml", ("channel", "tof_noise_sigma")), others=[], values=[1e300]
+)
+@example(
+    leaf=("canonical_noisy.yaml", ("ga", "search_bounds", "east", 1)),
+    others=[],
+    values=[1e300],
+)
 def test_mutated_numbers_rejected_or_finite(leaf, others, values):
     """Mutants of the shipped scenarios either fail naming a key or stay finite."""
     name = leaf[0]
@@ -585,16 +598,17 @@ def test_mutated_numbers_rejected_or_finite(leaf, others, values):
         return
     assert all(v in HUGE for v in mutants.values())
     assert _all_finite(scenario)
-    assert _all_finite(scenario.anchors_enu())
 
 
 # Run-level mutants of a short canonical_noisy run: every ekf number, the
 # ping interval and the trajectory's end time at sizes that overflowed
-# the filter's arithmetic or turned it to NaN, a density that lost the
-# pressure depth, and an end time and interval that overflowed dt**3.
+# the filter's arithmetic or turned it to NaN, GPS scatter that overflowed
+# the solver's squared residuals, a density that lost the pressure depth,
+# and an end time and interval that overflowed dt**3.
 LAST_TIME = ("trajectory", 4, "time")
 RUN_LEAVES = [
-    path for path in _numeric_leaves(SHIPPED["canonical_noisy.yaml"]) if path[0] == "ekf"
+    path for path in _numeric_leaves(SHIPPED["canonical_noisy.yaml"])
+    if path[0] in ("ekf", "gps_noise_sigma")
 ] + [("ping_interval",), LAST_TIME]
 RUN_MUTANTS = [((path, value),) for path in RUN_LEAVES for value in (1e154, 1e200, 1e300)] + [
     ((("ekf", "water_density"), 1e-300),),
@@ -621,7 +635,9 @@ def test_mutated_numbers_rejected_or_run_finite(mutants, tmp_path):
     except ScenarioError as exc:
         assert str(exc).split(": ", 1)[0] in named, str(exc)
         return
-    records, summary = run_simulation(scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow is a failure
+        records, summary = run_simulation(scenario)
     paths = write_outputs(records, summary, tmp_path)
     with open(paths["epochs"], encoding="utf-8") as fh:
         cells = [cell for row in list(csv.reader(fh))[1:] for cell in row if cell]
