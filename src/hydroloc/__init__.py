@@ -53,6 +53,7 @@ from .propagation import (
     range_from_tof,
     simulate_ping,
     snr,
+    tof_jacobian,
     trace_refracted,
     transmission_loss,
 )

@@ -139,8 +139,9 @@ def _cmd_localize(args) -> int:
     e, n, u = (float(v) for v in estimate.position)
     print(f"fix: east={e!r} north={n!r} up={u!r}")
     print(f"best_fitness: {estimate.best_fitness!r}")
-    print(f"population_dispersion_m: {estimate.population_dispersion!r}")
+    print(f"fix_sigma_m: {math.sqrt(float(np.trace(estimate.covariance)))!r}")
     print(f"generations_run: {estimate.generations_run}")
+    print(f"polishes: {estimate.polishes}")
     print(f"error_vs_truth_m: {float(np.linalg.norm(estimate.position - true_pos))!r}")
     return 0
 

@@ -46,8 +46,9 @@ WATER_DENSITY_RANGE = (900.0, 1100.0)  # kg/m^3, fresh water to dense seawater
 class EkfConfig:
     """Fusion settings: process noise, priors and measurement variances.
 
-    The fix sigma is the solver's population dispersion, clamped below by
-    fix_sigma_floor.
+    A fix's covariance comes from the solver's TOF Jacobian;
+    fix_sigma_floor floors its principal sigmas. Deleting the key waits
+    for a change to the benchmark templates, which set it.
     """
 
     accel_noise_density: tuple[float, float, float] = (1e-3, 1e-3, 1e-3)  # m^2/s^3
@@ -100,7 +101,7 @@ def pressure_to_depth(reading: PressureReading, density: float = SEAWATER_DENSIT
     return (reading.pressure - ATMOSPHERIC_PRESSURE) / (density * STANDARD_GRAVITY)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EkfState:
     """Filter state: 6-vector mean, 6x6 covariance, timestamp in seconds."""
 
@@ -109,8 +110,10 @@ class EkfState:
     timestamp: float
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, float).reshape(6)
-        cov = np.array(self.covariance, float).reshape(6, 6)
+        # One owning array each: a reshaped copy would keep a second array
+        # object alive per field for every state a run records.
+        mean = np.array(np.reshape(self.mean, 6), float)
+        cov = np.array(np.reshape(self.covariance, (6, 6)), float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

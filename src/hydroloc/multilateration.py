@@ -1,21 +1,23 @@
 """Beacon position estimation from anchor TOF measurements.
 
-A real-coded genetic algorithm searches an ENU box for the position that
-best explains the measured times of flight from at least four surface
-anchors. Because the anchors are coplanar at the surface, the residual
-surface is symmetric under reflection through the surface plane; the
-search bounds require up <= 0, which makes the underwater solution the
-unique feasible one.
+A real-coded genetic algorithm finds the basin of the position that best
+explains the measured times of flight from at least four surface
+anchors; Gauss-Newton (Foy 1976) polishes its best to the least-squares
+optimum, and the TOF Jacobian gives the fix covariance. The anchors are
+coplanar at the surface, so the residual is symmetric through the
+surface plane; the search bounds require up <= 0, which makes the
+underwater solution the unique feasible one.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import ChannelProfile, pairwise_tof, range_from_tof
+from .propagation import ChannelProfile, pairwise_tof, range_from_tof, tof_jacobian
 
 __all__ = [
     "Anchor",
@@ -32,23 +34,31 @@ log = logging.getLogger(__name__)
 # Residual contribution of a candidate/anchor pair with no direct path:
 # large but finite so the search surface stays totally ordered.
 NO_PATH_PENALTY = 1e6
-# Stop early when the best residual is essentially zero, or when the best
-# has not improved for this many generations.
-FITNESS_STOP = 1e-12
-STAGNATION_LIMIT = 50
 # Each parent is the best of a tournament of TOURNAMENT_SIZE; a pair is
 # blended with probability CROSSOVER_RATE and each child coordinate
 # mutates with probability MUTATION_RATE.
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
 MUTATION_RATE = 0.3
-# 0.96 anneals the mutation noise fast enough that the stagnation stop
-# does not fire while sigma still dwarfs the remaining error.
 MUTATION_SIGMA_DECAY = 0.96
 # The best individual passes to the next generation unchanged.
 ELITE_COUNT = 1
-# A final elite dispersion above this (m) is logged as a poorly constrained fix.
-DISPERSION_WARN_M = 10.0
+# The GA's best is polished every POLISH_EVERY generations; the GA stops
+# once two polishes in a row, both inside the search box, land within
+# POLISH_AGREE_M (m) of each other.
+POLISH_EVERY = 3
+POLISH_AGREE_M = 1e-3
+# A polish takes at most GN_MAX_STEPS steps and stops on a step below
+# GN_STEP_M (m).
+GN_MAX_STEPS = 5
+GN_STEP_M = 1e-4
+# A fix whose J^T J has a condition number above COND_WARN is logged as
+# poorly constrained. Eigenvalues of J^T J below RANK_TOL times the
+# largest are unobservable directions.
+COND_WARN = 1e6
+RANK_TOL = 1e-12
+# Cyclic Jacobi sweeps of a symmetric 3x3 eigenproblem (3-4 converge).
+JACOBI_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -118,20 +128,23 @@ class GaConfig:
         return 0.1 * self.search_bounds.largest_extent()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PositionEstimate:
-    """A solver fix: position plus convergence diagnostics.
+    """A solver fix: position, covariance and convergence diagnostics.
 
-    population_dispersion is the RMS distance of the final elite decile
-    from the best individual; large values flag degenerate anchor
-    geometry. best_fitness is in s^2 (tof_residual) or m^2
-    (range_residual).
+    covariance (m^2) is the sandwich J+ C J+^T of the TOF residual's
+    Jacobian J at the fix, with C the per-anchor TOF variance, its
+    eigenvalues clamped to [sigma_floor^2, largest search extent^2].
+    best_fitness is the fix's residual in the config's mode, s^2
+    (tof_residual) or m^2 (range_residual). polishes counts the
+    Gauss-Newton polishes run.
     """
 
     position: np.ndarray = field(repr=False)
     best_fitness: float
-    population_dispersion: float
+    covariance: np.ndarray = field(repr=False)
     generations_run: int
+    polishes: int
 
 
 def fitness(
@@ -217,6 +230,91 @@ def evolve_generation(
     return np.vstack([elites, children])
 
 
+def _gauss_newton(x, residual, bounds: SearchBounds):
+    """Polish x on residual(x) -> (r, J); steps are clamped to the bounds.
+
+    Returns (x, J, on_face): J from the last step's evaluation, and
+    on_face telling whether x ends within GN_STEP_M of a face of the
+    search box (a least-norm step off a face is round-off, not a move).
+    """
+    lows, highs = bounds.lows(), bounds.highs()
+    for _ in range(GN_MAX_STEPS):
+        r, jac = residual(x)
+        w, v = _eigh3(_gram(jac))
+        # The least-norm step: none along unobservable directions.
+        delta = v @ ((v.T @ (jac.T @ -r)) / np.where(w > w[-1] * RANK_TOL, w, np.inf))
+        moved = np.clip(x + delta, lows, highs)
+        step = np.linalg.norm(moved - x)
+        x = moved
+        if step < GN_STEP_M:
+            break
+    return x, jac, bool(np.any((x - lows < GN_STEP_M) | (highs - x < GN_STEP_M)))
+
+
+# The 3x3 linear algebra here uses no LAPACK routine and no BLAS kernel
+# that the filter does not already load: each new one pages 64 KB or
+# more of its library into every run.
+def _gram(jac):
+    """J^T J, summed row by row."""
+    return (jac[:, :, None] * jac[:, None, :]).sum(axis=0)
+
+
+def _eigh3(matrix):
+    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric 3x3.
+
+    Cyclic Jacobi rotations on Python floats.
+    """
+    a = np.asarray(matrix, float).tolist()
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(JACOBI_SWEEPS):
+        if abs(a[0][1]) + abs(a[0][2]) + abs(a[1][2]) <= 1e-16 * (
+            abs(a[0][0]) + abs(a[1][1]) + abs(a[2][2])
+        ):
+            break
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            # The rotation in the (p, q) plane that zeroes a[p][q].
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            arp, arq = a[r][p], a[r][q]
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            for row in v:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+    w = np.array([a[0][0], a[1][1], a[2][2]])
+    order = np.argsort(w, kind="stable")
+    return w[order], np.array(v)[:, order]
+
+
+def _fix_covariance(jac, tof_var, sigma_floor: float, extent: float) -> np.ndarray:
+    """J+ C J+^T with C = diag(tof_var), eigenvalues clamped, symmetric.
+
+    An unobservable direction of J gets the largest search extent as its
+    sigma; a large condition number of J^T J is logged.
+    """
+    w, v = _eigh3(_gram(jac))
+    cond = w[-1] / w[0] if w[0] > 0.0 else np.inf
+    if cond > COND_WARN:
+        log.warning(
+            "position fix poorly constrained: condition number %.3g of J^T J exceeds %.3g "
+            "(degenerate anchor geometry?)",
+            cond, COND_WARN,
+        )
+    observable = w > w[-1] * RANK_TOL
+    g = (jac @ v) / np.where(observable, w, np.inf)
+    inner = g.T @ (tof_var[:, None] * g) + np.diag(np.where(observable, 0.0, extent**2))
+    w, v = _eigh3(v @ inner @ v.T)
+    cov = (v * np.clip(w, sigma_floor**2, extent**2)) @ v.T
+    return 0.5 * (cov + cov.T)
+
+
 def ga_localize(
     measurements,
     anchors,
@@ -224,16 +322,27 @@ def ga_localize(
     profile: ChannelProfile,
     seed: int,
     trace=None,
+    *,
+    tof_sigma: float = 0.0,
+    anchor_sigma=(0.0, 0.0, 0.0),
+    sigma_floor: float = 0.5,
 ) -> PositionEstimate:
-    """Run the genetic solver and return the best fix.
+    """Run the hybrid solver and return the fix with its covariance.
 
     Needs measurements from at least four distinct anchors, each with a
-    finite, positive TOF. The residual problem is built once: the pinged
-    anchors' positions, and in range_residual mode the measured ranges,
-    converted at the middle of the search depths. Deterministic given
-    (measurements, anchors, config, seed): all randomness flows from
-    seed. trace, if given, is called as trace(generation, best_fitness,
-    sigma) after every evaluated generation.
+    finite, positive TOF. The anchors' positions, and in range_residual
+    mode the ranges converted at the middle of the search depths, are
+    built once. Every POLISH_EVERY generations Gauss-Newton polishes the
+    GA's best on the GA's residual; the GA stops when two polishes in a
+    row inside the box agree, or after config.generations. The fix is a
+    final TOF polish, or the GA's best if that polish ends on a box face
+    or leaves a larger TOF residual. The covariance maps tof_sigma (s)
+    and the anchors' sigmas anchor_sigma (m, east/north/up) through the
+    TOF Jacobian, floored at sigma_floor (m).
+
+    Deterministic given (measurements, anchors, config, seed). trace, if
+    given, is called as trace(generation, best_fitness, sigma) after
+    every evaluated generation.
     """
     measurements = list(measurements)
     if not measurements:
@@ -262,52 +371,63 @@ def ga_localize(
         )
 
     anchor_pos = np.asarray([by_id[m.anchor_id].position for m in measurements], float)
-    observed = np.array([m.tof_measured for m in measurements])
+    tofs = np.array([m.tof_measured for m in measurements])
+
+    def tof_residual(x):
+        tof, ok, jac = tof_jacobian(profile, x, anchor_pos)
+        return np.where(ok[0], tof[0] - tofs, 0.0), np.where(ok[0, :, None], jac[0], 0.0)
+
     if config.fitness_mode == "range_residual":
         assumed_depth = -0.5 * (bounds.up[0] + bounds.up[1])
-        observed = range_from_tof(observed, profile, -anchor_pos[:, 2], assumed_depth)
+        observed = range_from_tof(tofs, profile, -anchor_pos[:, 2], assumed_depth)
+
+        def residual(x):
+            diff = x - anchor_pos
+            dist = np.linalg.norm(diff, axis=1)
+            return dist - observed, diff / np.where(dist > 0.0, dist, 1.0)[:, None]
+    else:
+        observed, residual = tofs, tof_residual
 
     rng = np.random.default_rng(seed)
     pop = rng.uniform(bounds.lows(), bounds.highs(), size=(config.population_size, 3))
     sigma = config.initial_sigma()
 
-    best_fit = np.inf
-    stagnant = 0
+    last = None  # the last polish that ended inside the box
+    polishes = 0
     generations_run = config.generations
     for gen in range(config.generations):
         fits = fitness(pop, anchor_pos, observed, profile, mode=config.fitness_mode)
-        gen_best = float(fits.min())
-        if gen_best < best_fit:
-            best_fit = gen_best
-            stagnant = 0
-        else:
-            stagnant += 1
         if trace is not None:
-            trace(gen, best_fit, sigma)
-        if best_fit < FITNESS_STOP or stagnant >= STAGNATION_LIMIT:
-            generations_run = gen + 1
+            trace(gen, float(fits.min()), sigma)
+        if gen == config.generations - 1:
             break
-        if gen < config.generations - 1:
-            pop = evolve_generation(pop, fits, config, rng, sigma)
-            sigma *= MUTATION_SIGMA_DECAY
+        if (gen + 1) % POLISH_EVERY == 0:
+            x, _, on_face = _gauss_newton(pop[np.argmin(fits)], residual, bounds)
+            polishes += 1
+            agree = last is not None and np.linalg.norm(x - last) < POLISH_AGREE_M
+            last = None if on_face else x
+            if agree and not on_face:
+                generations_run = gen + 1
+                break
+        pop = evolve_generation(pop, fits, config, rng, sigma)
+        sigma *= MUTATION_SIGMA_DECAY
 
-    best_idx = int(np.argmin(fits))
-    best = pop[best_idx].copy()
+    ga_best = pop[np.argmin(fits)]
+    position, jac, on_face = _gauss_newton(
+        ga_best if last is None else last, tof_residual, bounds
+    )
+    polishes += 1
+    polished_fit = fitness(position, anchor_pos, tofs, profile)
+    if on_face or polished_fit > fitness(ga_best, anchor_pos, tofs, profile):
+        position = ga_best.copy()
+        _, jac = tof_residual(position)
 
-    decile = max(1, config.population_size // 10)
-    elite_idx = np.argsort(fits, kind="stable")[:decile]
-    dists = np.linalg.norm(pop[elite_idx] - best, axis=1)
-    dispersion = float(np.sqrt(np.mean(dists**2)))
-    if dispersion > DISPERSION_WARN_M:
-        log.warning(
-            "position fix poorly constrained: elite dispersion %.2f m exceeds %.2f m "
-            "(degenerate anchor geometry?)",
-            dispersion, DISPERSION_WARN_M,
-        )
-
+    _, _, anchor_jac = tof_jacobian(profile, anchor_pos, position)
+    tof_var = tof_sigma**2 + (anchor_jac[:, 0, :] ** 2 * np.square(anchor_sigma)).sum(axis=-1)
     return PositionEstimate(
-        position=best,
-        best_fitness=float(fits[best_idx]),
-        population_dispersion=dispersion,
+        position=position,
+        best_fitness=fitness(position, anchor_pos, observed, profile, mode=config.fitness_mode),
+        covariance=_fix_covariance(jac, tof_var, sigma_floor, bounds.largest_extent()),
         generations_run=generations_run,
+        polishes=polishes,
     )

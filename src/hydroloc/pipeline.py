@@ -75,7 +75,7 @@ def child_seed(master: int, *tags: int) -> int:
     return x
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EpochRecord:
     """One ping epoch: truth, raw fix (if any) and the fused state."""
 
@@ -179,13 +179,17 @@ def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
 def localize_epoch(scenario: Scenario, epoch_idx: int, anchors, measurements, trace=None):
     """One epoch's fix, or None when fewer than 4 distinct anchors were heard.
 
-    The solver draws from the epoch's own child seed of the master seed.
+    The solver draws from the epoch's own child seed of the master seed;
+    its covariance comes from the scenario's TOF and GPS noise.
     """
     if len({m.anchor_id for m in measurements}) < 4:
         return None
     return ga_localize(
         measurements, anchors, scenario.ga, scenario.profile,
         child_seed(scenario.seed, _TAG_GA, epoch_idx), trace=trace,
+        tof_sigma=scenario.channel.tof_noise_sigma,
+        anchor_sigma=scenario.gps_noise_sigma,
+        sigma_floor=scenario.ekf.fix_sigma_floor,
     )
 
 
@@ -223,8 +227,7 @@ def run_simulation(scenario: Scenario):
 
         state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
         if estimate is not None:
-            sigma_fix = max(ekf_cfg.fix_sigma_floor, estimate.population_dispersion)
-            state = ekf_update_fix(state, estimate, np.eye(3) * sigma_fix**2)
+            state = ekf_update_fix(state, estimate, estimate.covariance)
         state = ekf_update_depth(
             state, depth_measured, ekf_cfg.pressure_sigma_depth**2
         )

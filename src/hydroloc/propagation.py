@@ -39,6 +39,7 @@ __all__ = [
     "ping_paths",
     "simulate_ping",
     "pairwise_tof",
+    "tof_jacobian",
     "range_from_tof",
 ]
 
@@ -416,6 +417,20 @@ def simulate_ping(
     return PingMeasurement(anchor_id, tof_measured, snr_db, timestamp)
 
 
+def _pair_paths(profile: ChannelProfile, points_a, points_b):
+    """The kernel's paths from each ENU point in points_a to each in points_b.
+
+    Returns (offset, horizontal, lengths, p, ok): the (N, M, 3) offsets
+    a - b, their horizontal ranges and _layer_paths' outputs.
+    """
+    a = np.atleast_2d(np.asarray(points_a, float))
+    b = np.atleast_2d(np.asarray(points_b, float))
+    offset = a[:, None, :] - b[None, :, :]
+    horizontal = np.hypot(offset[..., 0], offset[..., 1])
+    lengths, _, p, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
+    return offset, horizontal, lengths, p, ok
+
+
 def pairwise_tof(profile: ChannelProfile, points_a, points_b):
     """Travel times from each ENU point in points_a to each in points_b.
 
@@ -425,13 +440,26 @@ def pairwise_tof(profile: ChannelProfile, points_a, points_b):
     (their tof entry is meaningless). Raises ValueError for a point
     outside the water column.
     """
-    a = np.atleast_2d(np.asarray(points_a, float))
-    b = np.atleast_2d(np.asarray(points_b, float))
-    horizontal = np.hypot(
-        a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]
-    )
-    lengths, _, _, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
+    _, _, lengths, _, ok = _pair_paths(profile, points_a, points_b)
     return _tof(profile, lengths), ok
+
+
+def tof_jacobian(profile: ChannelProfile, points_a, points_b):
+    """pairwise_tof's (tof, ok) plus jac (N, M, 3), dT/d(east, north, up) at points_a.
+
+    With p the ray parameter, c_t the speed at the point and u the
+    horizontal unit vector from the other end: dT/dhorizontal = p u, and
+    |dT/dup| = sqrt(1 - p^2 c_t^2) / c_t, negative below the other end.
+    """
+    offset, horizontal, lengths, p, ok = _pair_paths(profile, points_a, points_b)
+    depth = -np.atleast_2d(np.asarray(points_a, float))[:, 2, None]
+    c_t = np.asarray(profile.sound_speeds)[_layer_at(np.asarray(profile.boundaries), depth)]
+    sin_c = np.sqrt(np.maximum(1.0 - (p * c_t) ** 2, 0.0)) / c_t
+    rise = offset[..., 2]
+    vertical = np.where(rise > 0.0, sin_c, np.where(rise < 0.0, -sin_c, 0.0))
+    along = p / np.where(horizontal > 0.0, horizontal, np.inf)
+    jac = np.stack([along * offset[..., 0], along * offset[..., 1], vertical], axis=-1)
+    return _tof(profile, lengths), ok, jac
 
 
 def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):

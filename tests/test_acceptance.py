@@ -5,6 +5,7 @@ see them on success). Expected formula values were frozen from an
 independent term-by-term evaluation of the published equations.
 """
 
+import functools
 import math
 import time
 from pathlib import Path
@@ -338,9 +339,17 @@ def test_criterion_8_ekf_health():
     )
 
 
+@functools.cache
+def canonical_noisy_run():
+    return run_simulation(load_scenario(SCENARIO_DIR / "canonical_noisy.yaml"))
+
+
+def nees(error, covariance) -> float:
+    return float(error @ np.linalg.solve(covariance, error))
+
+
 def test_criterion_9_fusion_benefit():
-    scenario = load_scenario(SCENARIO_DIR / "canonical_noisy.yaml")
-    _, summary = run_simulation(scenario)
+    _, summary = canonical_noisy_run()
     z_raw = summary.rmse_raw_axes[2]
     z_fused = summary.rmse_fused_axes[2]
     report(
@@ -348,6 +357,38 @@ def test_criterion_9_fusion_benefit():
         z_fused < z_raw and summary.rmse_fused <= summary.rmse_raw,
         f"120 epochs: z-RMSE fused {z_fused:.3f} m < raw {z_raw:.3f} m; 3-D RMSE "
         f"fused {summary.rmse_fused:.3f} m <= raw {summary.rmse_raw:.3f} m",
+    )
+
+
+def test_raw_fix_nees():
+    # Each fix's error against its own covariance: a consistent 3-D
+    # covariance gives a mean NEES of 3 (120 fixes: standard error 0.22).
+    records, _ = canonical_noisy_run()
+    values = [
+        nees(r.estimate.position - r.true_position, r.estimate.covariance)
+        for r in records if r.estimate is not None
+    ]
+    mean = float(np.mean(values))
+    report(
+        "raw-fix NEES",
+        len(values) == 120 and 2.0 <= mean <= 4.0,
+        f"{len(values)} fixes: mean NEES {mean:.3f} against the fix covariance (in [2, 4])",
+    )
+
+
+def test_filter_nees():
+    # Past the filter's warm-up, the fused position error against the
+    # filter's position covariance.
+    records, _ = canonical_noisy_run()
+    values = [
+        nees(r.fused.position - r.true_position, r.fused.covariance[:3, :3])
+        for r in records[10:120]
+    ]
+    mean = float(np.mean(values))
+    report(
+        "filter NEES",
+        1.5 <= mean <= 6.0,
+        f"epochs 10-119: mean position NEES {mean:.3f} (in [1.5, 6])",
     )
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -203,9 +204,16 @@ class TestLocalizeCommand:
     def test_fix_matches_run(self, small_scenario, capsys):
         # localize and run solve an epoch through the same fix path.
         records, _ = run_simulation(load_scenario(small_scenario))
-        e, n, u = (float(v) for v in records[1].estimate.position)
+        estimate = records[1].estimate
+        e, n, u = (float(v) for v in estimate.position)
         assert main(["localize", small_scenario, "--epoch", "1"]) == 0
-        assert f"fix: east={e!r} north={n!r} up={u!r}\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"fix: east={e!r} north={n!r} up={u!r}\n" in out
+        # The fix's sigma is the root of its covariance's trace.
+        fix_sigma = math.sqrt(float(np.trace(estimate.covariance)))
+        assert f"fix_sigma_m: {fix_sigma!r}\n" in out
+        assert f"polishes: {estimate.polishes}\n" in out
+        assert "population_dispersion_m" not in out
 
     def test_epoch_out_of_range(self, small_scenario, capsys):
         assert main(["localize", small_scenario, "--epoch", "99"]) == 1

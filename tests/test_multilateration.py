@@ -5,7 +5,6 @@ import pytest
 
 from hydroloc import multilateration
 from hydroloc.multilateration import (
-    DISPERSION_WARN_M,
     Anchor,
     GaConfig,
     SearchBounds,
@@ -243,7 +242,8 @@ class TestGaLocalize:
         assert np.linalg.norm(est.position - TRUTH) < 0.1
         assert BOUNDS.contains(est.position)
         assert 0.0 <= est.best_fitness < 1e-6
-        assert est.population_dispersion < 1.0
+        # Noiseless pings: the covariance is the floor in every direction.
+        assert np.allclose(est.covariance, 0.25 * np.eye(3), rtol=0.0, atol=1e-12)
 
     def test_seed_determinism_is_bit_exact(self):
         cfg = GaConfig(search_bounds=BOUNDS)
@@ -251,8 +251,9 @@ class TestGaLocalize:
         b = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=7)
         assert np.array_equal(a.position, b.position)
         assert a.best_fitness == b.best_fitness
-        assert a.population_dispersion == b.population_dispersion
+        assert np.array_equal(a.covariance, b.covariance)
         assert a.generations_run == b.generations_run
+        assert a.polishes == b.polishes
 
     def test_best_fitness_monotone_over_generations(self):
         history = []
@@ -287,8 +288,66 @@ class TestGaLocalize:
         cfg = GaConfig(search_bounds=BOUNDS)
         with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
             est = ga_localize(meas, anchors, cfg, HOMOG, seed=1)
-        assert est.population_dispersion > DISPERSION_WARN_M
         assert any("poorly constrained" in r.message for r in caplog.records)
+        # Only the range to the anchors is observed: the two directions
+        # across it get the largest search extent as their sigma.
+        sigmas = np.sqrt(np.linalg.eigvalsh(est.covariance))
+        assert sigmas[1] == pytest.approx(BOUNDS.largest_extent())
+
+    def test_well_posed_fix_is_not_flagged(self, caplog):
+        cfg = GaConfig(search_bounds=BOUNDS)
+        with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
+            ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=1)
+        assert not caplog.records
+
+    def test_polish_on_a_box_face_neither_stops_the_ga_nor_becomes_the_fix(self, monkeypatch):
+        # 2 m below the coplanar anchors the residual is nearly flat in up,
+        # so the GA's best sits on the up = 0 face, where the up column of
+        # J vanishes and Gauss-Newton cannot leave the face.
+        meas = noiseless_measurements(truth=np.array([20.0, -30.0, -2.0]))
+        gauss_newton = multilateration._gauss_newton
+        polishes = []
+
+        def recorded(x, residual, bounds):
+            polishes.append(gauss_newton(x, residual, bounds))
+            return polishes[-1]
+
+        monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
+        cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30)
+        est = ga_localize(meas, ANCHORS, cfg, HOMOG, seed=0)
+        during = polishes[:-1]
+        assert any(
+            a[2] and b[2] and np.linalg.norm(a[0] - b[0]) < 1e-3
+            for a, b in zip(during, during[1:])
+        ), "no two polishes in a row agreed on the face"
+        assert est.generations_run == cfg.generations
+        assert not any(np.array_equal(est.position, x) for x, _, on_face in polishes if on_face)
+
+    def test_polish_a_rounding_error_off_the_face_counts_as_on_it(self):
+        # A ring-anchor epoch whose GA best sits on the surface: the
+        # anchors are a few micrometres below it, so the least-norm step
+        # leaves the face by 1e-7 m. Taken as a real move, two such
+        # polishes agreed, stopped the GA, and the fix was 54 m off.
+        profile = ChannelProfile(
+            boundaries=(0.0, 30.0, 80.0, 150.0),
+            sound_speeds=(1510.2898880489495, 1500.0266145778114, 1490.8619856978494),
+            absorption=(1.0, 1.0, 1.0), frequency=25.0,
+        )
+        anchors = [
+            Anchor("a2", (118.47615913438644, 0.8225477815701625, -1.6387405354142265e-10)),
+            Anchor("a3", (85.20431777292985, -83.7066273762866, -2.1572838520000914e-06)),
+            Anchor("a4", (-1.0625703309916883, -119.39616524381006, -4.303302588937186e-06)),
+            Anchor("a5", (-85.27958643776105, -85.62194108178493, -2.1578369242547524e-06)),
+        ]
+        tofs = (0.0829217138171218, 0.06459527866405385, 0.06301276623322687,
+                0.07763072010171883)
+        meas = [PingMeasurement(a.id, tof, 20.0, 0.0) for a, tof in zip(anchors, tofs)]
+        bounds = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(-80.0, 0.0))
+        cfg = GaConfig(search_bounds=bounds, population_size=40, generations=30,
+                       fitness_mode="range_residual")
+        est = ga_localize(meas, anchors, cfg, profile, seed=9826007391723107960)
+        truth = np.array([12.31385642737898, -40.0, -51.02615470228158])
+        assert np.linalg.norm(est.position - truth) < 5.0
 
     def test_range_residual_mode_recovers_truth(self):
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode="range_residual")

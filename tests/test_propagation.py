@@ -12,6 +12,7 @@ from hydroloc.propagation import (
     ping_paths,
     simulate_ping,
     snr,
+    tof_jacobian,
     trace_refracted,
     transmission_loss,
 )
@@ -396,3 +397,42 @@ class TestPairwiseTof:
     def test_rejects_out_of_column_points(self):
         with pytest.raises(ValueError, match="outside the water column"):
             pairwise_tof(TWO_LAYER, [(0.0, 0.0, 5.0)], [(0.0, 0.0, -50.0)])
+
+
+class TestTofJacobian:
+    # Against surface anchors, the 60 m beacon's paths cross one interface
+    # of the 3-layer column and the 100 m beacon's two; the 20 m beacon's
+    # stay in the top layer. The last anchor is level with the 100 m
+    # beacon, and the anchor above the 60 m beacon is at zero range.
+    BEACONS = [(10.0, -20.0, -60.0), (-35.0, 40.0, -100.0), (5.0, 5.0, -20.0)]
+    ANCHORS = [(100.0, 100.0, 0.0), (-120.0, 30.0, -1.0), (10.0, -20.0, 0.0),
+               (60.0, -70.0, -100.0)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("prof", [
+        profile((0.0, 30.0, 80.0, 150.0), (1510.0, 1495.0, 1485.0)),
+        profile((0.0, 150.0), (1500.0,)),
+    ], ids=["3-layer", "1-layer"])
+    def test_matches_central_differences(self, prof):
+        tof, ok, jac = tof_jacobian(prof, self.BEACONS, self.ANCHORS)
+        assert ok.all()
+        assert np.array_equal(tof, pairwise_tof(prof, self.BEACONS, self.ANCHORS)[0])
+        h = 1e-3
+        for axis in range(3):
+            step = np.zeros(3)
+            step[axis] = h
+            ahead, _ = pairwise_tof(prof, np.add(self.BEACONS, step), self.ANCHORS)
+            behind, _ = pairwise_tof(prof, np.subtract(self.BEACONS, step), self.ANCHORS)
+            np.testing.assert_allclose(jac[..., axis], (ahead - behind) / (2 * h),
+                                       rtol=0.0, atol=1e-11)
+
+    def test_closed_forms(self):
+        prof = profile((0.0, 30.0, 80.0, 150.0), (1510.0, 1495.0, 1485.0))
+        _, _, jac = tof_jacobian(prof, self.BEACONS, self.ANCHORS)
+        # Straight up: no horizontal term, -1/c at the beacon.
+        assert np.array_equal(jac[0, 2], [0.0, 0.0, -1.0 / 1495.0])
+        # Level: the ray runs horizontally, p = 1/c and no vertical term.
+        unit = np.subtract(self.BEACONS[1], self.ANCHORS[3])[:2] / math.dist(
+            self.BEACONS[1][:2], self.ANCHORS[3][:2])
+        np.testing.assert_allclose(jac[1, 3, :2], unit / 1485.0, rtol=1e-14)
+        assert jac[1, 3, 2] == 0.0
