@@ -106,13 +106,6 @@ class RunSummary:
     origin_from_anchor: bool
     master_seed: int
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key in ("rmse_raw_axes", "rmse_fused_axes", "enu_origin"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
-
 
 def interpolate_position(waypoints, t: float) -> np.ndarray:
     """Piecewise-linear position along the waypoint list at time t."""
@@ -335,7 +328,7 @@ def write_outputs(records, summary: RunSummary, out_dir, scenario_text: str | No
             )
 
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     paths = {"epochs": epochs_path, "summary": summary_path}

@@ -10,6 +10,9 @@ A path that crosses at most one layer is the chord between its
 endpoints. A path across two or more layers refracts by the
 Snell-Descartes law: the ray parameter p = cos(theta)/c is constant
 across layer interfaces, with theta the grazing angle from horizontal.
+p comes from Newton's method on the tangent of the ray's angle from
+vertical in the fastest crossed layer, in which the horizontal range is
+concave and increasing.
 
 Positions at module boundaries are ENU (up negative underwater); depth
 is positive down internally, converted by negation.
@@ -45,13 +48,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# The bracket keeps p*c strictly below 1 in the fastest traversed layer;
-# a range unreachable within the bracket means the ray would turn.
+# A range is reachable when the ray closes it with p*c <= 1 - _P_MARGIN in
+# the fastest traversed layer; a longer range means the ray would turn.
 _P_MARGIN = 1e-9
-# The p -> range map is convex and increasing, so a few bisection rounds
-# to tame the curvature followed by Newton from the left bracket end
-# (monotone, no overshoot) reach float64 resolution quickly.
-_BISECT_STEPS = 8
+# Cap on the Newton steps of the ray-parameter solve, which reaches float64
+# resolution in a few.
 _NEWTON_STEPS = 16
 # Transmission loss is spreading relative to 1 m; shorter paths have none.
 _REFERENCE_DISTANCE = 1.0
@@ -168,63 +169,52 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
     dz is (K, L) per-layer vertical extent, each row crossing two or more
     layers, and ranges (K,) the rows' horizontal ranges, all > 0. Returns
     (p, ok); rows whose range is not reachable before the ray turns get
-    ok=False and p = 0. A bracketed bisection/Newton solve of the
-    monotone p -> range map; each row stops at its own convergence, so
-    its p does not depend on the other rows.
+    ok=False and p = 0.
+
+    Newton's method on u, the tangent of the ray's angle from vertical in
+    the fastest crossed layer (speed c_max). With r_i = c_i / c_max,
+    range(u) = sum dz_i r_i u / sqrt(1 + (1 - r_i^2) u^2): the fastest
+    layer adds dz u and every slower term is concave, so the map is
+    concave and increasing. From the straight-line guess R / sum(dz),
+    whose range is at most R, no Newton step passes the root, so no
+    bracket is needed. Each row stops at its own convergence, so its p
+    does not depend on the other rows. p = u / (c_max sqrt(1 + u^2)).
     """
-    # Zeroing the speed of non-traversed layers makes their contribution
-    # vanish without masking inside the loops (dz is 0 there too).
+    # Non-traversed layers get r = 0, so their terms vanish (dz is 0 there too).
     c_eff = np.where(dz > 0.0, speeds, 0.0)
-    dzc = dz * c_eff
+    c_max = c_eff.max(axis=-1, keepdims=True)
+    dzr = dz * (c_eff / c_max)
+    # 1 - r^2 without cancellation for speeds close to c_max.
+    slow = (c_max - c_eff) * (c_max + c_eff) / (c_max * c_max)
+    ranges = ranges[:, None]
 
-    def horizontal_range(pv):
-        u = pv[:, None] * c_eff
-        u *= u
-        np.subtract(1.0, u, out=u)
-        np.sqrt(u, out=u)
-        step = dzc * pv[:, None]
-        step /= u
-        return step.sum(axis=-1)
+    def range_and_slope(u):
+        w = 1.0 / np.sqrt(1.0 + slow * (u * u))
+        term = dzr * w
+        x = term.sum(axis=-1, keepdims=True) * u
+        term *= w
+        term *= w
+        return x, term.sum(axis=-1, keepdims=True)
 
-    c_max = c_eff.max(axis=-1)
-    c_min = np.where(dz > 0.0, speeds, np.inf).min(axis=-1)
-    p_cap = (1.0 - _P_MARGIN) / c_max
-    ok = horizontal_range(p_cap) >= ranges
-    # Unreachable rows would invert the bracket below; aim them at range 0
-    # (their p is masked out).
-    ranges = np.where(ok, ranges, 0.0)
+    s_cap = 1.0 - _P_MARGIN
+    u_cap = s_cap / math.sqrt((1.0 - s_cap) * (1.0 + s_cap))
+    ok = range_and_slope(u_cap)[0] >= ranges
 
-    # The root lies between the chord solutions for the fastest and
-    # slowest traversed speeds (range grows with each layer's speed).
-    chord = np.hypot(ranges, dz.sum(axis=-1))
-    lo = ranges / (chord * c_max)
-    hi = np.minimum(ranges / (chord * c_min), p_cap)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        short = horizontal_range(mid) < ranges
-        np.copyto(lo, mid, where=short)
-        np.copyto(hi, mid, where=~short)
-
-    pv = lo
-    active = np.ones(pv.shape, dtype=bool)
+    # The straight-line guess, capped so that far unreachable rows stay finite
+    # (no reachable row starts above u_cap).
+    u = np.minimum(ranges / dz.sum(axis=-1, keepdims=True), u_cap)
+    active = ok.copy()
     for _ in range(_NEWTON_STEPS):
-        u2 = pv[:, None] * c_eff
-        u2 *= u2
-        np.subtract(1.0, u2, out=u2)
-        np.sqrt(u2, out=u2)
-        rs = np.reciprocal(u2, out=u2)  # 1/sqrt(1 - u^2)
-        term = dzc * rs
-        x = pv * term.sum(axis=-1)      # range at pv
-        term *= rs
-        term *= rs
-        slope = term.sum(axis=-1)       # d range / d p
+        x, slope = range_and_slope(u)
         step = (ranges - x) / slope
-        pv = np.where(active, np.minimum(pv + step, p_cap), pv)
-        active &= np.abs(step) > 1e-14 * pv + 1e-20
+        np.add(u, step, out=u, where=active)
+        # Steps are >= 0 until the row converges (Newton from below).
+        active &= step > 1e-14 * u
         if not active.any():
             break
 
-    return np.where(ok, pv, 0.0), ok
+    p = u / (c_max * np.sqrt(1.0 + u * u))
+    return np.where(ok, p, 0.0)[:, 0], ok[:, 0]
 
 
 def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
@@ -242,7 +232,9 @@ def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
     included, is its chord hypot(range, z_hi - z_lo), placed in the layer
     at the shallower depth, with p = range / (chord c), or 0 for a zero
     chord. A pair across two or more layers has
-    length_i = dz_i / sqrt(1 - p^2 c_i^2), with p closing the range.
+    length_i = dz_i / sqrt(1 - p^2 c_i^2), with p closing the range
+    (_solve_ray_parameter); it has no direct ray when closing the range
+    needs p c >= 1 - _P_MARGIN in its fastest crossed layer.
     """
     boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
@@ -287,9 +279,10 @@ def trace_refracted(
     The RayPath view of one kernel pair, segments source -> receiver.
     Endpoints within one layer are joined by their chord. Across two or
     more layers the per-layer grazing angles share a single ray
-    parameter p = cos(theta_i)/c_i, found by a bracketed solve of the
-    monotone map from p to horizontal range. Raises NoDirectPathError
-    when the requested range cannot be closed before the ray turns.
+    parameter p = cos(theta_i)/c_i, found by Newton's method on the
+    monotone map from the ray's tangent to horizontal range. Raises
+    NoDirectPathError when the requested range cannot be closed before
+    the ray turns.
     """
     if horizontal_range < 0:
         raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")

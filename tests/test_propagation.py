@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hydroloc import propagation
 from hydroloc.environment import Layer, absorption_coeff, sound_speed
 from hydroloc.propagation import (
     ChannelConfig,
@@ -387,16 +389,84 @@ class TestPairwiseTof:
                 alone, alone_ok = pairwise_tof(prof, [cand], [anchor])
                 assert alone[0, 0] == tof[i, j] and alone_ok[0, 0] == ok[i, j]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_flags_unreachable_pairs(self):
         tof, ok = pairwise_tof(
-            TWO_LAYER, [(0.0, 0.0, 0.0)], [(1e7, 0.0, -200.0), (100.0, 0.0, -200.0)]
+            TWO_LAYER, [(0.0, 0.0, 0.0)],
+            [(1e7, 0.0, -200.0), (100.0, 0.0, -200.0), (1e300, 0.0, -200.0)],
         )
-        assert not ok[0, 0]
-        assert ok[0, 1]
+        assert ok.tolist() == [[False, True, False]]
 
     def test_rejects_out_of_column_points(self):
         with pytest.raises(ValueError, match="outside the water column"):
             pairwise_tof(TWO_LAYER, [(0.0, 0.0, 5.0)], [(0.0, 0.0, -50.0)])
+
+
+def exact_range(p, dz, speeds):
+    """Horizontal range of the ray with parameter p, 1 - (p c)^2 taken exactly.
+
+    Near grazing 1 - (p c)^2 cancels in float64; rationals keep the
+    evaluation itself accurate to a few ulps.
+    """
+    total = 0.0
+    for d, c in zip(dz, speeds):
+        s = Fraction(float(p)) * Fraction(float(c))
+        total += d * float(s) / math.sqrt(float(1 - s * s))
+    return total
+
+
+def bisect_ray_parameter(dz, speeds, ranges, steps=200):
+    """Bisection of the float64 p -> range map on [0, (1 - _P_MARGIN) / c_max].
+
+    Every row of dz crosses every layer.
+    """
+    lo = np.zeros(len(ranges))
+    hi = np.full(len(ranges), (1.0 - propagation._P_MARGIN) / max(speeds))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        x = (dz * speeds * mid[:, None] / np.sqrt(1.0 - (mid[:, None] * speeds) ** 2)).sum(axis=-1)
+        np.copyto(lo, mid, where=x < ranges)
+        np.copyto(hi, mid, where=x >= ranges)
+    return lo
+
+
+class TestSolveRayParameter:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_thin_fast_layer_under_thick_slow_layers(self, seed, monkeypatch):
+        # A thin fastest layer (1 mm to 1 m) at the bottom of 1-4 thick slow
+        # ones, at ranges from 1e-3 to 100 times the depth: the ray runs from
+        # near vertical to grazing in the fast layer, or cannot close.
+        rng = np.random.default_rng(seed)
+        n_slow = int(rng.integers(1, 5))
+        slow = rng.uniform(1450.0, 1530.0, n_slow)
+        speeds = np.append(slow, slow.max() + rng.uniform(0.5, 30.0))
+        rows = 200
+        dz = np.column_stack([rng.uniform(20.0, 150.0, (rows, n_slow)),
+                              10.0 ** rng.uniform(-3.0, 0.0, rows)])
+        ranges = dz.sum(axis=-1) * 10.0 ** rng.uniform(-3.0, 2.0, rows)
+
+        p, ok = propagation._solve_ray_parameter(dz, speeds, ranges)
+        p_cap = (1.0 - propagation._P_MARGIN) / speeds[-1]
+        reach = np.array([exact_range(p_cap, d, speeds) for d in dz])
+        assert np.array_equal(ok, reach >= ranges)
+        assert 0 < ok.sum() < rows and (p[~ok] == 0.0).all()
+
+        # Every row stopped inside the cap: more steps change nothing.
+        monkeypatch.setattr(propagation, "_NEWTON_STEPS", 4 * propagation._NEWTON_STEPS)
+        assert np.array_equal(propagation._solve_ray_parameter(dz, speeds, ranges)[0], p)
+
+        # Away from grazing, p agrees with a bisection of the same map.
+        steep = ok & (p * speeds[-1] < 1.0 - 1e-6)
+        reference = bisect_ray_parameter(dz[steep], speeds, ranges[steep])
+        np.testing.assert_allclose(p[steep], reference, rtol=1e-12, atol=0.0)
+
+        # The range closes. Near grazing the range moves by up to ~1e-7 per
+        # ulp of p, so the closure is judged up to p's neighbouring floats.
+        for k in np.nonzero(ok)[0]:
+            lo = exact_range(p[k] * (1.0 - 4e-16), dz[k], speeds)
+            hi = exact_range(p[k] * (1.0 + 4e-16), dz[k], speeds)
+            assert lo * (1.0 - 1e-9) <= ranges[k] <= hi * (1.0 + 1e-9)
 
 
 class TestTofJacobian:
