@@ -55,7 +55,6 @@ from .propagation import (
     snr,
     tof_jacobian,
     trace_refracted,
-    transmission_loss,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 

@@ -30,7 +30,6 @@ from .propagation import (
     ChannelProfile,
     NoDirectPathError,
     link_budget,
-    ping_paths,
     trace_refracted,
 )
 from .scenario import (
@@ -101,9 +100,8 @@ def _cmd_ping(args) -> int:
         print(f"no direct path: {exc}")
         return 0
 
-    # The run's link rule, on the kernel's own length and absorption sums.
-    _, length, absorbed = ping_paths(profile, src, dst)
-    loss_db, snr_db, detected = link_budget(scenario.channel, length[0], absorbed[0])
+    # The run's link rule, on the traced path's length and absorption sums.
+    loss_db, snr_db, detected = link_budget(scenario.channel, path.total_length, path.absorbed)
     print(f"tof_s: {path.tof!r}")
     print(f"length_m: {path.total_length!r}")
     print(f"ray_parameter_s_per_m: {path.ray_parameter!r}")

@@ -132,12 +132,12 @@ class GaConfig:
 class PositionEstimate:
     """A solver fix: position, covariance and convergence diagnostics.
 
-    covariance (m^2) is the sandwich J+ C J+^T of the TOF residual's
-    Jacobian J at the fix, with C the per-anchor TOF variance, its
-    eigenvalues clamped to [sigma_floor^2, largest search extent^2].
-    best_fitness is the fix's residual in the config's mode, s^2
-    (tof_residual) or m^2 (range_residual). polishes counts the
-    Gauss-Newton polishes run.
+    covariance (m^2) is the sandwich J+ C J+^T, with J the TOF
+    residual's Jacobian at the fix, from the call that chose it, and C
+    the per-anchor TOF variance; its eigenvalues are clamped to
+    [sigma_floor^2, largest search extent^2]. best_fitness is the fix's
+    residual in the config's mode, s^2 (tof_residual) or m^2
+    (range_residual). polishes counts the Gauss-Newton polishes run.
     """
 
     position: np.ndarray = field(repr=False)
@@ -171,17 +171,18 @@ def fitness(
         raise ValueError("candidate depth outside the water column")
 
     if mode == "tof_residual":
-        tof_model, ok = pairwise_tof(profile, cands, anchor_pos)
-        terms = (tof_model - observed) ** 2
-        terms = np.where(ok, terms, NO_PATH_PENALTY)
+        total = _tof_fit(*pairwise_tof(profile, cands, anchor_pos), observed)
     elif mode == "range_residual":
         dist = np.linalg.norm(cands[:, None, :] - anchor_pos[None, :, :], axis=-1)
-        terms = (dist - observed) ** 2
+        total = ((dist - observed) ** 2).sum(axis=1)
     else:
         raise ValueError(f"unknown fitness mode {mode!r}")
-
-    total = terms.sum(axis=1)
     return float(total[0]) if scalar_in else total
+
+
+def _tof_fit(tof, ok, observed):
+    """Per-row sum of squared TOF residuals (s^2); a pair with no path adds NO_PATH_PENALTY."""
+    return np.where(ok, (tof - observed) ** 2, NO_PATH_PENALTY).sum(axis=-1)
 
 
 def evolve_generation(
@@ -233,9 +234,9 @@ def evolve_generation(
 def _gauss_newton(x, residual, bounds: SearchBounds):
     """Polish x on residual(x) -> (r, J); steps are clamped to the bounds.
 
-    Returns (x, J, on_face): J from the last step's evaluation, and
-    on_face telling whether x ends within GN_STEP_M of a face of the
-    search box (a least-norm step off a face is round-off, not a move).
+    Returns (x, on_face): on_face tells whether x ends within GN_STEP_M
+    of a face of the search box (a least-norm step off a face is
+    round-off, not a move).
     """
     lows, highs = bounds.lows(), bounds.highs()
     for _ in range(GN_MAX_STEPS):
@@ -248,7 +249,7 @@ def _gauss_newton(x, residual, bounds: SearchBounds):
         x = moved
         if step < GN_STEP_M:
             break
-    return x, jac, bool(np.any((x - lows < GN_STEP_M) | (highs - x < GN_STEP_M)))
+    return x, bool(np.any((x - lows < GN_STEP_M) | (highs - x < GN_STEP_M)))
 
 
 # The 3x3 linear algebra here uses no LAPACK routine and no BLAS kernel
@@ -336,9 +337,10 @@ def ga_localize(
     GA's best on the GA's residual; the GA stops when two polishes in a
     row inside the box agree, or after config.generations. The fix is a
     final TOF polish, or the GA's best if that polish ends on a box face
-    or leaves a larger TOF residual. The covariance maps tof_sigma (s)
-    and the anchors' sigmas anchor_sigma (m, east/north/up) through the
-    TOF Jacobian, floored at sigma_floor (m).
+    or leaves a larger TOF residual; one tof_jacobian call on both picks
+    it. The covariance maps tof_sigma (s) and the anchors' sigmas
+    anchor_sigma (m, east/north/up) through that call's TOF gradients at
+    the fix, floored at sigma_floor (m).
 
     Deterministic given (measurements, anchors, config, seed). trace, if
     given, is called as trace(generation, best_fitness, sigma) after
@@ -374,7 +376,7 @@ def ga_localize(
     tofs = np.array([m.tof_measured for m in measurements])
 
     def tof_residual(x):
-        tof, ok, jac = tof_jacobian(profile, x, anchor_pos)
+        tof, ok, jac, _ = tof_jacobian(profile, x, anchor_pos)
         return np.where(ok[0], tof[0] - tofs, 0.0), np.where(ok[0, :, None], jac[0], 0.0)
 
     if config.fitness_mode == "range_residual":
@@ -402,7 +404,7 @@ def ga_localize(
         if gen == config.generations - 1:
             break
         if (gen + 1) % POLISH_EVERY == 0:
-            x, _, on_face = _gauss_newton(pop[np.argmin(fits)], residual, bounds)
+            x, on_face = _gauss_newton(pop[np.argmin(fits)], residual, bounds)
             polishes += 1
             agree = last is not None and np.linalg.norm(x - last) < POLISH_AGREE_M
             last = None if on_face else x
@@ -413,21 +415,22 @@ def ga_localize(
         sigma *= MUTATION_SIGMA_DECAY
 
     ga_best = pop[np.argmin(fits)]
-    position, jac, on_face = _gauss_newton(
-        ga_best if last is None else last, tof_residual, bounds
-    )
-    polishes += 1
-    polished_fit = fitness(position, anchor_pos, tofs, profile)
-    if on_face or polished_fit > fitness(ga_best, anchor_pos, tofs, profile):
-        position = ga_best.copy()
-        _, jac = tof_residual(position)
-
-    _, _, anchor_jac = tof_jacobian(profile, anchor_pos, position)
-    tof_var = tof_sigma**2 + (anchor_jac[:, 0, :] ** 2 * np.square(anchor_sigma)).sum(axis=-1)
+    polished, on_face = _gauss_newton(ga_best if last is None else last, tof_residual, bounds)
+    # One kernel call scores the final polish and the GA's best and gives the
+    # TOF gradients at both ends of each pair; the fix is an index into it.
+    candidates = np.array([polished, ga_best])
+    tof, ok, jac, anchor_jac = tof_jacobian(profile, candidates, anchor_pos)
+    tof_fits = _tof_fit(tof, ok, tofs)
+    k = int(on_face or tof_fits[0] > tof_fits[1])
+    best_fitness = float(tof_fits[k])
+    if config.fitness_mode == "range_residual":
+        best_fitness = fitness(candidates[k], anchor_pos, observed, profile, mode=config.fitness_mode)
+    tof_var = tof_sigma**2 + (anchor_jac[k] ** 2 * np.square(anchor_sigma)).sum(axis=-1)
+    jac = np.where(ok[k, :, None], jac[k], 0.0)
     return PositionEstimate(
-        position=position,
-        best_fitness=fitness(position, anchor_pos, observed, profile, mode=config.fitness_mode),
+        position=candidates[k].copy(),  # not a view that keeps both candidates alive
+        best_fitness=best_fitness,
         covariance=_fix_covariance(jac, tof_var, sigma_floor, bounds.largest_extent()),
         generations_run=generations_run,
-        polishes=polishes,
+        polishes=polishes + 1,
     )

@@ -36,7 +36,6 @@ __all__ = [
     "RayPath",
     "PingMeasurement",
     "trace_refracted",
-    "transmission_loss",
     "snr",
     "link_budget",
     "ping_paths",
@@ -128,6 +127,7 @@ class RayPath:
     total_length: float   # m
     tof: float            # s
     ray_parameter: float  # s/m, cos(theta)/c (0 for a vertical ray)
+    absorbed: float       # dB, absorption along the path
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,11 @@ def _tof(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
     return (lengths / np.asarray(profile.sound_speeds)).sum(axis=-1)
 
 
+def _absorbed(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
+    """Absorption (dB) along per-layer path lengths (..., L), summed in layer order."""
+    return (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1)
+
+
 def trace_refracted(
     profile: ChannelProfile,
     source_depth: float,
@@ -308,6 +313,7 @@ def trace_refracted(
         total_length=float(lengths.sum(axis=-1)),
         tof=float(_tof(profile, lengths)),
         ray_parameter=float(p),
+        absorbed=float(_absorbed(profile, lengths)),
     )
 
 
@@ -319,22 +325,6 @@ def _loss_db(total_length: float, absorbed: float) -> float | None:
     if total_length < _REFERENCE_DISTANCE:
         return None
     return 20.0 * math.log10(total_length) + absorbed
-
-
-def transmission_loss(path: RayPath, profile: ChannelProfile) -> float:
-    """Spherical spreading plus per-segment absorption, dB.
-
-    TL = 20 log10(length / 1 m) + sum over segments of alpha * length,
-    with alpha taken per layer from the profile (dB/km converted to dB/m).
-    Paths shorter than the 1 m reference distance are rejected.
-    """
-    absorbed = sum(profile.absorption[seg.layer] * 1e-3 * seg.length for seg in path.segments)
-    loss_db = _loss_db(path.total_length, absorbed)
-    if loss_db is None:
-        raise ValueError(
-            f"path length {path.total_length} m is below the 1 m reference distance"
-        )
-    return loss_db
 
 
 def snr(source_level: float, transmission_loss_db: float, noise_level: float) -> float:
@@ -371,7 +361,7 @@ def ping_paths(profile: ChannelProfile, source, receivers):
     return (
         np.where(ok, _tof(profile, lengths), np.nan),
         lengths.sum(axis=-1),
-        (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1),
+        _absorbed(profile, lengths),
     )
 
 
@@ -438,21 +428,30 @@ def pairwise_tof(profile: ChannelProfile, points_a, points_b):
 
 
 def tof_jacobian(profile: ChannelProfile, points_a, points_b):
-    """pairwise_tof's (tof, ok) plus jac (N, M, 3), dT/d(east, north, up) at points_a.
+    """pairwise_tof's (tof, ok) plus the TOF gradients at both ends, from one kernel call.
 
-    With p the ray parameter, c_t the speed at the point and u the
-    horizontal unit vector from the other end: dT/dhorizontal = p u, and
-    |dT/dup| = sqrt(1 - p^2 c_t^2) / c_t, negative below the other end.
+    Returns (tof, ok, jac_a, jac_b): jac_a (N, M, 3) is dT/d(east, north,
+    up) at points_a and jac_b at points_b. With p the ray parameter, c
+    the speed at an end and u the horizontal unit vector from the other
+    end: dT/dhorizontal = p u (so jac_b's is jac_a's negated), and
+    |dT/dup| = sqrt(1 - p^2 c^2) / c, negative at the deeper end.
     """
-    offset, horizontal, lengths, p, ok = _pair_paths(profile, points_a, points_b)
-    depth = -np.atleast_2d(np.asarray(points_a, float))[:, 2, None]
-    c_t = np.asarray(profile.sound_speeds)[_layer_at(np.asarray(profile.boundaries), depth)]
-    sin_c = np.sqrt(np.maximum(1.0 - (p * c_t) ** 2, 0.0)) / c_t
+    a, b = (np.atleast_2d(np.asarray(points, float)) for points in (points_a, points_b))
+    offset, horizontal, lengths, p, ok = _pair_paths(profile, a, b)
+    # The speeds at both ends, a's then b's, from one layer lookup.
+    ends_up = np.concatenate([a[:, 2], b[:, 2]])
+    c = np.asarray(profile.sound_speeds)[_layer_at(np.asarray(profile.boundaries), -ends_up)]
+    c_ends = np.empty((2,) + p.shape)
+    c_ends[0], c_ends[1] = c[:len(a), None], c[None, len(a):]
+    sin_c = np.sqrt(np.maximum(1.0 - (p * c_ends) ** 2, 0.0)) / c_ends
     rise = offset[..., 2]
     vertical = np.where(rise > 0.0, sin_c, np.where(rise < 0.0, -sin_c, 0.0))
     along = p / np.where(horizontal > 0.0, horizontal, np.inf)
-    jac = np.stack([along * offset[..., 0], along * offset[..., 1], vertical], axis=-1)
-    return _tof(profile, lengths), ok, jac
+    jac = np.empty(c_ends.shape + (3,))
+    jac[0, ..., :2] = along[..., None] * offset[..., :2]
+    jac[1, ..., :2] = -jac[0, ..., :2]
+    jac[0, ..., 2], jac[1, ..., 2] = vertical[0], -vertical[1]
+    return _tof(profile, lengths), ok, jac[0], jac[1]
 
 
 def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):

@@ -15,7 +15,9 @@ from hydroloc.multilateration import (
 from hydroloc.propagation import (
     ChannelProfile,
     PingMeasurement,
+    pairwise_tof,
     range_from_tof,
+    tof_jacobian,
     trace_refracted,
 )
 
@@ -317,11 +319,11 @@ class TestGaLocalize:
         est = ga_localize(meas, ANCHORS, cfg, HOMOG, seed=0)
         during = polishes[:-1]
         assert any(
-            a[2] and b[2] and np.linalg.norm(a[0] - b[0]) < 1e-3
+            a[1] and b[1] and np.linalg.norm(a[0] - b[0]) < 1e-3
             for a, b in zip(during, during[1:])
         ), "no two polishes in a row agreed on the face"
         assert est.generations_run == cfg.generations
-        assert not any(np.array_equal(est.position, x) for x, _, on_face in polishes if on_face)
+        assert not any(np.array_equal(est.position, x) for x, on_face in polishes if on_face)
 
     def test_polish_a_rounding_error_off_the_face_counts_as_on_it(self):
         # A ring-anchor epoch whose GA best sits on the surface: the
@@ -381,3 +383,66 @@ class TestGaLocalize:
         assert len(calls) == 1
         # converted at the middle of the search depths
         assert calls[0][3] == 50.0
+
+    def test_covariance_is_taken_at_the_fix(self, monkeypatch):
+        # In range mode the final TOF polish moves off the range optimum, so
+        # a Jacobian from before its last step differs from one at the fix.
+        gauss_newton = multilateration._gauss_newton
+        polishes = []
+
+        def recorded(x, residual, bounds):
+            polishes.append((np.array(x), *gauss_newton(x, residual, bounds)))
+            return polishes[-1][1:]
+
+        monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
+        truth = np.array([30.0, -20.0, -60.0])
+        meas = noiseless_measurements(truth=truth, profile=THREE_LAYER)
+        cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
+                       fitness_mode="range_residual")
+        est = ga_localize(meas, ANCHORS, cfg, THREE_LAYER, seed=3, tof_sigma=1e-4,
+                          anchor_sigma=(0.5, 0.5, 0.1), sigma_floor=1e-6)
+        start, polished = polishes[-1][:2]
+        assert np.array_equal(est.position, polished)
+        assert np.linalg.norm(polished - start) > 1e-3
+
+        _, ok, jac, anchor_jac = tof_jacobian(THREE_LAYER, est.position, ANCHOR_POS)
+        assert ok.all()
+        tof_var = 1e-4**2 + (anchor_jac[0] ** 2 * np.square((0.5, 0.5, 0.1))).sum(axis=-1)
+        expected = multilateration._fix_covariance(jac[0], tof_var, 1e-6, BOUNDS.largest_extent())
+        np.testing.assert_allclose(est.covariance, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    def test_kernel_call_budget(self, monkeypatch, mode):
+        # The GA scores each generation with one pairwise_tof call (TOF mode)
+        # or none (range mode); past Gauss-Newton's own steps, one
+        # tof_jacobian call picks the fix and gives its covariance.
+        calls = {"pairwise_tof": 0, "tof_jacobian": 0, "tail": 0}
+        in_polish = [False]
+        gauss_newton = multilateration._gauss_newton
+
+        def counted_pairwise(*args):
+            calls["pairwise_tof"] += 1
+            return pairwise_tof(*args)
+
+        def counted_jacobian(*args):
+            calls["tof_jacobian" if in_polish[0] else "tail"] += 1
+            return tof_jacobian(*args)
+
+        def recorded(x, residual, bounds):
+            in_polish[0] = True
+            try:
+                return gauss_newton(x, residual, bounds)
+            finally:
+                in_polish[0] = False
+
+        monkeypatch.setattr(multilateration, "pairwise_tof", counted_pairwise)
+        monkeypatch.setattr(multilateration, "tof_jacobian", counted_jacobian)
+        monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
+        meas = noiseless_measurements(truth=np.array([30.0, -20.0, -60.0]), profile=THREE_LAYER)
+        cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
+                       fitness_mode=mode)
+        est = ga_localize(meas, ANCHORS, cfg, THREE_LAYER, seed=3)
+        expected = est.generations_run if mode == "tof_residual" else 0
+        assert calls["pairwise_tof"] == expected
+        assert calls["tof_jacobian"] > 0
+        assert calls["tail"] == 1

@@ -10,13 +10,13 @@ from hydroloc.propagation import (
     ChannelConfig,
     ChannelProfile,
     NoDirectPathError,
+    link_budget,
     pairwise_tof,
     ping_paths,
     simulate_ping,
     snr,
     tof_jacobian,
     trace_refracted,
-    transmission_loss,
 )
 
 
@@ -181,34 +181,53 @@ class TestTraceRefracted:
 
 
 class TestLinkBudget:
+    CONFIG = ChannelConfig(source_level=180.0, noise_level=50.0)
+
+    def loss(self, path):
+        return link_budget(self.CONFIG, path.total_length, path.absorbed)[0]
+
     def test_pure_spherical_spreading(self):
         prof = profile((0.0, 2000.0), (1500.0,), absorption=(0.0,))
         path = trace_refracted(prof, 1000.0, 0.0, 0.0)
-        assert transmission_loss(path, prof) == pytest.approx(60.0, abs=1e-12)
+        assert self.loss(path) == pytest.approx(60.0, abs=1e-12)
 
     def test_uniform_absorption_adds_linearly(self):
         prof = profile((0.0, 2000.0), (1500.0,), absorption=(1.0,))
         path = trace_refracted(prof, 1000.0, 0.0, 0.0)
-        assert transmission_loss(path, prof) == pytest.approx(61.0, abs=1e-12)
+        assert self.loss(path) == pytest.approx(61.0, abs=1e-12)
 
     def test_two_layer_weighted_absorption(self):
         prof = profile((0.0, 100.0, 200.0), (1500.0, 1480.0), absorption=(1.0, 3.0))
         path = trace_refracted(prof, 200.0, 0.0, 0.0)
         expected = 20.0 * math.log10(200.0) + (100.0 * 1.0 + 100.0 * 3.0) / 1000.0
-        assert transmission_loss(path, prof) == pytest.approx(expected, abs=1e-12)
+        assert self.loss(path) == pytest.approx(expected, abs=1e-12)
 
     def test_reference_distance_error(self):
         path = trace_refracted(HOMOG, 100.0, 100.0, 0.5)
-        with pytest.raises(ValueError, match="reference distance"):
-            transmission_loss(path, HOMOG)
+        assert link_budget(self.CONFIG, path.total_length, path.absorbed) == (None, None, False)
 
     def test_loss_increases_with_length(self):
         prof = profile((0.0, 2000.0), (1500.0,), absorption=(0.5,))
         losses = [
-            transmission_loss(trace_refracted(prof, d, 0.0, 0.0), prof)
-            for d in (10.0, 100.0, 500.0, 1500.0)
+            self.loss(trace_refracted(prof, d, 0.0, 0.0)) for d in (10.0, 100.0, 500.0, 1500.0)
         ]
         assert all(b > a for a, b in zip(losses, losses[1:]))
+
+    def test_trace_sums_equal_ping_paths(self):
+        # hydroloc ping applies the link rule to a RayPath, a run to ping_paths'
+        # sums: both must be the same numbers.
+        rng = np.random.default_rng(3)
+        prof = random_profile(rng, 3)
+        source = (0.0, 0.0, -rng.uniform(0.0, prof.total_depth))
+        receivers = np.c_[rng.uniform(-300.0, 300.0, (40, 2)),
+                          -rng.uniform(0.0, prof.total_depth, 40)]
+        receivers[:5, 2] = 0.0
+        tof, length, absorbed = ping_paths(prof, source, receivers)
+        for j, r in enumerate(receivers):
+            horizontal = math.hypot(r[0] - source[0], r[1] - source[1])
+            path = trace_refracted(prof, -source[2], 0.0 - r[2], horizontal)
+            assert (path.tof, path.total_length, path.absorbed) == (
+                tof[j], length[j], absorbed[j])
 
     def test_snr_equation(self):
         assert snr(170.0, 60.0, 50.0) == 60.0
@@ -284,7 +303,7 @@ class TestSimulatePing:
         assert pings == []
 
     def test_path_below_reference_distance_is_a_non_detection(self):
-        # 0.54 m: transmission_loss rejects such a path; the ping is not detected.
+        # 0.54 m: below link_budget's reference distance; the ping is not detected.
         receivers = ((0.2, 0.0, -399.5), (300.0, 0.0, 0.0))
         pings = self.pings(receivers=receivers, seeds=(0, 1))
         assert [p.anchor_id for p in pings] == ["a1"]
@@ -484,25 +503,58 @@ class TestTofJacobian:
         profile((0.0, 150.0), (1500.0,)),
     ], ids=["3-layer", "1-layer"])
     def test_matches_central_differences(self, prof):
-        tof, ok, jac = tof_jacobian(prof, self.BEACONS, self.ANCHORS)
+        h = 1e-3
+        tof, ok, jac_a, _ = tof_jacobian(prof, self.BEACONS, self.ANCHORS)
         assert ok.all()
         assert np.array_equal(tof, pairwise_tof(prof, self.BEACONS, self.ANCHORS)[0])
-        h = 1e-3
+        # The anchor side, with the surface anchors 2h down, so that a step up
+        # stays in the water.
+        anchors = np.array(self.ANCHORS)
+        anchors[:, 2] = np.minimum(anchors[:, 2], -2 * h)
+        _, _, _, jac_b = tof_jacobian(prof, self.BEACONS, anchors)
+        beacons = np.array(self.BEACONS)
+
+        def central(step_a, step_b, points_b):
+            ahead, _ = pairwise_tof(prof, beacons + step_a, np.add(points_b, step_b))
+            behind, _ = pairwise_tof(prof, beacons - step_a, np.subtract(points_b, step_b))
+            return (ahead - behind) / (2 * h)
+
         for axis in range(3):
             step = np.zeros(3)
             step[axis] = h
-            ahead, _ = pairwise_tof(prof, np.add(self.BEACONS, step), self.ANCHORS)
-            behind, _ = pairwise_tof(prof, np.subtract(self.BEACONS, step), self.ANCHORS)
-            np.testing.assert_allclose(jac[..., axis], (ahead - behind) / (2 * h),
+            np.testing.assert_allclose(jac_a[..., axis], central(step, 0.0, self.ANCHORS),
+                                       rtol=0.0, atol=1e-11)
+            np.testing.assert_allclose(jac_b[..., axis], central(0.0, step, anchors),
                                        rtol=0.0, atol=1e-11)
 
     def test_closed_forms(self):
         prof = profile((0.0, 30.0, 80.0, 150.0), (1510.0, 1495.0, 1485.0))
-        _, _, jac = tof_jacobian(prof, self.BEACONS, self.ANCHORS)
-        # Straight up: no horizontal term, -1/c at the beacon.
+        _, _, jac, jac_b = tof_jacobian(prof, self.BEACONS, self.ANCHORS)
+        # Straight up: no horizontal term, -1/c at the beacon and +1/c at
+        # the anchor, each in its own layer.
         assert np.array_equal(jac[0, 2], [0.0, 0.0, -1.0 / 1495.0])
-        # Level: the ray runs horizontally, p = 1/c and no vertical term.
+        assert np.array_equal(jac_b[0, 2], [0.0, 0.0, 1.0 / 1510.0])
+        # Level: the ray runs horizontally, p = 1/c and no vertical term;
+        # the anchor's horizontal gradient is the beacon's negated.
         unit = np.subtract(self.BEACONS[1], self.ANCHORS[3])[:2] / math.dist(
             self.BEACONS[1][:2], self.ANCHORS[3][:2])
         np.testing.assert_allclose(jac[1, 3, :2], unit / 1485.0, rtol=1e-14)
         assert jac[1, 3, 2] == 0.0
+        assert np.array_equal(jac_b[1, 3, :2], -jac[1, 3, :2])
+        assert jac_b[1, 3, 2] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_anchor_side_squares_equal_the_reversed_call(self):
+        # The fix covariance maps anchor noise through jac_b**2; it must be
+        # the reversed call's squared jac_a, to the last bit.
+        prof = profile((0.0, 30.0, 80.0, 150.0), (1510.0, 1495.0, 1485.0))
+        rng = np.random.default_rng(7)
+        beacons = rng.uniform((-150.0, -150.0, -150.0), (150.0, 150.0, 0.0), (60, 3))
+        anchors = np.c_[rng.uniform(-150.0, 150.0, (8, 2)), -rng.uniform(0.0, 2.0, 8)]
+        anchors[:3, 2] = 0.0
+        beacons[:4, :2] = anchors[:4, :2]  # straight up and down
+        beacons[4:8, 2] = anchors[4:8, 2]  # level
+        tof, ok, _, jac_b = tof_jacobian(prof, beacons, anchors)
+        rev_tof, rev_ok, rev_jac, _ = tof_jacobian(prof, anchors, beacons)
+        assert np.array_equal(tof, rev_tof.T) and np.array_equal(ok, rev_ok.T)
+        assert np.array_equal(jac_b**2, rev_jac.transpose(1, 0, 2) ** 2)
