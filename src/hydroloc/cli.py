@@ -91,7 +91,8 @@ def _cmd_ping(args) -> int:
     src = _parse_endpoint(args.src, "--src", profile)
     dst = _parse_endpoint(args.dst, "--dst", profile)
 
-    horizontal = math.hypot(dst[0] - src[0], dst[1] - src[1])
+    # As ping_paths does, to the last bit: np.hypot of source minus receiver.
+    horizontal = float(np.hypot(*(src - dst)[:2]))
     # 0.0 - up rather than -up, so that a surface endpoint has depth 0.0, not -0.0.
     depth_src, depth_dst = float(0.0 - src[2]), float(0.0 - dst[2])
     try:

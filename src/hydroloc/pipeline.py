@@ -251,27 +251,25 @@ def _rmse(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(values**2)))
 
 
+def _error_stats(diff: np.ndarray):
+    """(3-D RMSE, per-axis RMSEs, maximum) of position errors (K, 3), m."""
+    norms = np.linalg.norm(diff, axis=1)
+    return _rmse(norms), tuple(_rmse(diff[:, k]) for k in range(3)), float(np.max(norms))
+
+
 def _summarize(scenario: Scenario, records, total_detections: int) -> RunSummary:
     n_epochs = len(records)
     fix_records = [r for r in records if r.estimate is not None]
     origin = scenario.enu_origin
 
-    fused_diff = np.array([r.fused.position - r.true_position for r in records])
-    rmse_fused_axes = tuple(_rmse(fused_diff[:, k]) for k in range(3))
-    rmse_fused = _rmse(np.linalg.norm(fused_diff, axis=1))
-    max_fused = float(np.max(np.linalg.norm(fused_diff, axis=1)))
-
+    rmse_fused, rmse_fused_axes, max_fused = _error_stats(
+        np.array([r.fused.position - r.true_position for r in records])
+    )
+    rmse_raw = rmse_raw_axes = max_raw = None
     if fix_records:
-        raw_diff = np.array(
-            [r.estimate.position - r.true_position for r in fix_records]
+        rmse_raw, rmse_raw_axes, max_raw = _error_stats(
+            np.array([r.estimate.position - r.true_position for r in fix_records])
         )
-        rmse_raw_axes = tuple(_rmse(raw_diff[:, k]) for k in range(3))
-        rmse_raw = _rmse(np.linalg.norm(raw_diff, axis=1))
-        max_raw = float(np.max(np.linalg.norm(raw_diff, axis=1)))
-    else:
-        rmse_raw_axes = None
-        rmse_raw = None
-        max_raw = None
 
     return RunSummary(
         epochs=n_epochs,

@@ -10,12 +10,14 @@ A path that crosses at most one layer is the chord between its
 endpoints. A path across two or more layers refracts by the
 Snell-Descartes law: the ray parameter p = cos(theta)/c is constant
 across layer interfaces, with theta the grazing angle from horizontal.
-p comes from Newton's method on the tangent of the ray's angle from
-vertical in the fastest crossed layer, in which the horizontal range is
-concave and increasing.
+Newton's method finds the tangent of the ray's angle from vertical in
+the fastest crossed layer, in which the horizontal range is concave and
+increasing; p and the per-layer lengths both come from that tangent,
+which keeps them precise up to grazing.
 
-Positions at module boundaries are ENU (up negative underwater); depth
-is positive down internally, converted by negation.
+Positions at module boundaries are ENU (up negative underwater); they
+enter the kernel through _pair_paths, which turns them into depths
+(positive down, by negation) and horizontal ranges.
 """
 
 from __future__ import annotations
@@ -164,12 +166,13 @@ def _layer_at(boundaries: np.ndarray, z) -> np.ndarray:
 
 
 def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray):
-    """Ray parameters that close the horizontal ranges of refracted rays.
+    """The refracted rays that close the horizontal ranges.
 
     dz is (K, L) per-layer vertical extent, each row crossing two or more
     layers, and ranges (K,) the rows' horizontal ranges, all > 0. Returns
-    (p, ok); rows whose range is not reachable before the ray turns get
-    ok=False and p = 0.
+    (lengths, p, ok): the (K, L) per-layer path lengths and the ray
+    parameters; rows whose range is not reachable before the ray turns
+    get ok=False and p = 0 (their lengths are meaningless).
 
     Newton's method on u, the tangent of the ray's angle from vertical in
     the fastest crossed layer (speed c_max). With r_i = c_i / c_max,
@@ -177,8 +180,10 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
     layer adds dz u and every slower term is concave, so the map is
     concave and increasing. From the straight-line guess R / sum(dz),
     whose range is at most R, no Newton step passes the root, so no
-    bracket is needed. Each row stops at its own convergence, so its p
-    does not depend on the other rows. p = u / (c_max sqrt(1 + u^2)).
+    bracket is needed. Each row stops at its own convergence, so its
+    result does not depend on the other rows. From u, without the
+    cancellation of 1 - p^2 c^2 near grazing, p = u / (c_max sqrt(1 + u^2))
+    and length_i = dz_i sqrt(1 + u^2) / sqrt(1 + (1 - r_i^2) u^2).
     """
     # Non-traversed layers get r = 0, so their terms vanish (dz is 0 there too).
     c_eff = np.where(dz > 0.0, speeds, 0.0)
@@ -213,8 +218,10 @@ def _solve_ray_parameter(dz: np.ndarray, speeds: np.ndarray, ranges: np.ndarray)
         if not active.any():
             break
 
-    p = u / (c_max * np.sqrt(1.0 + u * u))
-    return np.where(ok, p, 0.0)[:, 0], ok[:, 0]
+    secant = np.sqrt(1.0 + u * u)
+    lengths = dz * (secant / np.sqrt(1.0 + slow * (u * u)))
+    p = u / (c_max * secant)
+    return lengths, np.where(ok, p, 0.0)[:, 0], ok[:, 0]
 
 
 def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
@@ -231,10 +238,10 @@ def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
     A pair that crosses at most one layer, level and coincident pairs
     included, is its chord hypot(range, z_hi - z_lo), placed in the layer
     at the shallower depth, with p = range / (chord c), or 0 for a zero
-    chord. A pair across two or more layers has
-    length_i = dz_i / sqrt(1 - p^2 c_i^2), with p closing the range
-    (_solve_ray_parameter); it has no direct ray when closing the range
-    needs p c >= 1 - _P_MARGIN in its fastest crossed layer.
+    chord; a vertical pair across two or more layers has length dz_i in
+    each and p = 0. The lengths and p of any other pair come from the
+    ray solve (_solve_ray_parameter); it has no direct ray when closing
+    the range needs p c >= 1 - _P_MARGIN in its fastest crossed layer.
     """
     boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
@@ -245,21 +252,21 @@ def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
         np.minimum(z_src, z_rcv), np.maximum(z_src, z_rcv), np.asarray(horizontal, float)
     )
     dz = _layer_overlaps(boundaries, z_lo, z_hi)
-    crossed = dz > 0.0
-    refracted = crossed.sum(axis=-1) > 1
+    refracted = (dz > 0.0).sum(axis=-1) > 1
     chord = np.hypot(horizontal, z_hi - z_lo)
     layer = _layer_at(boundaries, z_lo)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(chord > 0.0, horizontal / (chord * speeds[layer]), 0.0)
-        ok = np.ones(p.shape, dtype=bool)
-        solve = refracted & (horizontal > 0.0)
-        if solve.any():
-            p[solve], ok[solve] = _solve_ray_parameter(dz[solve], speeds, horizontal[solve])
-        sin = np.sqrt(1.0 - (p[..., None] * speeds) ** 2)
-        bent = np.where(crossed, dz / sin, 0.0)
+    # The chord rule for every pair, then the solved rays over the bent ones.
     straight = np.where(np.arange(len(speeds)) == layer[..., None], chord[..., None], 0.0)
-    lengths = np.where(refracted[..., None], bent, straight)
+    lengths = np.where(refracted[..., None], dz, straight)
+    p = np.zeros(chord.shape)
+    np.divide(horizontal, chord * speeds[layer], out=p, where=chord > 0.0)
+    ok = np.ones(p.shape, dtype=bool)
+    solve = refracted & (horizontal > 0.0)
+    if solve.any():
+        lengths[solve], p[solve], ok[solve] = _solve_ray_parameter(
+            dz[solve], speeds, horizontal[solve]
+        )
     return lengths, dz, p, ok
 
 
@@ -351,13 +358,11 @@ def ping_paths(profile: ChannelProfile, source, receivers):
     receivers is (M, 3). Returns (tof, length, absorbed), each of shape
     (M,): the travel time (s), the path length (m) and the absorption
     along the path (dB), each summed in layer order. tof is NaN where no
-    direct path exists.
+    direct path exists. The paths are _pair_paths' (1, M) row, so the
+    horizontal range is np.hypot of the source-minus-receiver offset.
     """
-    src = np.asarray(source, float)
-    rcv = np.asarray(receivers, float).reshape(-1, 3)
-    z_src, z_rcv = float(-src[2]), -rcv[:, 2]
-    horizontal = [math.hypot(r[0] - src[0], r[1] - src[1]) for r in rcv]
-    lengths, _, _, ok = _layer_paths(profile, z_src, z_rcv, horizontal)
+    _, _, lengths, _, ok = _pair_paths(profile, source, receivers)
+    lengths, ok = lengths[0], ok[0]
     return (
         np.where(ok, _tof(profile, lengths), np.nan),
         lengths.sum(axis=-1),
@@ -473,10 +478,9 @@ def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
         )
 
     boundaries = np.asarray(profile.boundaries)
-    speeds = np.asarray(profile.sound_speeds)
     thickness = z_hi - z_lo
     with np.errstate(invalid="ignore", divide="ignore"):
-        harmonic = thickness / (_layer_overlaps(boundaries, z_lo, z_hi) / speeds).sum(axis=-1)
-    local = speeds[_layer_at(boundaries, z_lo)]
+        harmonic = thickness / _tof(profile, _layer_overlaps(boundaries, z_lo, z_hi))
+    local = np.asarray(profile.sound_speeds)[_layer_at(boundaries, z_lo)]
     ranges = tof * np.where(thickness > 0.0, harmonic, local)
     return float(ranges) if ranges.ndim == 0 else ranges

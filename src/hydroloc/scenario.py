@@ -240,7 +240,7 @@ def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
     return sigma
 
 
-def _parse_trajectory(node: dict, profile: ChannelProfile, bounds: SearchBounds):
+def _parse_trajectory(node: dict, bounds: SearchBounds):
     items = _sequence(node, "trajectory", "scenario")
     if len(items) < 2:
         raise ScenarioError(
@@ -253,11 +253,6 @@ def _parse_trajectory(node: dict, profile: ChannelProfile, bounds: SearchBounds)
         keys = ("time", *_AXES)
         _check_unknown(m, keys, ctx)
         t, e, n, u = (_read(m, key, ctx) for key in keys)
-        if not 0.0 <= -u <= profile.total_depth:
-            raise ScenarioError(
-                f"{ctx}.up: depth {-u} m outside the water column "
-                f"[0, {profile.total_depth}]"
-            )
         for axis, value in zip(_AXES, (e, n, u)):
             lo, hi = getattr(bounds, axis)
             if not lo <= value <= hi:
@@ -341,7 +336,7 @@ def parse_scenario(text: str) -> Scenario:
         origin = _parse_geodetic(m, "enu_origin")
 
     ga = _parse_ga(root, profile)
-    waypoints = _parse_trajectory(root, profile, ga.search_bounds)
+    waypoints = _parse_trajectory(root, ga.search_bounds)
     ping_interval = _read(root, "ping_interval", "scenario")
     if ping_interval <= 0:
         raise ScenarioError(f"ping_interval: must be > 0, got {ping_interval}")

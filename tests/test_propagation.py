@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -224,7 +225,8 @@ class TestLinkBudget:
         receivers[:5, 2] = 0.0
         tof, length, absorbed = ping_paths(prof, source, receivers)
         for j, r in enumerate(receivers):
-            horizontal = math.hypot(r[0] - source[0], r[1] - source[1])
+            # The kernel's horizontal range: np.hypot of source minus receiver.
+            horizontal = float(np.hypot(source[0] - r[0], source[1] - r[1]))
             path = trace_refracted(prof, -source[2], 0.0 - r[2], horizontal)
             assert (path.tof, path.total_length, path.absorbed) == (
                 tof[j], length[j], absorbed[j])
@@ -420,6 +422,32 @@ class TestPairwiseTof:
         with pytest.raises(ValueError, match="outside the water column"):
             pairwise_tof(TWO_LAYER, [(0.0, 0.0, 5.0)], [(0.0, 0.0, -50.0)])
 
+    @pytest.mark.parametrize("grazing", [1e-3, 1e-5, 1e-7, 1e-8, 1.5e-9])
+    def test_tof_precise_up_to_grazing(self, grazing):
+        # A 3-layer path whose ray has p c_max = 1 - grazing, against a
+        # 50-digit reference: bisect s = p c_max so that the ray closes the
+        # float range exactly, then sum the travel time.
+        speeds = (1495.0, 1510.0, 1480.0)
+        prof = profile((0.0, 50.0, 100.0, 150.0), speeds)
+        dz = column_overlaps(prof, 140.0, 5.0)
+        with localcontext(prec=50):
+            ratios = [Decimal(c) / Decimal(max(speeds)) for c in speeds]
+
+            def closed_range(s):
+                return sum(Decimal(d) * s * r / (1 - (s * r) ** 2).sqrt()
+                           for d, r in zip(dz, ratios))
+
+            horizontal = float(closed_range(1 - Decimal(grazing)))
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(170):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if closed_range(mid) < Decimal(horizontal) else (lo, mid)
+            reference = sum(Decimal(d) / (Decimal(c) * (1 - (lo * r) ** 2).sqrt())
+                            for d, c, r in zip(dz, speeds, ratios))
+        tof, ok = pairwise_tof(prof, [(0.0, 0.0, -140.0)], [(horizontal, 0.0, -5.0)])
+        assert ok[0, 0]
+        assert abs(tof[0, 0] - float(reference)) <= 1e-15 * float(reference)
+
 
 def exact_range(p, dz, speeds):
     """Horizontal range of the ray with parameter p, 1 - (p c)^2 taken exactly.
@@ -465,7 +493,7 @@ class TestSolveRayParameter:
                               10.0 ** rng.uniform(-3.0, 0.0, rows)])
         ranges = dz.sum(axis=-1) * 10.0 ** rng.uniform(-3.0, 2.0, rows)
 
-        p, ok = propagation._solve_ray_parameter(dz, speeds, ranges)
+        lengths, p, ok = propagation._solve_ray_parameter(dz, speeds, ranges)
         p_cap = (1.0 - propagation._P_MARGIN) / speeds[-1]
         reach = np.array([exact_range(p_cap, d, speeds) for d in dz])
         assert np.array_equal(ok, reach >= ranges)
@@ -473,12 +501,16 @@ class TestSolveRayParameter:
 
         # Every row stopped inside the cap: more steps change nothing.
         monkeypatch.setattr(propagation, "_NEWTON_STEPS", 4 * propagation._NEWTON_STEPS)
-        assert np.array_equal(propagation._solve_ray_parameter(dz, speeds, ranges)[0], p)
+        assert np.array_equal(propagation._solve_ray_parameter(dz, speeds, ranges)[1], p)
 
         # Away from grazing, p agrees with a bisection of the same map.
         steep = ok & (p * speeds[-1] < 1.0 - 1e-6)
         reference = bisect_ray_parameter(dz[steep], speeds, ranges[steep])
         np.testing.assert_allclose(p[steep], reference, rtol=1e-12, atol=0.0)
+        # There the lengths are also the ones p gives, dz / sqrt(1 - (p c)^2), up
+        # to p's rounding, which moves a length by ~1e-10 at p c = 1 - 1e-6.
+        bent = dz[steep] / np.sqrt(1.0 - (p[steep, None] * speeds) ** 2)
+        np.testing.assert_allclose(lengths[steep], bent, rtol=1e-9, atol=0.0)
 
         # The range closes. Near grazing the range moves by up to ~1e-7 per
         # ulp of p, so the closure is judged up to p's neighbouring floats.

@@ -164,8 +164,9 @@ class TestValidation:
             parse_scenario(text)
 
     def test_waypoint_below_column_rejected(self):
+        # The search box lies inside the column, so its check covers the column's.
         text = MINIMAL.replace("up: -50.0}\n", "up: -150.0}\n", 1)
-        with pytest.raises(ScenarioError, match="outside the water column"):
+        with pytest.raises(ScenarioError, match=r"outside ga\.search_bounds\.up"):
             parse_scenario(text)
 
     def test_bounds_above_surface_rejected(self):
