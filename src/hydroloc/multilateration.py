@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagation import ChannelProfile, pairwise_tof, range_from_tof, tof_jacobian
+from .streams import Stream, box_muller
 
 __all__ = [
     "Anchor",
@@ -189,7 +190,7 @@ def evolve_generation(
     population: np.ndarray,
     fitness_values: np.ndarray,
     config: GaConfig,
-    rng: np.random.Generator,
+    rng: Stream,
     sigma: float,
 ) -> np.ndarray:
     """One generation step: elitism, tournament, BLX-0.5, mutation, clamp.
@@ -199,6 +200,12 @@ def evolve_generation(
     CROSSOVER_RATE (otherwise cloned from the first parent), then each
     coordinate is perturbed with probability MUTATION_RATE by Gaussian
     noise of the given sigma. Offspring are clamped to the search bounds.
+
+    rng is anything whose random(shape) returns uniforms in [0, 1), such
+    as a Stream or a numpy Generator. One call draws the generation's
+    uniforms, a row per offspring: the two tournaments' contenders
+    (floor(u n)), the crossover draw, the blend, the mutation mask and
+    the two Box-Muller uniforms of each coordinate's mutation.
     """
     pop = np.asarray(population, float)
     fits = np.asarray(fitness_values, float)
@@ -210,21 +217,21 @@ def evolve_generation(
     elites = pop[order[:ELITE_COUNT]].copy()
     n_off = n - ELITE_COUNT
 
-    contenders = rng.integers(0, n, size=(n_off, 2, TOURNAMENT_SIZE))
+    t = 2 * TOURNAMENT_SIZE
+    u = rng.random((n_off, t + 13))
+    contenders = (u[:, :t] * n).astype(np.intp).reshape(n_off, 2, TOURNAMENT_SIZE)
+    cross, mix, mutate = u[:, t:t + 1], u[:, t + 1:t + 4], u[:, t + 4:t + 7]
+    normal = box_muller(u[:, t + 7:t + 10], u[:, t + 10:])
     best_slot = fits[contenders].argmin(axis=-1)
     parent_idx = np.take_along_axis(contenders, best_slot[..., None], axis=-1)[..., 0]
     p1 = pop[parent_idx[:, 0]]
     p2 = pop[parent_idx[:, 1]]
 
-    do_cross = rng.random(n_off) < CROSSOVER_RATE
     span = np.abs(p1 - p2)
     lo = np.minimum(p1, p2) - 0.5 * span
     hi = np.maximum(p1, p2) + 0.5 * span
-    blend = lo + rng.random((n_off, 3)) * (hi - lo)
-    children = np.where(do_cross[:, None], blend, p1)
-
-    mutate = rng.random((n_off, 3)) < MUTATION_RATE
-    children = children + mutate * rng.normal(0.0, sigma, size=(n_off, 3))
+    children = np.where(cross < CROSSOVER_RATE, lo + mix * (hi - lo), p1)
+    children = children + (mutate < MUTATION_RATE) * (sigma * normal)
 
     bounds = config.search_bounds
     children = np.clip(children, bounds.lows(), bounds.highs())
@@ -390,8 +397,9 @@ def ga_localize(
     else:
         observed, residual = tofs, tof_residual
 
-    rng = np.random.default_rng(seed)
-    pop = rng.uniform(bounds.lows(), bounds.highs(), size=(config.population_size, 3))
+    rng = Stream(seed)
+    lows, highs = bounds.lows(), bounds.highs()
+    pop = lows + rng.random((config.population_size, 3)) * (highs - lows)
     sigma = config.initial_sigma()
 
     last = None  # the last polish that ended inside the box

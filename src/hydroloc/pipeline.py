@@ -1,8 +1,8 @@
 """Scenario execution: simulate pings per epoch, localize, fuse, write out.
 
-Every random draw comes from a child generator derived from the master
-seed by splitmix-style mixing of (purpose tag, epoch index, anchor
-index), so outputs are byte-identical for a given (scenario, seed) and
+Every random draw comes from a SplitMix64 Stream whose seed child_seed
+mixes from the master seed and (purpose tag, epoch index, anchor index),
+so outputs are byte-identical for a given (scenario, seed) and
 independent of evaluation order.
 """
 
@@ -30,6 +30,7 @@ from .fusion import (
 from .multilateration import Anchor, PositionEstimate, ga_localize
 from .propagation import ping_paths, simulate_ping
 from .scenario import Scenario
+from .streams import Stream, child_seed
 
 __all__ = [
     "EpochRecord",
@@ -50,29 +51,12 @@ _TAG_PING = 2
 _TAG_PRESSURE = 3
 _TAG_GA = 4
 
-_MASK64 = (1 << 64) - 1
-
 CSV_COLUMNS = (
     "t", "true_e", "true_n", "true_u",
     "est_e", "est_n", "est_u",
     "fused_e", "fused_n", "fused_u",
     "raw_err", "fused_err", "n_detections",
 )
-
-
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def child_seed(master: int, *tags: int) -> int:
-    """Derive an independent 64-bit stream seed from the master seed."""
-    x = master & _MASK64
-    for tag in tags:
-        x = _splitmix64((x + (tag & _MASK64)) & _MASK64)
-    return x
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -130,10 +114,8 @@ def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
     profile = scenario.profile
     anchors_true = np.asarray(scenario.anchor_enu, float)
 
-    gps_rng = np.random.default_rng(child_seed(scenario.seed, _TAG_GPS, epoch_idx))
-    noise = gps_rng.normal(0.0, 1.0, size=anchors_true.shape) * np.asarray(
-        scenario.gps_noise_sigma
-    )
+    gps = Stream(child_seed(scenario.seed, _TAG_GPS, epoch_idx))
+    noise = gps.standard_normal(anchors_true.shape) * np.asarray(scenario.gps_noise_sigma)
     reported = anchors_true + noise
     # Keep reported hydrophone depths physical so the fitness model can
     # trace to them: at or below the surface, inside the column.
@@ -153,12 +135,10 @@ def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
         if ping is not None:
             measurements.append(ping)
 
-    pressure_rng = np.random.default_rng(
-        child_seed(scenario.seed, _TAG_PRESSURE, epoch_idx)
-    )
+    pressure = Stream(child_seed(scenario.seed, _TAG_PRESSURE, epoch_idx))
     true_depth = -float(true_pos[2])
     noisy_depth = max(
-        0.0, true_depth + pressure_rng.normal(0.0, scenario.ekf.pressure_sigma_depth)
+        0.0, true_depth + scenario.ekf.pressure_sigma_depth * pressure.standard_normal()
     )
     rho = scenario.ekf.water_density
     reading = PressureReading(

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import acoustics_profile
+from .streams import Stream
 
 __all__ = [
     "NoDirectPathError",
@@ -361,7 +362,7 @@ def ping_paths(profile: ChannelProfile, source, receivers):
     direct path exists. The paths are _pair_paths' (1, M) row, so the
     horizontal range is np.hypot of the source-minus-receiver offset.
     """
-    _, _, lengths, _, ok = _pair_paths(profile, source, receivers)
+    _, _, lengths, _, _, ok = _pair_paths(profile, source, receivers)
     lengths, ok = lengths[0], ok[0]
     return (
         np.where(ok, _tof(profile, lengths), np.nan),
@@ -384,8 +385,8 @@ def simulate_ping(
     Returns None (a non-detection) when no direct path exists (tof not
     finite), when link_budget does not detect the path, or when timing
     noise would make the TOF non-positive. The measured TOF is the path
-    TOF plus one Gaussian draw from np.random.default_rng(seed), drawn
-    only for a detected ping.
+    TOF plus tof_noise_sigma times the first normal of Stream(seed),
+    drawn only for a detected ping.
     """
     if not math.isfinite(tof):
         log.debug("anchor %s at t=%.3f: no direct path", anchor_id, timestamp)
@@ -397,8 +398,7 @@ def simulate_ping(
             anchor_id, timestamp, length, snr_db, config.detection_threshold,
         )
         return None
-    rng = np.random.default_rng(seed)
-    tof_measured = float(tof + rng.normal(0.0, config.tof_noise_sigma))
+    tof_measured = float(tof + config.tof_noise_sigma * Stream(seed).standard_normal())
     if tof_measured <= 0.0:
         log.debug("anchor %s at t=%.3f: noisy TOF non-positive", anchor_id, timestamp)
         return None
@@ -408,15 +408,14 @@ def simulate_ping(
 def _pair_paths(profile: ChannelProfile, points_a, points_b):
     """The kernel's paths from each ENU point in points_a to each in points_b.
 
-    Returns (offset, horizontal, lengths, p, ok): the (N, M, 3) offsets
-    a - b, their horizontal ranges and _layer_paths' outputs.
+    Returns (offset, horizontal, lengths, dz, p, ok): the (N, M, 3)
+    offsets a - b, their horizontal ranges and _layer_paths' outputs.
     """
     a = np.atleast_2d(np.asarray(points_a, float))
     b = np.atleast_2d(np.asarray(points_b, float))
     offset = a[:, None, :] - b[None, :, :]
     horizontal = np.hypot(offset[..., 0], offset[..., 1])
-    lengths, _, p, ok = _layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
-    return offset, horizontal, lengths, p, ok
+    return offset, horizontal, *_layer_paths(profile, -a[:, 2, None], -b[None, :, 2], horizontal)
 
 
 def pairwise_tof(profile: ChannelProfile, points_a, points_b):
@@ -428,7 +427,7 @@ def pairwise_tof(profile: ChannelProfile, points_a, points_b):
     (their tof entry is meaningless). Raises ValueError for a point
     outside the water column.
     """
-    _, _, lengths, _, ok = _pair_paths(profile, points_a, points_b)
+    _, _, lengths, _, _, ok = _pair_paths(profile, points_a, points_b)
     return _tof(profile, lengths), ok
 
 
@@ -436,26 +435,34 @@ def tof_jacobian(profile: ChannelProfile, points_a, points_b):
     """pairwise_tof's (tof, ok) plus the TOF gradients at both ends, from one kernel call.
 
     Returns (tof, ok, jac_a, jac_b): jac_a (N, M, 3) is dT/d(east, north,
-    up) at points_a and jac_b at points_b. With p the ray parameter, c
-    the speed at an end and u the horizontal unit vector from the other
-    end: dT/dhorizontal = p u (so jac_b's is jac_a's negated), and
-    |dT/dup| = sqrt(1 - p^2 c^2) / c, negative at the deeper end.
+    up) at points_a and jac_b at points_b. With p the ray parameter and u
+    the horizontal unit vector from the other end, dT/dhorizontal = p u
+    (so jac_b's is jac_a's negated). |dT/dup| at an end is the ray's
+    vertical slowness dz_i / (length_i c_i) in the layer i it leaves
+    that end through, the layer below the shallower end and the layer
+    above the deeper one; it is negative at the deeper end. The segment
+    lengths come from the solved tangent, so the slowness stays precise
+    up to grazing, where sqrt(1 - p^2 c^2) / c would cancel.
     """
     a, b = (np.atleast_2d(np.asarray(points, float)) for points in (points_a, points_b))
-    offset, horizontal, lengths, p, ok = _pair_paths(profile, a, b)
-    # The speeds at both ends, a's then b's, from one layer lookup.
-    ends_up = np.concatenate([a[:, 2], b[:, 2]])
-    c = np.asarray(profile.sound_speeds)[_layer_at(np.asarray(profile.boundaries), -ends_up)]
-    c_ends = np.empty((2,) + p.shape)
-    c_ends[0], c_ends[1] = c[:len(a), None], c[None, len(a):]
-    sin_c = np.sqrt(np.maximum(1.0 - (p * c_ends) ** 2, 0.0)) / c_ends
-    rise = offset[..., 2]
-    vertical = np.where(rise > 0.0, sin_c, np.where(rise < 0.0, -sin_c, 0.0))
+    offset, horizontal, lengths, dz, p, ok = _pair_paths(profile, a, b)
+    # The ray's vertical slowness in each layer, 0 in the layers it misses.
+    slowness = np.divide(dz, lengths, out=np.zeros(lengths.shape), where=lengths > 0.0)
+    slowness /= np.asarray(profile.sound_speeds)
+    # The first and the last layer it crosses hold its shallower and its deeper end.
+    crossed = dz > 0.0
+    n_layers = crossed.shape[-1]
+    flat, row = slowness.ravel(), np.arange(0, slowness.size, n_layers).reshape(p.shape)
+    top = flat[row + crossed.argmax(axis=-1)]
+    bottom = flat[row + (n_layers - 1) - crossed[..., ::-1].argmax(axis=-1)]
     along = p / np.where(horizontal > 0.0, horizontal, np.inf)
-    jac = np.empty(c_ends.shape + (3,))
+    jac = np.empty((2,) + p.shape + (3,))
     jac[0, ..., :2] = along[..., None] * offset[..., :2]
     jac[1, ..., :2] = -jac[0, ..., :2]
-    jac[0, ..., 2], jac[1, ..., 2] = vertical[0], -vertical[1]
+    # a is the shallower end where it rises above b; a level pair crosses no layer.
+    above = offset[..., 2] > 0.0
+    jac[0, ..., 2] = np.where(above, top, -bottom)
+    jac[1, ..., 2] = np.where(above, -bottom, top)
     return _tof(profile, lengths), ok, jac[0], jac[1]
 
 

@@ -425,28 +425,38 @@ class TestPairwiseTof:
     @pytest.mark.parametrize("grazing", [1e-3, 1e-5, 1e-7, 1e-8, 1.5e-9])
     def test_tof_precise_up_to_grazing(self, grazing):
         # A 3-layer path whose ray has p c_max = 1 - grazing, against a
-        # 50-digit reference: bisect s = p c_max so that the ray closes the
-        # float range exactly, then sum the travel time.
-        speeds = (1495.0, 1510.0, 1480.0)
-        prof = profile((0.0, 50.0, 100.0, 150.0), speeds)
-        dz = column_overlaps(prof, 140.0, 5.0)
-        with localcontext(prec=50):
-            ratios = [Decimal(c) / Decimal(max(speeds)) for c in speeds]
-
-            def closed_range(s):
-                return sum(Decimal(d) * s * r / (1 - (s * r) ** 2).sqrt()
-                           for d, r in zip(dz, ratios))
-
-            horizontal = float(closed_range(1 - Decimal(grazing)))
-            lo, hi = Decimal(0), Decimal(1)
-            for _ in range(170):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if closed_range(mid) < Decimal(horizontal) else (lo, mid)
-            reference = sum(Decimal(d) / (Decimal(c) * (1 - (lo * r) ** 2).sqrt())
-                            for d, c, r in zip(dz, speeds, ratios))
+        # 50-digit reference.
+        prof, horizontal, reference, _ = grazing_reference((1495.0, 1510.0, 1480.0), grazing)
         tof, ok = pairwise_tof(prof, [(0.0, 0.0, -140.0)], [(horizontal, 0.0, -5.0)])
         assert ok[0, 0]
-        assert abs(tof[0, 0] - float(reference)) <= 1e-15 * float(reference)
+        assert abs(tof[0, 0] - reference) <= 1e-15 * reference
+
+
+def grazing_reference(speeds, grazing):
+    """A 140 m to 5 m path whose ray has p c_max = 1 - grazing, to 50 digits.
+
+    Bisects s = p c_max so that the ray closes the float range exactly.
+    Returns (profile, horizontal range, TOF, (|dT/dup| at 140 m, at 5 m)),
+    the slowness at an end being sqrt(1 - (p c)^2) / c in its layer.
+    """
+    prof = profile((0.0, 50.0, 100.0, 150.0), speeds)
+    dz = column_overlaps(prof, 140.0, 5.0)
+    with localcontext(prec=50):
+        ratios = [Decimal(c) / Decimal(max(speeds)) for c in speeds]
+
+        def closed_range(s):
+            return sum(Decimal(d) * s * r / (1 - (s * r) ** 2).sqrt()
+                       for d, r in zip(dz, ratios))
+
+        horizontal = float(closed_range(1 - Decimal(grazing)))
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if closed_range(mid) < Decimal(horizontal) else (lo, mid)
+        tof = sum(Decimal(d) / (Decimal(c) * (1 - (lo * r) ** 2).sqrt())
+                  for d, c, r in zip(dz, speeds, ratios))
+        slowness = [(1 - (lo * r) ** 2).sqrt() / Decimal(c) for c, r in zip(speeds, ratios)]
+    return prof, horizontal, float(tof), (float(slowness[2]), float(slowness[0]))
 
 
 def exact_range(p, dz, speeds):
@@ -574,6 +584,31 @@ class TestTofJacobian:
         assert jac[1, 3, 2] == 0.0
         assert np.array_equal(jac_b[1, 3, :2], -jac[1, 3, :2])
         assert jac_b[1, 3, 2] == 0.0
+
+    def test_deeper_end_on_an_interface_takes_the_layer_the_path_crosses(self):
+        # A beacon on the 80 m interface: its up gradient is the one-sided
+        # difference into the layer above, which the paths cross, not the
+        # one into the layer below.
+        prof = profile((0.0, 30.0, 80.0, 150.0), (1510.0, 1495.0, 1485.0))
+        beacon, h = np.array([(10.0, -20.0, -80.0)]), 1e-5
+        _, ok, jac, _ = tof_jacobian(prof, beacon, self.ANCHORS[:3])
+        assert ok.all()
+        ahead, _ = pairwise_tof(prof, beacon + (0.0, 0.0, h), self.ANCHORS[:3])
+        here, _ = pairwise_tof(prof, beacon, self.ANCHORS[:3])
+        np.testing.assert_allclose(jac[..., 2], (ahead - here) / h, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("grazing", [1e-3, 1e-5, 1e-7, 1e-8, 1.5e-9])
+    @pytest.mark.parametrize("speeds", [(1495.0, 1510.0, 1480.0), (1510.0, 1495.0, 1480.0)],
+                             ids=["fast-middle", "fast-surface"])
+    def test_vertical_gradient_precise_up_to_grazing(self, speeds, grazing):
+        # At both ends of a 3-layer path whose ray has p c_max = 1 - grazing,
+        # against a 50-digit reference; with the fastest layer at the surface
+        # the 5 m end's sqrt(1 - p^2 c^2) cancels.
+        prof, horizontal, _, (deep, shallow) = grazing_reference(speeds, grazing)
+        _, ok, jac_a, jac_b = tof_jacobian(prof, [(0.0, 0.0, -140.0)], [(horizontal, 0.0, -5.0)])
+        assert ok[0, 0]
+        assert abs(-jac_a[0, 0, 2] - deep) <= 1e-15 * deep
+        assert abs(jac_b[0, 0, 2] - shallow) <= 1e-15 * shallow
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_anchor_side_squares_equal_the_reversed_call(self):
