@@ -141,7 +141,7 @@ def _cmd_localize(args) -> int:
     print(f"fix_sigma_m: {math.sqrt(float(np.trace(estimate.covariance)))!r}")
     print(f"generations_run: {estimate.generations_run}")
     print(f"polishes: {estimate.polishes}")
-    print(f"error_vs_truth_m: {float(np.linalg.norm(estimate.position - true_pos))!r}")
+    print(f"error_vs_truth_m: {math.dist(estimate.position, true_pos)!r}")
     return 0
 
 

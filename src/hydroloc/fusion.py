@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .smallmat import cho_solve, cholesky, matmul
+
 __all__ = [
     "ATMOSPHERIC_PRESSURE",
     "SEAWATER_DENSITY",
@@ -136,36 +138,38 @@ def ekf_predict(state: EkfState, dt: float, accel_density) -> EkfState:
     accel_density is the white-acceleration spectral density in m^2/s^3,
     a scalar or one value per ENU axis. dt = 0 returns the state
     unchanged (apart from a fresh copy).
+
+    F = [[I, dt I], [0, I]] only adds dt times the velocity blocks, so
+    F P F^T is block arithmetic: the row blocks, then the column blocks.
     """
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     q = np.broadcast_to(np.asarray(accel_density, float), (3,))
 
-    f = np.eye(6)
-    f[:3, 3:] = dt * np.eye(3)
-    mean = f @ state.mean
+    mean = state.mean.copy()
+    mean[:3] += dt * mean[3:]
 
-    qm = np.zeros((6, 6))
-    for axis in range(3):
-        q11 = q[axis] * dt**3 / 3.0
-        q12 = q[axis] * dt**2 / 2.0
-        q22 = q[axis] * dt
-        qm[axis, axis] = q11
-        qm[axis, axis + 3] = q12
-        qm[axis + 3, axis] = q12
-        qm[axis + 3, axis + 3] = q22
-
-    cov = _symmetrize(f @ state.covariance @ f.T + qm)
-    return EkfState(mean=mean, covariance=cov, timestamp=state.timestamp + dt)
+    cov = state.covariance.copy()
+    cov[:3] += dt * cov[3:]        # F P
+    cov[:, :3] += dt * cov[:, 3:]  # F P F^T
+    qm = np.diag(np.concatenate([q * dt**3 / 3.0, q * dt]))
+    qm[:3, 3:] = qm[3:, :3] = np.diag(q * dt**2 / 2.0)
+    return EkfState(mean=mean, covariance=_symmetrize(cov + qm), timestamp=state.timestamp + dt)
 
 
-def _joseph_update(state: EkfState, h: np.ndarray, z: np.ndarray, r: np.ndarray) -> EkfState:
-    innovation = z - h @ state.mean
-    s = h @ state.covariance @ h.T + r
-    gain = np.linalg.solve(s.T, (state.covariance @ h.T).T).T
-    mean = state.mean + gain @ innovation
-    ikh = np.eye(6) - gain @ h
-    cov = ikh @ state.covariance @ ikh.T + gain @ r @ gain.T
+def _joseph_update(state: EkfState, idx: slice, z: np.ndarray, r: np.ndarray) -> EkfState:
+    """Joseph-form update for a measurement of the state components idx.
+
+    H is the rows idx of the identity, so H P is P[idx] and S is
+    P[idx, idx] + R. The gain K = P H^T S^-1 comes from one Cholesky
+    factor of S; every product has at most len(idx) terms.
+    """
+    p = state.covariance
+    kt = np.array(cho_solve(cholesky(p[idx, idx] + r), p[idx]))  # K^T = S^-1 H P
+    k = kt.T
+    mean = state.mean + matmul(k, z - state.mean[idx])
+    ikh_p = p - matmul(k, p[idx])  # (I - K H) P
+    cov = ikh_p - matmul(ikh_p[:, idx], kt) + matmul(matmul(k, r), kt)
     return EkfState(mean=mean, covariance=_symmetrize(cov), timestamp=state.timestamp)
 
 
@@ -182,21 +186,16 @@ def ekf_update_fix(state: EkfState, fix, covariance) -> EkfState:
     if not np.allclose(r, r.T, rtol=0.0, atol=1e-9):
         raise ValueError("measurement covariance must be symmetric")
     try:
-        np.linalg.cholesky(r)
-    except np.linalg.LinAlgError:
+        cholesky(r)
+    except ValueError:
         raise ValueError("measurement covariance must be positive-definite") from None
-
-    h = np.zeros((3, 6))
-    h[:, :3] = np.eye(3)
-    return _joseph_update(state, h, z, r)
+    return _joseph_update(state, slice(0, 3), z, r)
 
 
 def ekf_update_depth(state: EkfState, depth: float, variance: float) -> EkfState:
     """Fold a pressure-derived depth (positive down) into the up component."""
     if not variance > 0:
         raise ValueError(f"variance must be > 0, got {variance}")
-    h = np.zeros((1, 6))
-    h[0, 2] = 1.0
     z = np.array([-depth])  # up = -depth
     r = np.array([[variance]])
-    return _joseph_update(state, h, z, r)
+    return _joseph_update(state, slice(2, 3), z, r)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagation import ChannelProfile, pairwise_tof, range_from_tof, tof_jacobian
+from .smallmat import eigh3, matmul
 from .streams import Stream, box_muller
 
 __all__ = [
@@ -58,8 +59,6 @@ GN_STEP_M = 1e-4
 # largest are unobservable directions.
 COND_WARN = 1e6
 RANK_TOL = 1e-12
-# Cyclic Jacobi sweeps of a symmetric 3x3 eigenproblem (3-4 converge).
-JACOBI_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -248,57 +247,16 @@ def _gauss_newton(x, residual, bounds: SearchBounds):
     lows, highs = bounds.lows(), bounds.highs()
     for _ in range(GN_MAX_STEPS):
         r, jac = residual(x)
-        w, v = _eigh3(_gram(jac))
+        w, v = eigh3(matmul(jac.T, jac))
         # The least-norm step: none along unobservable directions.
-        delta = v @ ((v.T @ (jac.T @ -r)) / np.where(w > w[-1] * RANK_TOL, w, np.inf))
+        w = np.where(w > w[-1] * RANK_TOL, w, np.inf)
+        delta = matmul(v, matmul(v.T, matmul(jac.T, -r)) / w)
         moved = np.clip(x + delta, lows, highs)
-        step = np.linalg.norm(moved - x)
+        step = math.dist(moved, x)
         x = moved
         if step < GN_STEP_M:
             break
     return x, bool(np.any((x - lows < GN_STEP_M) | (highs - x < GN_STEP_M)))
-
-
-# The 3x3 linear algebra here uses no LAPACK routine and no BLAS kernel
-# that the filter does not already load: each new one pages 64 KB or
-# more of its library into every run.
-def _gram(jac):
-    """J^T J, summed row by row."""
-    return (jac[:, :, None] * jac[:, None, :]).sum(axis=0)
-
-
-def _eigh3(matrix):
-    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric 3x3.
-
-    Cyclic Jacobi rotations on Python floats.
-    """
-    a = np.asarray(matrix, float).tolist()
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for _ in range(JACOBI_SWEEPS):
-        if abs(a[0][1]) + abs(a[0][2]) + abs(a[1][2]) <= 1e-16 * (
-            abs(a[0][0]) + abs(a[1][1]) + abs(a[2][2])
-        ):
-            break
-        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            # The rotation in the (p, q) plane that zeroes a[p][q].
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.hypot(t, 1.0)
-            s = t * c
-            arp, arq = a[r][p], a[r][q]
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            a[r][p] = a[p][r] = c * arp - s * arq
-            a[r][q] = a[q][r] = s * arp + c * arq
-            for row in v:
-                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-    w = np.array([a[0][0], a[1][1], a[2][2]])
-    order = np.argsort(w, kind="stable")
-    return w[order], np.array(v)[:, order]
 
 
 def _fix_covariance(jac, tof_var, sigma_floor: float, extent: float) -> np.ndarray:
@@ -307,7 +265,7 @@ def _fix_covariance(jac, tof_var, sigma_floor: float, extent: float) -> np.ndarr
     An unobservable direction of J gets the largest search extent as its
     sigma; a large condition number of J^T J is logged.
     """
-    w, v = _eigh3(_gram(jac))
+    w, v = eigh3(matmul(jac.T, jac))
     cond = w[-1] / w[0] if w[0] > 0.0 else np.inf
     if cond > COND_WARN:
         log.warning(
@@ -316,10 +274,10 @@ def _fix_covariance(jac, tof_var, sigma_floor: float, extent: float) -> np.ndarr
             cond, COND_WARN,
         )
     observable = w > w[-1] * RANK_TOL
-    g = (jac @ v) / np.where(observable, w, np.inf)
-    inner = g.T @ (tof_var[:, None] * g) + np.diag(np.where(observable, 0.0, extent**2))
-    w, v = _eigh3(v @ inner @ v.T)
-    cov = (v * np.clip(w, sigma_floor**2, extent**2)) @ v.T
+    g = matmul(jac, v) / np.where(observable, w, np.inf)
+    inner = matmul(g.T, tof_var[:, None] * g) + np.diag(np.where(observable, 0.0, extent**2))
+    w, v = eigh3(matmul(matmul(v, inner), v.T))
+    cov = matmul(v * np.clip(w, sigma_floor**2, extent**2), v.T)
     return 0.5 * (cov + cov.T)
 
 
@@ -414,7 +372,7 @@ def ga_localize(
         if (gen + 1) % POLISH_EVERY == 0:
             x, on_face = _gauss_newton(pop[np.argmin(fits)], residual, bounds)
             polishes += 1
-            agree = last is not None and np.linalg.norm(x - last) < POLISH_AGREE_M
+            agree = last is not None and math.dist(x, last) < POLISH_AGREE_M
             last = None if on_face else x
             if agree and not on_face:
                 generations_run = gen + 1

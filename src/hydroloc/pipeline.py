@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -205,12 +206,8 @@ def run_simulation(scenario: Scenario):
             state, depth_measured, ekf_cfg.pressure_sigma_depth**2
         )
 
-        raw_error = (
-            float(np.linalg.norm(estimate.position - true_pos))
-            if estimate is not None
-            else None
-        )
-        fused_error = float(np.linalg.norm(state.position - true_pos))
+        raw_error = math.dist(estimate.position, true_pos) if estimate is not None else None
+        fused_error = math.dist(state.position, true_pos)
         records.append(
             EpochRecord(
                 timestamp=t,

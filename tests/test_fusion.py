@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hydroloc import multilateration
 from hydroloc.fusion import (
     ATMOSPHERIC_PRESSURE,
     SEAWATER_DENSITY,
@@ -24,6 +25,36 @@ def make_state(mean=None, cov=None, t=0.0):
 
 def gauge(depth):
     return ATMOSPHERIC_PRESSURE + SEAWATER_DENSITY * STANDARD_GRAVITY * depth
+
+
+def random_spd(rng, n, scales):
+    """A random symmetric positive-definite n x n matrix with the given diagonal scales."""
+    a = rng.normal(size=(n, n))
+    d = np.sqrt(np.asarray(scales, float))
+    return (a @ a.T + n * np.eye(n)) * d[:, None] * d[None, :]
+
+
+def random_states(seed, count=40):
+    """Seeded random filter states: means, SPD covariances, per-axis noise and dt."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        scales = [10.0 ** rng.uniform(-1, 4)] * 3 + [10.0 ** rng.uniform(-3, 0)] * 3
+        state = make_state(mean=rng.normal(0.0, 50.0, 6), cov=random_spd(rng, 6, scales))
+        yield rng, state, 10.0 ** rng.uniform(-5, -1, 3), rng.uniform(0.0, 20.0)
+
+
+def dense_joseph(state, h, z, r):
+    """The textbook Joseph update with an explicit H and a linear solve."""
+    p = state.covariance
+    s = h @ p @ h.T + r
+    gain = np.linalg.solve(s, h @ p).T
+    ikh = np.eye(6) - gain @ h
+    return state.mean + gain @ (z - h @ state.mean), ikh @ p @ ikh.T + gain @ r @ gain.T
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Equal within rtol of the largest entry of expected."""
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rtol * np.abs(expected).max())
 
 
 class TestPressure:
@@ -76,6 +107,19 @@ class TestPredict:
         out = ekf_predict(make_state(), 1.0, (1e-2, 1e-3, 1e-4))
         assert out.covariance[3, 3] > out.covariance[4, 4] > out.covariance[5, 5]
 
+    def test_equals_dense_f_p_ft_plus_q(self):
+        for _, state, q, dt in random_states(1):
+            f = np.eye(6)
+            f[:3, 3:] = dt * np.eye(3)
+            qm = np.zeros((6, 6))
+            for axis in range(3):
+                qm[axis, axis] = q[axis] * dt**3 / 3.0
+                qm[axis, axis + 3] = qm[axis + 3, axis] = q[axis] * dt**2 / 2.0
+                qm[axis + 3, axis + 3] = q[axis] * dt
+            out = ekf_predict(state, dt, q)
+            assert_close(out.mean, f @ state.mean)
+            assert_close(out.covariance, f @ state.covariance @ f.T + qm)
+
 
 class TestUpdateFix:
     def test_zero_innovation_keeps_mean(self):
@@ -117,6 +161,38 @@ class TestUpdateFix:
         with pytest.raises(ValueError, match="3x3"):
             ekf_update_fix(make_state(), np.zeros(3), np.eye(2))
 
+    def test_singular_covariance_rejected(self):
+        with pytest.raises(ValueError, match="positive-definite"):
+            ekf_update_fix(make_state(), np.zeros(3), np.diag([1.0, 1.0, 0.0]))
+
+    def test_slightly_negative_eigenvalue_rejected(self):
+        rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+        r = rotation @ np.diag([1.0, 2.0, -1e-9]) @ rotation.T
+        with pytest.raises(ValueError, match="positive-definite"):
+            ekf_update_fix(make_state(), np.zeros(3), 0.5 * (r + r.T))
+
+    @pytest.mark.parametrize("observed", [1, 2, 3])
+    def test_accepts_fix_covariance_at_sigma_floor(self, observed):
+        # Noiseless TOFs: every observable sigma is floored at 0.5 m, and
+        # each unobservable direction gets the largest search extent.
+        rng = np.random.default_rng(observed)
+        jac = rng.normal(size=(6, observed)) @ rng.normal(size=(observed, 3)) / 1500.0
+        extent = 3000.0
+        r = multilateration._fix_covariance(jac, np.full(6, 1e-30), 0.5, extent)
+        assert np.linalg.eigvalsh(r).min() == pytest.approx(0.25)
+        out = ekf_update_fix(make_state(cov=np.eye(6) * 1e4), np.ones(3), r)
+        assert np.isfinite(out.covariance).all()
+
+    def test_equals_dense_joseph_update(self):
+        h = np.eye(6)[:3]
+        for rng, state, _, _ in random_states(2):
+            z = state.mean[:3] + rng.normal(0.0, 5.0, 3)
+            r = random_spd(rng, 3, [10.0 ** rng.uniform(-1, 2)] * 3)
+            mean, cov = dense_joseph(state, h, z, r)
+            out = ekf_update_fix(state, z, r)
+            assert_close(out.mean, mean)
+            assert_close(out.covariance, cov)
+
 
 class TestUpdateDepth:
     def test_consistent_depth_keeps_mean(self):
@@ -137,6 +213,16 @@ class TestUpdateDepth:
     def test_non_positive_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             ekf_update_depth(make_state(), 10.0, 0.0)
+
+    def test_equals_dense_joseph_update(self):
+        h = np.eye(6)[2:3]
+        for rng, state, _, _ in random_states(3):
+            depth = -state.mean[2] + rng.normal(0.0, 1.0)
+            variance = 10.0 ** rng.uniform(-3, 0)
+            mean, cov = dense_joseph(state, h, np.array([-depth]), np.array([[variance]]))
+            out = ekf_update_depth(state, depth, variance)
+            assert_close(out.mean, mean)
+            assert_close(out.covariance, cov)
 
 
 class TestFilterHealth:

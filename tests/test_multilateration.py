@@ -20,6 +20,7 @@ from hydroloc.propagation import (
     tof_jacobian,
     trace_refracted,
 )
+from hydroloc.smallmat import eigh3
 
 HOMOG = ChannelProfile(
     boundaries=(0.0, 100.0), sound_speeds=(1500.0,), absorption=(1.0,), frequency=25.0
@@ -468,3 +469,46 @@ class TestGaLocalize:
         assert calls["pairwise_tof"] == expected
         assert calls["tof_jacobian"] > 0
         assert calls["tail"] == 1
+
+
+class TestMatmulForms:
+    """The solver's term-by-term products equal the same formulas with numpy's @."""
+
+    @staticmethod
+    def jacobians(seed, count=30):
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            jac = rng.normal(size=(int(rng.integers(4, 9)), 3)) / 1500.0
+            if k % 3 == 0:  # an unobservable direction
+                jac[:, k % 2] = 0.0
+            yield rng, jac
+
+    def test_fix_covariance(self):
+        extent = BOUNDS.largest_extent()
+        for rng, jac in self.jacobians(5):
+            tof_var = 10.0 ** rng.uniform(-10.0, -6.0, len(jac))
+            w, v = eigh3(jac.T @ jac)
+            observable = w > w[-1] * multilateration.RANK_TOL
+            g = (jac @ v) / np.where(observable, w, np.inf)
+            inner = g.T @ (tof_var[:, None] * g) + np.diag(np.where(observable, 0.0, extent**2))
+            w, v = eigh3(v @ inner @ v.T)
+            expected = (v * np.clip(w, 1e-6**2, extent**2)) @ v.T
+            actual = multilateration._fix_covariance(jac, tof_var, 1e-6, extent)
+            np.testing.assert_allclose(
+                actual, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+            )
+
+    def test_one_gauss_newton_step(self, monkeypatch):
+        monkeypatch.setattr(multilateration, "GN_MAX_STEPS", 1)
+        bounds = SearchBounds(east=(-1e6, 1e6), north=(-1e6, 1e6), up=(-1e6, 0.0))
+        x = np.array([1.0, -2.0, -100.0])
+        for rng, jac in self.jacobians(6):
+            r = rng.normal(0.0, 1e-3, len(jac))
+            w, v = eigh3(jac.T @ jac)
+            w = np.where(w > w[-1] * multilateration.RANK_TOL, w, np.inf)
+            delta = v @ ((v.T @ (jac.T @ -r)) / w)
+            moved, on_face = multilateration._gauss_newton(x, lambda _: (r, jac), bounds)
+            assert not on_face
+            np.testing.assert_allclose(
+                moved, x + delta, rtol=0.0, atol=1e-12 * np.abs(delta).max()
+            )

@@ -1,8 +1,11 @@
 import dataclasses
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hydroloc.geodesy import geodetic_to_enu
 from hydroloc.pipeline import (
@@ -210,3 +213,52 @@ class TestWriteOutputs:
                 Path(paths["epochs"]).read_bytes() + Path(paths["summary"]).read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+
+# Run in a fresh interpreter: the summed Rss (kB) of every mapping whose
+# path names blas or lapack, before and after a run.
+BLAS_RSS_PROBE = textwrap.dedent(
+    """\
+    import sys
+
+    from hydroloc.pipeline import run_simulation
+    from hydroloc.scenario import load_scenario
+
+
+    def blas_rss_kb():
+        total, path, mapped = 0, "", False
+        with open("/proc/self/smaps") as fh:
+            for line in fh:
+                fields = line.split()
+                if not fields[0].endswith(":"):  # a mapping: range perms offset dev inode path
+                    path = fields[5].lower() if len(fields) > 5 else ""
+                    mapped |= "blas" in path or "lapack" in path
+                elif fields[0] == "Rss:" and ("blas" in path or "lapack" in path):
+                    total += int(fields[1])
+        return total if mapped else None
+
+
+    scenario = load_scenario(sys.argv[1])
+    before = blas_rss_kb()
+    run_simulation(scenario)
+    print(before, blas_rss_kb())
+    """
+)
+
+
+def test_a_run_pages_in_no_blas_or_lapack():
+    # The filter and the solver multiply matrices of at most 6 x 6 term by
+    # term (hydroloc.smallmat); the first BLAS or LAPACK call of a run
+    # would page about 600 kB of OpenBLAS into the process.
+    if not Path("/proc/self/smaps").exists():
+        pytest.skip("no /proc/self/smaps")
+    scenario = str(SCENARIO_DIR / "canonical_noiseless.yaml")
+    result = subprocess.run(
+        [sys.executable, "-c", BLAS_RSS_PROBE, scenario],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    before, after = result.stdout.split()
+    if before == "None":
+        pytest.skip("numpy maps no library named blas or lapack")
+    assert int(after) <= int(before)
