@@ -12,15 +12,7 @@ from .environment import (
     acoustics_profile,
     sound_speed,
 )
-from .fusion import (
-    EkfConfig,
-    EkfState,
-    PressureReading,
-    ekf_predict,
-    ekf_update_depth,
-    ekf_update_fix,
-    pressure_to_depth,
-)
+from .fusion import EkfConfig, EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
 from .geodesy import (
     EcefCoord,
     EnuCoord,

@@ -9,6 +9,7 @@ form to keep the covariance symmetric positive-definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,24 +17,18 @@ import numpy as np
 from .smallmat import cho_solve, cholesky, matmul
 
 __all__ = [
-    "ATMOSPHERIC_PRESSURE",
     "SEAWATER_DENSITY",
-    "STANDARD_GRAVITY",
     "SIGMA_RANGE",
     "ACCEL_NOISE_MAX",
     "WATER_DENSITY_RANGE",
     "EkfConfig",
-    "PressureReading",
     "EkfState",
-    "pressure_to_depth",
     "ekf_predict",
     "ekf_update_fix",
     "ekf_update_depth",
 ]
 
-ATMOSPHERIC_PRESSURE = 101325.0  # Pa
-SEAWATER_DENSITY = 1025.0        # kg/m^3
-STANDARD_GRAVITY = 9.80665       # m/s^2
+SEAWATER_DENSITY = 1025.0  # kg/m^3
 # Ranges of the filter's settings that keep its arithmetic finite and
 # meaningful: each variance sigma**2 is positive, and q * dt**3 and the
 # covariance predicted over a run (at most scenario.MAX_EPOCHS epochs
@@ -49,8 +44,7 @@ class EkfConfig:
     """Fusion settings: process noise, priors and measurement variances.
 
     A fix's covariance comes from the solver's TOF Jacobian;
-    fix_sigma_floor floors its principal sigmas. Deleting the key waits
-    for a change to the benchmark templates, which set it.
+    fix_sigma_floor floors its principal sigmas.
     """
 
     accel_noise_density: tuple[float, float, float] = (1e-3, 1e-3, 1e-3)  # m^2/s^3
@@ -58,6 +52,8 @@ class EkfConfig:
     initial_velocity_sigma: float = 1.0    # m/s
     fix_sigma_floor: float = 0.5           # m
     pressure_sigma_depth: float = 0.1      # m
+    # The noisy depth is the measurement, so the density changes no output;
+    # the key remains so that scenarios naming it parse.
     water_density: float = SEAWATER_DENSITY  # kg/m^3
 
     def __post_init__(self) -> None:
@@ -81,26 +77,6 @@ class EkfConfig:
             raise ValueError(
                 f"water_density: must be within [{lo}, {hi}] kg/m^3, got {self.water_density}"
             )
-
-
-@dataclass(frozen=True)
-class PressureReading:
-    """Absolute pressure in pascals at a given time."""
-
-    pressure: float
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if self.pressure < ATMOSPHERIC_PRESSURE:
-            raise ValueError(
-                f"pressure {self.pressure} Pa is below atmospheric; "
-                "submerged sensing expects gauge pressure >= 0"
-            )
-
-
-def pressure_to_depth(reading: PressureReading, density: float = SEAWATER_DENSITY) -> float:
-    """Depth in metres (positive down) from absolute pressure."""
-    return (reading.pressure - ATMOSPHERIC_PRESSURE) / (density * STANDARD_GRAVITY)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -177,13 +153,18 @@ def ekf_update_fix(state: EkfState, fix, covariance) -> EkfState:
     """Fold a 3-D position fix into the state.
 
     fix is a PositionEstimate or a bare ENU triple; covariance is the
-    3x3 measurement covariance, which must be symmetric positive-definite.
+    3x3 measurement covariance, which must be finite, symmetric and
+    positive-definite.
     """
     z = np.asarray(getattr(fix, "position", fix), float).reshape(3)
     r = np.asarray(covariance, float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"fix must be finite, got {z}")
     if r.shape != (3, 3):
         raise ValueError(f"measurement covariance must be 3x3, got {r.shape}")
-    if not np.allclose(r, r.T, rtol=0.0, atol=1e-9):
+    if not np.isfinite(r).all():
+        raise ValueError("measurement covariance must be finite")
+    if not (abs(r - r.T) <= 1e-9).all():
         raise ValueError("measurement covariance must be symmetric")
     try:
         cholesky(r)
@@ -194,8 +175,10 @@ def ekf_update_fix(state: EkfState, fix, covariance) -> EkfState:
 
 def ekf_update_depth(state: EkfState, depth: float, variance: float) -> EkfState:
     """Fold a pressure-derived depth (positive down) into the up component."""
-    if not variance > 0:
-        raise ValueError(f"variance must be > 0, got {variance}")
+    if not math.isfinite(depth):
+        raise ValueError(f"depth must be finite, got {depth}")
+    if not 0 < variance < math.inf:
+        raise ValueError(f"variance must be finite and > 0, got {variance}")
     z = np.array([-depth])  # up = -depth
     r = np.array([[variance]])
     return _joseph_update(state, slice(2, 3), z, r)

@@ -46,14 +46,16 @@ MUTATION_SIGMA_DECAY = 0.96
 # The best individual passes to the next generation unchanged.
 ELITE_COUNT = 1
 # The GA's best is polished every POLISH_EVERY generations; the GA stops
-# once two polishes in a row, both inside the search box, land within
-# POLISH_AGREE_M (m) of each other.
+# once two polishes in a row land within POLISH_AGREE_M (m) of each other.
 POLISH_EVERY = 3
 POLISH_AGREE_M = 1e-3
 # A polish takes at most GN_MAX_STEPS steps and stops on a step below
-# GN_STEP_M (m).
+# GN_STEP_M (m). It starts at least GN_START_DEPTH_M (m) below the top
+# face: on that face J's up column vanishes for coplanar surface
+# anchors, so no step could leave it.
 GN_MAX_STEPS = 5
 GN_STEP_M = 1e-4
+GN_START_DEPTH_M = 1.0
 # A fix whose J^T J has a condition number above COND_WARN is logged as
 # poorly constrained. Eigenvalues of J^T J below RANK_TOL times the
 # largest are unobservable directions.
@@ -136,8 +138,8 @@ class PositionEstimate:
     residual's Jacobian at the fix, from the call that chose it, and C
     the per-anchor TOF variance; its eigenvalues are clamped to
     [sigma_floor^2, largest search extent^2]. best_fitness is the fix's
-    residual in the config's mode, s^2 (tof_residual) or m^2
-    (range_residual). polishes counts the Gauss-Newton polishes run.
+    TOF residual (s^2) in either fitness mode. polishes counts the
+    Gauss-Newton polishes run, the final one that gives the fix included.
     """
 
     position: np.ndarray = field(repr=False)
@@ -238,13 +240,14 @@ def evolve_generation(
 
 
 def _gauss_newton(x, residual, bounds: SearchBounds):
-    """Polish x on residual(x) -> (r, J); steps are clamped to the bounds.
+    """Polish x on residual(x) -> (r, J) and return the polished point.
 
-    Returns (x, on_face): on_face tells whether x ends within GN_STEP_M
-    of a face of the search box (a least-norm step off a face is
-    round-off, not a move).
+    The start is a copy of x, at least GN_START_DEPTH_M below the top
+    face (never below the bottom one); steps are clamped to the bounds.
     """
     lows, highs = bounds.lows(), bounds.highs()
+    x = np.array(x, float)
+    x[2] = min(x[2], max(highs[2] - GN_START_DEPTH_M, lows[2]))
     for _ in range(GN_MAX_STEPS):
         r, jac = residual(x)
         w, v = eigh3(matmul(jac.T, jac))
@@ -256,7 +259,7 @@ def _gauss_newton(x, residual, bounds: SearchBounds):
         x = moved
         if step < GN_STEP_M:
             break
-    return x, bool(np.any((x - lows < GN_STEP_M) | (highs - x < GN_STEP_M)))
+    return x
 
 
 def _fix_covariance(jac, tof_var, sigma_floor: float, extent: float) -> np.ndarray:
@@ -300,12 +303,11 @@ def ga_localize(
     mode the ranges converted at the middle of the search depths, are
     built once. Every POLISH_EVERY generations Gauss-Newton polishes the
     GA's best on the GA's residual; the GA stops when two polishes in a
-    row inside the box agree, or after config.generations. The fix is a
-    final TOF polish, or the GA's best if that polish ends on a box face
-    or leaves a larger TOF residual; one tof_jacobian call on both picks
-    it. The covariance maps tof_sigma (s) and the anchors' sigmas
-    anchor_sigma (m, east/north/up) through that call's TOF gradients at
-    the fix, floored at sigma_floor (m).
+    row agree, or after config.generations. The fix is always a final
+    TOF polish of the last polish (of the GA's best if none ran). One
+    tof_jacobian call at the fix gives its TOF fit and the gradients
+    through which the covariance maps tof_sigma (s) and the anchors'
+    sigmas anchor_sigma (m, east/north/up), floored at sigma_floor (m).
 
     Deterministic given (measurements, anchors, config, seed). trace, if
     given, is called as trace(generation, best_fitness, sigma) after
@@ -360,7 +362,7 @@ def ga_localize(
     pop = lows + rng.random((config.population_size, 3)) * (highs - lows)
     sigma = config.initial_sigma()
 
-    last = None  # the last polish that ended inside the box
+    last = None
     polishes = 0
     generations_run = config.generations
     for gen in range(config.generations):
@@ -370,32 +372,25 @@ def ga_localize(
         if gen == config.generations - 1:
             break
         if (gen + 1) % POLISH_EVERY == 0:
-            x, on_face = _gauss_newton(pop[np.argmin(fits)], residual, bounds)
+            x = _gauss_newton(pop[np.argmin(fits)], residual, bounds)
             polishes += 1
             agree = last is not None and math.dist(x, last) < POLISH_AGREE_M
-            last = None if on_face else x
-            if agree and not on_face:
+            last = x
+            if agree:
                 generations_run = gen + 1
                 break
         pop = evolve_generation(pop, fits, config, rng, sigma)
         sigma *= MUTATION_SIGMA_DECAY
 
-    ga_best = pop[np.argmin(fits)]
-    polished, on_face = _gauss_newton(ga_best if last is None else last, tof_residual, bounds)
-    # One kernel call scores the final polish and the GA's best and gives the
-    # TOF gradients at both ends of each pair; the fix is an index into it.
-    candidates = np.array([polished, ga_best])
-    tof, ok, jac, anchor_jac = tof_jacobian(profile, candidates, anchor_pos)
-    tof_fits = _tof_fit(tof, ok, tofs)
-    k = int(on_face or tof_fits[0] > tof_fits[1])
-    best_fitness = float(tof_fits[k])
-    if config.fitness_mode == "range_residual":
-        best_fitness = fitness(candidates[k], anchor_pos, observed, profile, mode=config.fitness_mode)
-    tof_var = tof_sigma**2 + (anchor_jac[k] ** 2 * np.square(anchor_sigma)).sum(axis=-1)
-    jac = np.where(ok[k, :, None], jac[k], 0.0)
+    fix = _gauss_newton(pop[np.argmin(fits)] if last is None else last, tof_residual, bounds)
+    # One kernel call scores the fix and gives the TOF gradients at both
+    # ends of each pair.
+    tof, ok, jac, anchor_jac = tof_jacobian(profile, fix, anchor_pos)
+    tof_var = tof_sigma**2 + (anchor_jac[0] ** 2 * np.square(anchor_sigma)).sum(axis=-1)
+    jac = np.where(ok[0, :, None], jac[0], 0.0)
     return PositionEstimate(
-        position=candidates[k].copy(),  # not a view that keeps both candidates alive
-        best_fitness=best_fitness,
+        position=fix,
+        best_fitness=float(_tof_fit(tof, ok, tofs)[0]),
         covariance=_fix_covariance(jac, tof_var, sigma_floor, bounds.largest_extent()),
         generations_run=generations_run,
         polishes=polishes + 1,

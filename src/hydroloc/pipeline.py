@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import (
-    ATMOSPHERIC_PRESSURE,
-    STANDARD_GRAVITY,
-    EkfState,
-    PressureReading,
-    ekf_predict,
-    ekf_update_depth,
-    ekf_update_fix,
-    pressure_to_depth,
-)
+from .fusion import EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
 from .multilateration import Anchor, PositionEstimate, ga_localize
 from .propagation import ping_paths, simulate_ping
 from .scenario import Scenario
@@ -138,15 +129,9 @@ def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
 
     pressure = Stream(child_seed(scenario.seed, _TAG_PRESSURE, epoch_idx))
     true_depth = -float(true_pos[2])
-    noisy_depth = max(
+    depth_measured = max(
         0.0, true_depth + scenario.ekf.pressure_sigma_depth * pressure.standard_normal()
     )
-    rho = scenario.ekf.water_density
-    reading = PressureReading(
-        pressure=ATMOSPHERIC_PRESSURE + rho * STANDARD_GRAVITY * noisy_depth,
-        timestamp=t,
-    )
-    depth_measured = pressure_to_depth(reading, density=rho)
     return true_pos, anchors, measurements, depth_measured
 
 

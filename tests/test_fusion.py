@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from hydroloc import multilateration
-from hydroloc.fusion import (
-    ATMOSPHERIC_PRESSURE,
-    SEAWATER_DENSITY,
-    STANDARD_GRAVITY,
-    EkfState,
-    PressureReading,
-    ekf_predict,
-    ekf_update_depth,
-    ekf_update_fix,
-    pressure_to_depth,
-)
+from hydroloc.fusion import EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
 
 
 def make_state(mean=None, cov=None, t=0.0):
@@ -21,10 +11,6 @@ def make_state(mean=None, cov=None, t=0.0):
     if cov is None:
         cov = np.eye(6)
     return EkfState(mean=mean, covariance=cov, timestamp=t)
-
-
-def gauge(depth):
-    return ATMOSPHERIC_PRESSURE + SEAWATER_DENSITY * STANDARD_GRAVITY * depth
 
 
 def random_spd(rng, n, scales):
@@ -55,27 +41,6 @@ def dense_joseph(state, h, z, r):
 def assert_close(actual, expected, rtol=1e-12):
     """Equal within rtol of the largest entry of expected."""
     np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rtol * np.abs(expected).max())
-
-
-class TestPressure:
-    def test_surface(self):
-        assert pressure_to_depth(PressureReading(ATMOSPHERIC_PRESSURE, 0.0)) == 0.0
-
-    def test_ten_metres(self):
-        assert pressure_to_depth(PressureReading(gauge(10.0), 0.0)) == pytest.approx(10.0)
-
-    def test_linearity(self):
-        d1 = pressure_to_depth(PressureReading(gauge(7.0), 0.0))
-        d2 = pressure_to_depth(PressureReading(gauge(14.0), 0.0))
-        assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-
-    def test_below_atmospheric_rejected(self):
-        with pytest.raises(ValueError, match="atmospheric"):
-            PressureReading(101000.0, 0.0)
-
-    def test_density_override(self):
-        r = PressureReading(ATMOSPHERIC_PRESSURE + 1000.0 * STANDARD_GRAVITY * 5.0, 0.0)
-        assert pressure_to_depth(r, density=1000.0) == pytest.approx(5.0)
 
 
 class TestPredict:
@@ -153,6 +118,24 @@ class TestUpdateFix:
         with pytest.raises(ValueError, match="symmetric"):
             ekf_update_fix(make_state(), np.zeros(3), r)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_non_finite_fix_rejected(self, axis, bad):
+        z = np.zeros(3)
+        z[axis] = bad
+        with pytest.raises(ValueError, match="fix must be finite"):
+            ekf_update_fix(make_state(), z, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_non_finite_covariance_rejected(self, entry, bad):
+        # diag(inf, 1, 1) passes the symmetry and Cholesky checks, and the
+        # update would return a NaN state.
+        r = np.eye(3)
+        r[entry] = r[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            ekf_update_fix(make_state(), np.zeros(3), r)
+
     def test_non_positive_definite_covariance_rejected(self):
         with pytest.raises(ValueError, match="positive-definite"):
             ekf_update_fix(make_state(), np.zeros(3), -np.eye(3))
@@ -213,6 +196,16 @@ class TestUpdateDepth:
     def test_non_positive_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             ekf_update_depth(make_state(), 10.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="depth must be finite"):
+            ekf_update_depth(make_state(), bad, 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        with pytest.raises(ValueError, match="variance must be finite"):
+            ekf_update_depth(make_state(), 10.0, bad)
 
     def test_equals_dense_joseph_update(self):
         h = np.eye(6)[2:3]

@@ -303,50 +303,38 @@ class TestGaLocalize:
             ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=1)
         assert not caplog.records
 
-    def test_polish_on_a_box_face_neither_stops_the_ga_nor_becomes_the_fix(self, monkeypatch):
-        # 2 m below the coplanar anchors the residual is nearly flat in up,
-        # so the GA's best sits on the up = 0 face, where the up column of
-        # J vanishes and Gauss-Newton cannot leave the face. Whether two
-        # polishes in a row agree on the face depends on the GA's draws, so
-        # every seed of 0-19 on which they do must keep both properties. A
-        # GA that leaves the face may still stop later, on two polishes
-        # that agree off it; it never stops on a polish on the face.
-        meas = noiseless_measurements(truth=np.array([20.0, -30.0, -2.0]))
-        gauss_newton = multilateration._gauss_newton
-        polishes = []
-
-        def recorded(x, residual, bounds):
-            polishes.append(gauss_newton(x, residual, bounds))
-            return polishes[-1]
-
-        monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
-        cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30)
-        agreed_on_face = 0
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    @pytest.mark.parametrize("depth", [0.5, 2.0, 5.0])
+    def test_near_surface_beacon_is_fixed_below_the_surface(self, depth, mode):
+        # A few metres below the coplanar anchors the residual is nearly
+        # flat in up, and the GA's best often sits on the up = 0 face,
+        # where J's up column vanishes. Every polish starts below that
+        # face, so Gauss-Newton reaches the beacon whatever the GA's draws.
+        truth = np.array([20.0, -30.0, -depth])
+        meas = noiseless_measurements(truth=truth, profile=THREE_LAYER)
+        cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
+                       fitness_mode=mode)
         for seed in range(20):
-            polishes.clear()
-            est = ga_localize(meas, ANCHORS, cfg, HOMOG, seed=seed)
-            during = polishes[:-1]
-            if not any(
-                a[1] and b[1] and np.linalg.norm(a[0] - b[0]) < 1e-3
-                for a, b in zip(during, during[1:])
-            ):
-                continue
-            agreed_on_face += 1
-            assert est.generations_run == cfg.generations or not during[-1][1], seed
-            assert not any(
-                np.array_equal(est.position, x) for x, on_face in polishes if on_face
-            ), seed
-        assert agreed_on_face >= 1, "on no seed did two polishes in a row agree on the face"
+            est = ga_localize(meas, ANCHORS, cfg, THREE_LAYER, seed=seed)
+            assert est.position[2] <= -1e-4, seed
+            assert np.linalg.norm(est.position - truth) < 1e-3, seed
 
-    def test_polishes_on_a_face_never_stop_the_ga_or_become_the_fix(self, monkeypatch):
-        # Every polish lands on truth, a better fit than any GA point, but
-        # flagged as on a face: the GA runs all its generations, and the fix
-        # is the GA's best, whatever the draws.
-        monkeypatch.setattr(multilateration, "_gauss_newton", lambda x, r, b: (TRUTH, True))
-        cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30)
-        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=0)
-        assert est.generations_run == cfg.generations
-        assert not np.array_equal(est.position, TRUTH)
+    @pytest.mark.parametrize("up_low, start_up", [(-100.0, -1.0), (-0.5, -0.5)])
+    def test_polish_starts_below_the_top_face_on_a_copy(self, up_low, start_up):
+        # A start within GN_START_DEPTH_M of the top face moves down to that
+        # depth, or to the bottom face if the box is shallower; the caller's
+        # array (a population row) is left as it was.
+        bounds = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(up_low, 0.0))
+        x = np.array([1.0, 2.0, -0.25])
+        starts = []
+
+        def residual(p):
+            starts.append(p.copy())
+            return np.zeros(4), np.eye(4, 3)  # a zero residual: no step
+
+        multilateration._gauss_newton(x, residual, bounds)
+        assert starts[0][2] == start_up
+        assert x[2] == -0.25
 
     def test_polish_a_rounding_error_off_the_face_counts_as_on_it(self):
         # A ring-anchor epoch whose GA best sits on the surface: the
@@ -414,8 +402,8 @@ class TestGaLocalize:
         polishes = []
 
         def recorded(x, residual, bounds):
-            polishes.append((np.array(x), *gauss_newton(x, residual, bounds)))
-            return polishes[-1][1:]
+            polishes.append((np.array(x), gauss_newton(x, residual, bounds)))
+            return polishes[-1][1]
 
         monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
         truth = np.array([30.0, -20.0, -60.0])
@@ -438,7 +426,7 @@ class TestGaLocalize:
     def test_kernel_call_budget(self, monkeypatch, mode):
         # The GA scores each generation with one pairwise_tof call (TOF mode)
         # or none (range mode); past Gauss-Newton's own steps, one
-        # tof_jacobian call picks the fix and gives its covariance.
+        # tof_jacobian call scores the fix and gives its covariance.
         calls = {"pairwise_tof": 0, "tof_jacobian": 0, "tail": 0}
         in_polish = [False]
         gauss_newton = multilateration._gauss_newton
@@ -507,8 +495,7 @@ class TestMatmulForms:
             w, v = eigh3(jac.T @ jac)
             w = np.where(w > w[-1] * multilateration.RANK_TOL, w, np.inf)
             delta = v @ ((v.T @ (jac.T @ -r)) / w)
-            moved, on_face = multilateration._gauss_newton(x, lambda _: (r, jac), bounds)
-            assert not on_face
+            moved = multilateration._gauss_newton(x, lambda _: (r, jac), bounds)
             np.testing.assert_allclose(
                 moved, x + delta, rtol=0.0, atol=1e-12 * np.abs(delta).max()
             )
