@@ -35,10 +35,7 @@ from .pipeline import EpochRecord, RunSummary, localize_epoch, run_simulation, w
 from .propagation import (
     ChannelConfig,
     ChannelProfile,
-    NoDirectPathError,
     PingMeasurement,
-    RayPath,
-    RaySegment,
     link_budget,
     pairwise_tof,
     ping_paths,
@@ -46,7 +43,6 @@ from .propagation import (
     simulate_ping,
     snr,
     tof_jacobian,
-    trace_refracted,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 

@@ -26,12 +26,7 @@ from .pipeline import (
     simulate_epoch,
     write_outputs,
 )
-from .propagation import (
-    ChannelProfile,
-    NoDirectPathError,
-    link_budget,
-    trace_refracted,
-)
+from .propagation import ChannelProfile, link_budget, ping_paths
 from .scenario import (
     ScenarioError,
     load_scenario,
@@ -91,21 +86,15 @@ def _cmd_ping(args) -> int:
     src = _parse_endpoint(args.src, "--src", profile)
     dst = _parse_endpoint(args.dst, "--dst", profile)
 
-    # As ping_paths does, to the last bit: np.hypot of source minus receiver.
-    horizontal = float(np.hypot(*(src - dst)[:2]))
-    # 0.0 - up rather than -up, so that a surface endpoint has depth 0.0, not -0.0.
-    depth_src, depth_dst = float(0.0 - src[2]), float(0.0 - dst[2])
-    try:
-        path = trace_refracted(profile, depth_src, depth_dst, horizontal)
-    except NoDirectPathError as exc:
-        print(f"no direct path: {exc}")
+    # A run's ping: the kernel's path sums, then the run's link rule.
+    tof, length, absorbed = (float(v[0]) for v in ping_paths(profile, src, dst[None]))
+    if math.isnan(tof):
+        print("no direct path: the ray turns before it closes the horizontal range")
         return 0
 
-    # The run's link rule, on the traced path's length and absorption sums.
-    loss_db, snr_db, detected = link_budget(scenario.channel, path.total_length, path.absorbed)
-    print(f"tof_s: {path.tof!r}")
-    print(f"length_m: {path.total_length!r}")
-    print(f"ray_parameter_s_per_m: {path.ray_parameter!r}")
+    loss_db, snr_db, detected = link_budget(scenario.channel, length, absorbed)
+    print(f"tof_s: {tof!r}")
+    print(f"length_m: {length!r}")
     if loss_db is not None:
         print(f"transmission_loss_db: {loss_db!r}")
         print(f"snr_db: {snr_db!r}")
@@ -127,9 +116,12 @@ def _cmd_localize(args) -> int:
     for m in measurements:
         print(f"  anchor {m.anchor_id}: tof={m.tof_measured!r} s  snr={m.snr!r} dB")
 
+    # The GA's best fit, in the unit of the residual it minimizes.
+    label = "ga_fit_m2" if scenario.ga.fitness_mode == "range_residual" else "ga_fit_s2"
+
     def trace(gen, best, sigma):
         if gen % args.trace_every == 0:
-            print(f"  gen {gen:4d}  best_fitness={best:.6e}  sigma={sigma:.3f} m")
+            print(f"  gen {gen:4d}  {label}={best:.6e}  sigma={sigma:.3f} m")
 
     estimate = localize_epoch(scenario, args.epoch, anchors, measurements, trace=trace)
     if estimate is None:
@@ -137,7 +129,7 @@ def _cmd_localize(args) -> int:
         return 0
     e, n, u = (float(v) for v in estimate.position)
     print(f"fix: east={e!r} north={n!r} up={u!r}")
-    print(f"best_fitness: {estimate.best_fitness!r}")
+    print(f"tof_fit_s2: {estimate.best_fitness!r}")
     print(f"fix_sigma_m: {math.sqrt(float(np.trace(estimate.covariance)))!r}")
     print(f"generations_run: {estimate.generations_run}")
     print(f"polishes: {estimate.polishes}")

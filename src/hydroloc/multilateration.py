@@ -36,6 +36,9 @@ log = logging.getLogger(__name__)
 # Residual contribution of a candidate/anchor pair with no direct path:
 # large but finite so the search surface stays totally ordered.
 NO_PATH_PENALTY = 1e6
+# Largest GA population, 50 times the largest a benchmark workload uses
+# (40 to 200): a far larger one would fail in the GA, at its allocation.
+POPULATION_MAX = 10_000
 # Each parent is the best of a tournament of TOURNAMENT_SIZE; a pair is
 # blended with probability CROSSOVER_RATE and each child coordinate
 # mutates with probability MUTATION_RATE.
@@ -118,6 +121,10 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.population_size < 4:
             raise ValueError(f"population_size: must be >= 4, got {self.population_size}")
+        if self.population_size > POPULATION_MAX:
+            raise ValueError(
+                f"population_size: must be <= {POPULATION_MAX}, got {self.population_size}"
+            )
         if self.generations < 1:
             raise ValueError(f"generations: must be >= 1, got {self.generations}")
         if self.fitness_mode not in ("tof_residual", "range_residual"):

@@ -2,9 +2,10 @@
 
 One vectorized kernel gives each direct path's length in every layer.
 Travel time, path length and absorption are sums over those lengths in
-layer order (TOF = sum of length_i / c_i), so pings, the fitness's
-pairwise travel times and the RayPath traces share one rule. A run's
-pings and `hydroloc ping` share one link rule, link_budget.
+layer order (TOF = sum of length_i / c_i), so pings and the fitness's
+pairwise travel times share one rule. A run's pings and `hydroloc ping`
+take the same path sums (ping_paths) and apply the same link rule
+(link_budget).
 
 A path that crosses at most one layer is the chord between its
 endpoints. A path across two or more layers refracts by the
@@ -32,13 +33,9 @@ from .environment import acoustics_profile
 from .streams import Stream
 
 __all__ = [
-    "NoDirectPathError",
     "ChannelProfile",
     "ChannelConfig",
-    "RaySegment",
-    "RayPath",
     "PingMeasurement",
-    "trace_refracted",
     "snr",
     "link_budget",
     "ping_paths",
@@ -58,10 +55,9 @@ _P_MARGIN = 1e-9
 _NEWTON_STEPS = 16
 # Transmission loss is spreading relative to 1 m; shorter paths have none.
 _REFERENCE_DISTANCE = 1.0
-
-
-class NoDirectPathError(Exception):
-    """No direct (non-reflected, non-turning) ray joins the endpoints."""
+# Largest timing jitter, s, the ceiling of gps_noise_sigma (m): the fit's
+# squared TOF residuals and its covariance stay far inside the float range.
+TOF_NOISE_SIGMA_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -113,24 +109,10 @@ class ChannelConfig:
             raise ValueError(f"path_model: must be 'refracted', got {self.path_model!r}")
         if self.tof_noise_sigma < 0:
             raise ValueError(f"tof_noise_sigma: must be >= 0, got {self.tof_noise_sigma}")
-
-
-@dataclass(frozen=True)
-class RaySegment:
-    layer: int
-    length: float          # m
-    grazing_angle: float   # rad from horizontal
-
-
-@dataclass(frozen=True)
-class RayPath:
-    """A traced source-to-receiver path, segment per traversed layer."""
-
-    segments: tuple[RaySegment, ...]
-    total_length: float   # m
-    tof: float            # s
-    ray_parameter: float  # s/m, cos(theta)/c (0 for a vertical ray)
-    absorbed: float       # dB, absorption along the path
+        if self.tof_noise_sigma > TOF_NOISE_SIGMA_MAX:
+            raise ValueError(
+                f"tof_noise_sigma: must be <= {TOF_NOISE_SIGMA_MAX}, got {self.tof_noise_sigma}"
+            )
 
 
 @dataclass(frozen=True)
@@ -276,55 +258,6 @@ def _tof(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
     return (lengths / np.asarray(profile.sound_speeds)).sum(axis=-1)
 
 
-def _absorbed(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
-    """Absorption (dB) along per-layer path lengths (..., L), summed in layer order."""
-    return (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1)
-
-
-def trace_refracted(
-    profile: ChannelProfile,
-    source_depth: float,
-    receiver_depth: float,
-    horizontal_range: float,
-) -> RayPath:
-    """Trace the direct refracted ray between two depths.
-
-    The RayPath view of one kernel pair, segments source -> receiver.
-    Endpoints within one layer are joined by their chord. Across two or
-    more layers the per-layer grazing angles share a single ray
-    parameter p = cos(theta_i)/c_i, found by Newton's method on the
-    monotone map from the ray's tangent to horizontal range. Raises
-    NoDirectPathError when the requested range cannot be closed before
-    the ray turns.
-    """
-    if horizontal_range < 0:
-        raise ValueError(f"horizontal_range must be >= 0, got {horizontal_range}")
-    lengths, dz, p, ok = _layer_paths(profile, source_depth, receiver_depth, horizontal_range)
-    if not ok:
-        raise NoDirectPathError(
-            f"range {horizontal_range} m not reachable by a direct ray "
-            f"between depths {source_depth} and {receiver_depth} m"
-        )
-    order = np.nonzero(lengths > 0.0)[0]
-    if source_depth > receiver_depth:
-        order = order[::-1]
-    segments = tuple(
-        RaySegment(
-            layer=int(i),
-            length=float(lengths[i]),
-            grazing_angle=math.asin(min(dz[i] / lengths[i], 1.0)),
-        )
-        for i in order
-    )
-    return RayPath(
-        segments=segments,
-        total_length=float(lengths.sum(axis=-1)),
-        tof=float(_tof(profile, lengths)),
-        ray_parameter=float(p),
-        absorbed=float(_absorbed(profile, lengths)),
-    )
-
-
 def _loss_db(total_length: float, absorbed: float) -> float | None:
     """Spherical spreading relative to 1 m plus the absorption along the path, dB.
 
@@ -367,7 +300,7 @@ def ping_paths(profile: ChannelProfile, source, receivers):
     return (
         np.where(ok, _tof(profile, lengths), np.nan),
         lengths.sum(axis=-1),
-        _absorbed(profile, lengths),
+        (np.asarray(profile.absorption) * 1e-3 * lengths).sum(axis=-1),
     )
 
 

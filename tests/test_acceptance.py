@@ -33,7 +33,8 @@ from hydroloc.geodesy import (
 )
 from hydroloc.multilateration import Anchor, GaConfig, SearchBounds, fitness, ga_localize
 from hydroloc.pipeline import run_simulation
-from hydroloc.propagation import ChannelProfile, PingMeasurement, trace_refracted
+from hydroloc import propagation
+from hydroloc.propagation import ChannelProfile, PingMeasurement, pairwise_tof, ping_paths
 from hydroloc.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -127,19 +128,21 @@ def test_criterion_2_snell_invariant():
         receiver_depth = rng.uniform(0.0, 5.0)
         source_depth = rng.uniform(0.3 * total, total - 1.0)
         horizontal = rng.uniform(0.0, 2.0 * source_depth)
-        path = trace_refracted(profile, source_depth, receiver_depth, horizontal)
-        for seg in path.segments:
-            dev = abs(
-                math.cos(seg.grazing_angle) / profile.sound_speeds[seg.layer]
-                - path.ray_parameter
-            )
-            worst_snell = max(worst_snell, dev)
-        closed = sum(s.length * math.cos(s.grazing_angle) for s in path.segments)
+        # The kernel's per-layer lengths, vertical extents and ray parameter.
+        lengths, dz, p, ok = propagation._layer_paths(
+            profile, source_depth, receiver_depth, horizontal
+        )
+        assert ok
+        closed = 0.0
+        for i in np.nonzero(lengths > 0.0)[0]:
+            grazing = math.asin(min(dz[i] / lengths[i], 1.0))
+            worst_snell = max(worst_snell, abs(math.cos(grazing) / profile.sound_speeds[i] - p))
+            closed += lengths[i] * math.cos(grazing)
         worst_closure = max(worst_closure, abs(closed - horizontal))
     report(
         "criterion 2 (Snell invariant)",
         worst_snell < 1e-12 and worst_closure < 1e-6,
-        f"100 traces: max |cos(theta)/c - p| {worst_snell:.3e} (tol 1e-12), "
+        f"100 rays: max |cos(theta)/c - p| {worst_snell:.3e} (tol 1e-12), "
         f"max range closure error {worst_closure:.3e} m (tol 1e-6)",
     )
 
@@ -149,7 +152,7 @@ def test_criterion_3_fermat_oracle():
         boundaries=(0.0, 100.0, 200.0), sound_speeds=(1500.0, 1450.0),
         absorption=(1.0, 1.0), frequency=25.0,
     )
-    path = trace_refracted(profile, 200.0, 0.0, 200.0)
+    tof = float(pairwise_tof(profile, [(0.0, 0.0, -200.0)], [(200.0, 0.0, 0.0)])[0][0, 0])
     x = np.linspace(0.0, 200.0, 200001)
     crossing_tof = np.sqrt(x**2 + 100.0**2) / 1500.0
     crossing_tof += np.sqrt((200.0 - x) ** 2 + 100.0**2) / 1450.0
@@ -157,12 +160,12 @@ def test_criterion_3_fermat_oracle():
     # The straight chord split at the boundary: sum of chord * dz_i / (dz * c_i).
     chord = math.hypot(200.0, 200.0)
     straight = sum(chord * dz / (200.0 * c) for dz, c in zip((100.0, 100.0), (1500.0, 1450.0)))
-    diff = abs(path.tof - oracle)
+    diff = abs(tof - oracle)
     report(
         "criterion 3 (Fermat oracle)",
-        diff < 1e-9 and path.tof <= straight,
+        diff < 1e-9 and tof <= straight,
         f"refracted vs crossing-point minimum differ by {diff:.3e} s (tol 1e-9); "
-        f"refracted {path.tof:.9f} s <= straight {straight:.9f} s",
+        f"refracted {tof:.9f} s <= straight {straight:.9f} s",
     )
 
 
@@ -176,8 +179,7 @@ def test_criterion_4_homogeneous_equivalence():
                         -rng.uniform(0.0, 500.0)])
         rcv = np.array([rng.uniform(-1000, 1000), rng.uniform(-1000, 1000),
                         -rng.uniform(0.0, 500.0)])
-        horizontal = float(np.hypot(rcv[0] - src[0], rcv[1] - src[1]))
-        refracted = trace_refracted(profile, -src[2], -rcv[2], horizontal).tof
+        refracted = float(ping_paths(profile, src, rcv[None])[0][0])
         euclid = float(np.linalg.norm(rcv - src)) / c
         worst = max(worst, abs(refracted - euclid) / max(refracted, 1e-30))
     report(

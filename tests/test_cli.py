@@ -118,7 +118,7 @@ class TestPingCommand:
         noisy = str(SCENARIO_DIR / "canonical_noisy.yaml")
         assert main(["ping", noisy, "--src=0,0,0", "--dst=1e6,0,-150"]) == 0
         out = capsys.readouterr().out
-        assert "between depths 0.0 and 150.0 m" in out
+        assert out.startswith("no direct path") and out.count("\n") == 1
         assert "-0.0" not in out
 
 
@@ -215,6 +215,21 @@ class TestLocalizeCommand:
         assert f"polishes: {estimate.polishes}\n" in out
         assert "population_dispersion_m" not in out
 
+    @pytest.mark.parametrize(
+        "mode,ga_label", [("tof_residual", "ga_fit_s2="), ("range_residual", "ga_fit_m2=")]
+    )
+    def test_fits_are_labelled_with_their_units(self, mode, ga_label, small_scenario, capsys):
+        # The GA's trace prints the fit it minimizes; the fix's fit is always TOF (s^2).
+        doc = yaml.safe_load(Path(small_scenario).read_text())
+        doc["ga"]["fitness_mode"] = mode
+        Path(small_scenario).write_text(yaml.safe_dump(doc))
+        assert main(["localize", small_scenario, "--epoch", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        trace = [line for line in lines if line.lstrip().startswith("gen ")]
+        assert trace and all(f"  {ga_label}" in line for line in trace)
+        assert sum(line.startswith("tof_fit_s2: ") for line in lines) == 1
+        assert not any("best_fitness" in line for line in lines)
+
     def test_epoch_out_of_range(self, small_scenario, capsys):
         assert main(["localize", small_scenario, "--epoch", "99"]) == 1
         assert "--epoch" in capsys.readouterr().err
@@ -290,6 +305,24 @@ class TestRunCommand:
         assert all(math.isfinite(float(c)) for c in cells)
         summary = (out_dir / "summary.json").read_text()
         assert "NaN" not in summary and "Infinity" not in summary
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("ga", "population_size", 10**30), ("channel", "tof_noise_sigma", 1.0e300)],
+        ids=["ga.population_size", "channel.tof_noise_sigma"],
+    )
+    def test_value_above_its_ceiling_is_validation_error(
+        self, section, key, value, tmp_path, capsys
+    ):
+        # These used to exit 2 from inside the run: a GA population numpy cannot
+        # allocate, and an overflow in the squared TOF residuals.
+        doc = yaml.safe_load(Path(NOISELESS).read_text())
+        doc[section][key] = value
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"validation error: {section}.{key}: must be <= " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_out_is_usage_error(self, small_scenario, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,9 +16,9 @@ from hydroloc.propagation import (
     ChannelProfile,
     PingMeasurement,
     pairwise_tof,
+    ping_paths,
     range_from_tof,
     tof_jacobian,
-    trace_refracted,
 )
 from hydroloc.smallmat import eigh3
 
@@ -40,13 +40,9 @@ TRUTH = np.array([0.0, 0.0, -50.0])
 
 
 def noiseless_measurements(anchors=ANCHORS, truth=TRUTH, profile=HOMOG):
-    out = []
-    for a in anchors:
-        pos = np.asarray(a.position)
-        horizontal = float(np.hypot(truth[0] - pos[0], truth[1] - pos[1]))
-        path = trace_refracted(profile, -truth[2], -pos[2], horizontal)
-        out.append(PingMeasurement(a.id, path.tof, 20.0, 0.0))
-    return out
+    """Each anchor's ping from truth, as a run traces it, without timing noise."""
+    tof, _, _ = ping_paths(profile, truth, [a.position for a in anchors])
+    return [PingMeasurement(a.id, float(t), 20.0, 0.0) for a, t in zip(anchors, tof)]
 
 
 def observed_tofs(measurements):

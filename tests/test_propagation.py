@@ -10,14 +10,12 @@ from hydroloc.environment import Layer, absorption_coeff, sound_speed
 from hydroloc.propagation import (
     ChannelConfig,
     ChannelProfile,
-    NoDirectPathError,
     link_budget,
     pairwise_tof,
     ping_paths,
     simulate_ping,
     snr,
     tof_jacobian,
-    trace_refracted,
 )
 
 
@@ -52,8 +50,27 @@ def random_profile(rng, n_layers):
     return ChannelProfile.from_layers(layers, 25.0)
 
 
-def closure_error(path, horizontal_range):
-    dx = sum(seg.length * math.cos(seg.grazing_angle) for seg in path.segments)
+def ping_sums(prof, source_depth, receiver_depth, horizontal):
+    """ping_paths' (tof, length, absorbed) of one path, given by its depths and range."""
+    source = (0.0, 0.0, -source_depth)
+    receiver = (horizontal, 0.0, -receiver_depth)
+    return tuple(float(v[0]) for v in ping_paths(prof, source, [receiver]))
+
+
+def segments(prof, source_depth, receiver_depth, horizontal):
+    """The kernel's direct ray: (layer, length, grazing angle) per crossed layer, and p."""
+    lengths, dz, p, ok = propagation._layer_paths(
+        prof, source_depth, receiver_depth, horizontal
+    )
+    assert ok
+    crossed = np.nonzero(lengths > 0.0)[0]
+    return [
+        (int(i), float(lengths[i]), math.asin(min(dz[i] / lengths[i], 1.0))) for i in crossed
+    ], float(p)
+
+
+def closure_error(segs, horizontal_range):
+    dx = sum(length * math.cos(grazing) for _, length, grazing in segs)
     return abs(dx - horizontal_range)
 
 
@@ -69,167 +86,115 @@ class TestProfile:
 
 
 class TestTraceRefracted:
+    """The direct ray of the path kernel, through ping_paths and _layer_paths."""
+
     def test_vertical_two_layer(self):
-        path = trace_refracted(TWO_LAYER, 0.0, 200.0, 0.0)
-        assert path.tof == pytest.approx(0.13423423423423423, abs=1e-12)
-        assert path.total_length == pytest.approx(200.0)
-        assert path.ray_parameter == 0.0
-        assert [s.grazing_angle for s in path.segments] == [math.pi / 2, math.pi / 2]
+        tof, length, _ = ping_sums(TWO_LAYER, 0.0, 200.0, 0.0)
+        assert tof == pytest.approx(0.13423423423423423, abs=1e-12)
+        assert length == pytest.approx(200.0)
+        segs, p = segments(TWO_LAYER, 0.0, 200.0, 0.0)
+        assert p == 0.0
+        assert [grazing for _, _, grazing in segs] == [math.pi / 2, math.pi / 2]
 
     def test_homogeneous_is_straight_line(self):
-        path = trace_refracted(HOMOG, 400.0, 0.0, 300.0)
-        assert path.total_length == pytest.approx(500.0, abs=1e-9)
-        assert path.tof == pytest.approx(1.0 / 3.0, abs=1e-12)
+        tof, length, _ = ping_sums(HOMOG, 400.0, 0.0, 300.0)
+        assert length == pytest.approx(500.0, abs=1e-9)
+        assert tof == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_two_layer_matches_fermat_minimum(self):
-        path = trace_refracted(TWO_LAYER, 200.0, 0.0, 200.0)
+        tof = ping_sums(TWO_LAYER, 200.0, 0.0, 200.0)[0]
         x = np.linspace(0.0, 200.0, 200001)
         t = np.sqrt(x**2 + 100.0**2) / 1500.0 + np.sqrt((200.0 - x) ** 2 + 100.0**2) / 1480.0
-        assert path.tof == pytest.approx(float(t.min()), abs=1e-9)
+        assert tof == pytest.approx(float(t.min()), abs=1e-9)
 
     def test_refraction_never_slower_than_straight(self):
-        path = trace_refracted(TWO_LAYER, 200.0, 0.0, 200.0)
+        tof = ping_sums(TWO_LAYER, 200.0, 0.0, 200.0)[0]
         # The chord split at the boundary, each piece at its layer's speed.
         chord = math.hypot(200.0, 200.0)
         straight_tof = chord * 100.0 / 200.0 / 1500.0 + chord * 100.0 / 200.0 / 1480.0
-        assert path.tof <= straight_tof
+        assert tof <= straight_tof
 
     def test_snell_invariant(self):
         prof = random_profile(np.random.default_rng(3), 6)
-        path = trace_refracted(prof, prof.total_depth * 0.9, 2.0, 300.0)
-        for seg in path.segments:
-            dev = abs(
-                math.cos(seg.grazing_angle) / prof.sound_speeds[seg.layer]
-                - path.ray_parameter
-            )
-            assert dev < 1e-12
+        segs, p = segments(prof, prof.total_depth * 0.9, 2.0, 300.0)
+        for layer, _, grazing in segs:
+            assert abs(math.cos(grazing) / prof.sound_speeds[layer] - p) < 1e-12
 
     def test_range_closure(self):
         prof = random_profile(np.random.default_rng(4), 5)
         for rng_m in (0.0, 10.0, 250.0, 900.0):
-            path = trace_refracted(prof, prof.total_depth - 5.0, 1.0, rng_m)
-            assert closure_error(path, rng_m) < 1e-6
+            segs, _ = segments(prof, prof.total_depth - 5.0, 1.0, rng_m)
+            assert closure_error(segs, rng_m) < 1e-6
 
     def test_reciprocity(self):
         prof = random_profile(np.random.default_rng(5), 4)
-        a = trace_refracted(prof, 10.0, prof.total_depth - 10.0, 400.0)
-        b = trace_refracted(prof, prof.total_depth - 10.0, 10.0, 400.0)
-        assert a.tof == pytest.approx(b.tof, rel=1e-9)
-        assert a.total_length == pytest.approx(b.total_length, rel=1e-9)
+        a = ping_sums(prof, 10.0, prof.total_depth - 10.0, 400.0)
+        b = ping_sums(prof, prof.total_depth - 10.0, 10.0, 400.0)
+        assert a[0] == pytest.approx(b[0], rel=1e-9)
+        assert a[1] == pytest.approx(b[1], rel=1e-9)
 
     def test_tof_monotone_in_range(self):
         prof = random_profile(np.random.default_rng(6), 3)
         tofs = [
-            trace_refracted(prof, prof.total_depth - 1.0, 0.0, r).tof
-            for r in np.linspace(0.0, 500.0, 26)
+            ping_sums(prof, prof.total_depth - 1.0, 0.0, r)[0] for r in np.linspace(0.0, 500.0, 26)
         ]
         assert all(b > a for a, b in zip(tofs, tofs[1:]))
 
-    def test_tof_consistent_with_segments(self):
-        prof = random_profile(np.random.default_rng(8), 5)
-        path = trace_refracted(prof, prof.total_depth - 2.0, 3.0, 350.0)
-        recomputed = sum(s.length / prof.sound_speeds[s.layer] for s in path.segments)
-        assert path.tof == pytest.approx(recomputed, rel=1e-12)
-        assert path.total_length == pytest.approx(
-            sum(s.length for s in path.segments), rel=1e-12
-        )
-
-    @pytest.mark.parametrize(
-        "src,rcv,horizontal,first",
-        [
-            (120.0, 120.0, 98.0, 1),   # equal depths
-            (150.0, 0.0, 0.0, 1),      # vertical
-            (180.0, 20.0, 67.0, 1),    # source deeper
-            (100.0, 160.0, 70.0, 1),   # source on a boundary: the layer below
-        ],
-        ids=["equal-depth", "vertical", "deeper-source", "boundary-source"],
-    )
-    def test_segments_run_source_to_receiver(self, src, rcv, horizontal, first):
-        path = trace_refracted(TWO_LAYER, src, rcv, horizontal)
-        layers = [seg.layer for seg in path.segments]
-        assert layers[0] == first
-        assert layers == sorted(layers, reverse=src > rcv)
-
     def test_same_depth_horizontal_ray(self):
-        path = trace_refracted(TWO_LAYER, 150.0, 150.0, 600.0)
-        assert len(path.segments) == 1
-        assert path.segments[0].layer == 1
-        assert path.tof == pytest.approx(600.0 / 1480.0)
-        assert path.ray_parameter == pytest.approx(1.0 / 1480.0)
+        segs, p = segments(TWO_LAYER, 150.0, 150.0, 600.0)
+        assert [layer for layer, _, _ in segs] == [1]
+        assert ping_sums(TWO_LAYER, 150.0, 150.0, 600.0)[0] == pytest.approx(600.0 / 1480.0)
+        assert p == pytest.approx(1.0 / 1480.0)
 
     def test_same_depth_on_boundary_uses_layer_below(self):
-        path = trace_refracted(TWO_LAYER, 100.0, 100.0, 100.0)
-        assert path.segments[0].layer == 1
+        segs, _ = segments(TWO_LAYER, 100.0, 100.0, 100.0)
+        assert segs[0][0] == 1
 
     def test_degenerate_coincident_endpoints(self):
-        path = trace_refracted(TWO_LAYER, 50.0, 50.0, 0.0)
-        assert path.segments == ()
-        assert path.tof == 0.0
-        assert path.total_length == 0.0
+        assert segments(TWO_LAYER, 50.0, 50.0, 0.0)[0] == []
+        tof, length, _ = ping_sums(TWO_LAYER, 50.0, 50.0, 0.0)
+        assert tof == 0.0
+        assert length == 0.0
 
     def test_no_direct_path_when_ray_would_turn(self):
-        with pytest.raises(NoDirectPathError):
-            trace_refracted(TWO_LAYER, 0.0, 200.0, 1e7)
+        assert not propagation._layer_paths(TWO_LAYER, 0.0, 200.0, 1e7)[3]
+        assert math.isnan(ping_sums(TWO_LAYER, 0.0, 200.0, 1e7)[0])
 
     @pytest.mark.parametrize("src,rcv", [(-1.0, 10.0), (10.0, 300.0)])
     def test_depth_out_of_column(self, src, rcv):
         with pytest.raises(ValueError, match="depth"):
-            trace_refracted(TWO_LAYER, src, rcv, 100.0)
-
-    def test_negative_range_rejected(self):
-        with pytest.raises(ValueError, match="horizontal_range"):
-            trace_refracted(TWO_LAYER, 0.0, 100.0, -1.0)
+            ping_sums(TWO_LAYER, src, rcv, 100.0)
 
 
 class TestLinkBudget:
     CONFIG = ChannelConfig(source_level=180.0, noise_level=50.0)
 
-    def loss(self, path):
-        return link_budget(self.CONFIG, path.total_length, path.absorbed)[0]
+    def loss(self, prof, source_depth):
+        """The loss of the vertical path from source_depth to the surface."""
+        _, length, absorbed = ping_sums(prof, source_depth, 0.0, 0.0)
+        return link_budget(self.CONFIG, length, absorbed)[0]
 
     def test_pure_spherical_spreading(self):
         prof = profile((0.0, 2000.0), (1500.0,), absorption=(0.0,))
-        path = trace_refracted(prof, 1000.0, 0.0, 0.0)
-        assert self.loss(path) == pytest.approx(60.0, abs=1e-12)
+        assert self.loss(prof, 1000.0) == pytest.approx(60.0, abs=1e-12)
 
     def test_uniform_absorption_adds_linearly(self):
         prof = profile((0.0, 2000.0), (1500.0,), absorption=(1.0,))
-        path = trace_refracted(prof, 1000.0, 0.0, 0.0)
-        assert self.loss(path) == pytest.approx(61.0, abs=1e-12)
+        assert self.loss(prof, 1000.0) == pytest.approx(61.0, abs=1e-12)
 
     def test_two_layer_weighted_absorption(self):
         prof = profile((0.0, 100.0, 200.0), (1500.0, 1480.0), absorption=(1.0, 3.0))
-        path = trace_refracted(prof, 200.0, 0.0, 0.0)
         expected = 20.0 * math.log10(200.0) + (100.0 * 1.0 + 100.0 * 3.0) / 1000.0
-        assert self.loss(path) == pytest.approx(expected, abs=1e-12)
+        assert self.loss(prof, 200.0) == pytest.approx(expected, abs=1e-12)
 
     def test_reference_distance_error(self):
-        path = trace_refracted(HOMOG, 100.0, 100.0, 0.5)
-        assert link_budget(self.CONFIG, path.total_length, path.absorbed) == (None, None, False)
+        _, length, absorbed = ping_sums(HOMOG, 100.0, 100.0, 0.5)
+        assert link_budget(self.CONFIG, length, absorbed) == (None, None, False)
 
     def test_loss_increases_with_length(self):
         prof = profile((0.0, 2000.0), (1500.0,), absorption=(0.5,))
-        losses = [
-            self.loss(trace_refracted(prof, d, 0.0, 0.0)) for d in (10.0, 100.0, 500.0, 1500.0)
-        ]
+        losses = [self.loss(prof, d) for d in (10.0, 100.0, 500.0, 1500.0)]
         assert all(b > a for a, b in zip(losses, losses[1:]))
-
-    def test_trace_sums_equal_ping_paths(self):
-        # hydroloc ping applies the link rule to a RayPath, a run to ping_paths'
-        # sums: both must be the same numbers.
-        rng = np.random.default_rng(3)
-        prof = random_profile(rng, 3)
-        source = (0.0, 0.0, -rng.uniform(0.0, prof.total_depth))
-        receivers = np.c_[rng.uniform(-300.0, 300.0, (40, 2)),
-                          -rng.uniform(0.0, prof.total_depth, 40)]
-        receivers[:5, 2] = 0.0
-        tof, length, absorbed = ping_paths(prof, source, receivers)
-        for j, r in enumerate(receivers):
-            # The kernel's horizontal range: np.hypot of source minus receiver.
-            horizontal = float(np.hypot(source[0] - r[0], source[1] - r[1]))
-            path = trace_refracted(prof, -source[2], 0.0 - r[2], horizontal)
-            assert (path.tof, path.total_length, path.absorbed) == (
-                tof[j], length[j], absorbed[j])
 
     def test_snr_equation(self):
         assert snr(170.0, 60.0, 50.0) == 60.0
@@ -259,11 +224,10 @@ class TestSimulatePing:
     def test_zero_noise_matches_trace(self):
         pings = self.pings()
         assert [p.anchor_id for p in pings] == ["a0", "a1", "a2"]
-        src = self.source
-        for ping, rcv in zip(pings, self.receivers):
-            horizontal = math.hypot(rcv[0] - src[0], rcv[1] - src[1])
-            assert ping.tof_measured == trace_refracted(HOMOG, -src[2], -rcv[2], horizontal).tof
-            assert ping.timestamp == 1.5
+        # The fitness's forward model, on the same kernel paths.
+        tof, _ = pairwise_tof(HOMOG, [self.source], self.receivers)
+        assert [p.tof_measured for p in pings] == list(tof[0])
+        assert [p.timestamp for p in pings] == [1.5] * 3
 
     def test_zero_noise_homogeneous_epoch(self):
         # Every detection is the direct line: TOF r/c, SNR SL - 20 log10 r - alpha r - NL.
