@@ -23,7 +23,6 @@ from .geodesy import (
     geodetic_to_ecef,
 )
 from .multilateration import (
-    Anchor,
     GaConfig,
     PositionEstimate,
     SearchBounds,
@@ -35,7 +34,6 @@ from .pipeline import EpochRecord, RunSummary, localize_epoch, run_simulation, w
 from .propagation import (
     ChannelConfig,
     ChannelProfile,
-    PingMeasurement,
     link_budget,
     pairwise_tof,
     ping_paths,

@@ -111,10 +111,11 @@ def _cmd_localize(args) -> int:
     if args.trace_every < 1:
         raise ScenarioError(f"--trace-every: must be >= 1, got {args.trace_every}")
     t = epoch_times(scenario)[args.epoch]
-    true_pos, anchors, measurements, _ = simulate_epoch(scenario, args.epoch, t)
-    print(f"epoch {args.epoch} (t={t!r} s): {len(measurements)} detections")
-    for m in measurements:
-        print(f"  anchor {m.anchor_id}: tof={m.tof_measured!r} s  snr={m.snr!r} dB")
+    true_pos, reported, tofs, _ = simulate_epoch(scenario, args.epoch, t)
+    print(f"epoch {args.epoch} (t={t!r} s): {np.count_nonzero(~np.isnan(tofs))} detections")
+    for aid, tof in zip(scenario.anchor_ids, tofs.tolist()):
+        if not math.isnan(tof):
+            print(f"  anchor {aid}: tof={tof!r} s")
 
     # The GA's best fit, in the unit of the residual it minimizes.
     label = "ga_fit_m2" if scenario.ga.fitness_mode == "range_residual" else "ga_fit_s2"
@@ -123,7 +124,7 @@ def _cmd_localize(args) -> int:
         if gen % args.trace_every == 0:
             print(f"  gen {gen:4d}  {label}={best:.6e}  sigma={sigma:.3f} m")
 
-    estimate = localize_epoch(scenario, args.epoch, anchors, measurements, trace=trace)
+    estimate = localize_epoch(scenario, args.epoch, reported, tofs, trace=trace)
     if estimate is None:
         print("fewer than 4 detections; no fix possible at this epoch")
         return 0

@@ -22,7 +22,6 @@ from .smallmat import eigh3, matmul
 from .streams import Stream, box_muller
 
 __all__ = [
-    "Anchor",
     "SearchBounds",
     "GaConfig",
     "PositionEstimate",
@@ -33,6 +32,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Largest magnitude of a search-box end, m, the ceiling of gps_noise_sigma:
+# the GA's squared distances and the fit's residuals stay far inside the
+# float range. A +-1e160 m box overflowed them; a +-1e100 m one fixed 4e99 m off.
+SEARCH_BOUND_MAX = 1e6
 # Residual contribution of a candidate/anchor pair with no direct path:
 # large but finite so the search surface stays totally ordered.
 NO_PATH_PENALTY = 1e6
@@ -67,14 +70,6 @@ RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """A surface reference point with a (possibly GPS-noisy) ENU position."""
-
-    id: str
-    position: tuple[float, float, float]  # ENU, m
-
-
-@dataclass(frozen=True)
 class SearchBounds:
     """Axis-aligned ENU search box; the up range must stay at or below 0."""
 
@@ -86,8 +81,10 @@ class SearchBounds:
         for name, (lo, hi) in (("east", self.east), ("north", self.north), ("up", self.up)):
             if not lo < hi:
                 raise ValueError(f"{name}: must satisfy lo < hi, got {(lo, hi)}")
-            if not np.isfinite(hi - lo):
-                raise ValueError(f"{name}: extent must be finite, got {(lo, hi)}")
+            if not (abs(lo) <= SEARCH_BOUND_MAX and abs(hi) <= SEARCH_BOUND_MAX):
+                raise ValueError(
+                    f"{name}: ends must be within +-{SEARCH_BOUND_MAX} m, got {(lo, hi)}"
+                )
         if self.up[1] > 0.0:
             raise ValueError(f"up: upper limit must be <= 0, got {self.up[1]}")
 
@@ -292,8 +289,8 @@ def _fix_covariance(jac, tof_var, sigma_floor: float, extent: float) -> np.ndarr
 
 
 def ga_localize(
-    measurements,
-    anchors,
+    anchor_pos,
+    tofs,
     config: GaConfig,
     profile: ChannelProfile,
     seed: int,
@@ -305,39 +302,36 @@ def ga_localize(
 ) -> PositionEstimate:
     """Run the hybrid solver and return the fix with its covariance.
 
-    Needs measurements from at least four distinct anchors, each with a
-    finite, positive TOF. The anchors' positions, and in range_residual
-    mode the ranges converted at the middle of the search depths, are
-    built once. Every POLISH_EVERY generations Gauss-Newton polishes the
-    GA's best on the GA's residual; the GA stops when two polishes in a
-    row agree, or after config.generations. The fix is always a final
-    TOF polish of the last polish (of the GA's best if none ran). One
-    tof_jacobian call at the fix gives its TOF fit and the gradients
-    through which the covariance maps tof_sigma (s) and the anchors'
-    sigmas anchor_sigma (m, east/north/up), floored at sigma_floor (m).
+    anchor_pos (M, 3) and tofs (M,) are the heard anchors' ENU positions
+    and measured TOFs (s): M >= 4, every position finite, every TOF
+    finite and > 0. In range_residual mode the TOFs become ranges once,
+    at the middle of the search depths. Every POLISH_EVERY generations
+    Gauss-Newton polishes the GA's best on the GA's residual; the GA
+    stops when two polishes in a row agree, or after config.generations.
+    The fix is always a final TOF polish of the last polish (of the GA's
+    best if none ran). One tof_jacobian call at the fix gives its TOF
+    fit and the gradients through which the covariance maps tof_sigma
+    (s) and the anchors' sigmas anchor_sigma (m, east/north/up), floored
+    at sigma_floor (m).
 
-    Deterministic given (measurements, anchors, config, seed). trace, if
+    Deterministic given (anchor_pos, tofs, config, seed). trace, if
     given, is called as trace(generation, best_fitness, sigma) after
     every evaluated generation.
     """
-    measurements = list(measurements)
-    if not measurements:
-        raise ValueError("no measurements supplied")
-    distinct = {m.anchor_id for m in measurements}
-    if len(distinct) < 4:
-        raise ValueError(
-            f"underdetermined fix: need measurements from >= 4 distinct anchors, "
-            f"got {len(distinct)}"
-        )
-    by_id = {a.id: a for a in anchors}
-    for m in measurements:
-        if m.anchor_id not in by_id:
-            raise ValueError(f"measurement references unknown anchor id {m.anchor_id!r}")
-        if not (np.isfinite(m.tof_measured) and m.tof_measured > 0.0):
-            raise ValueError(
-                f"anchor {m.anchor_id!r}: measured TOF must be finite and > 0, "
-                f"got {m.tof_measured!r}"
-            )
+    anchor_pos = np.asarray(anchor_pos, float)
+    tofs = np.asarray(tofs, float)
+    if anchor_pos.ndim != 2 or anchor_pos.shape[1] != 3 or tofs.shape != anchor_pos.shape[:1]:
+        raise ValueError(f"anchor_pos {anchor_pos.shape} and tofs {tofs.shape}: need (M, 3), (M,)")
+    if len(tofs) < 4:
+        raise ValueError(f"underdetermined fix: need >= 4 anchors, got {len(tofs)}")
+    bad = ~(np.isfinite(tofs) & (tofs > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"row {k}: measured TOF must be finite and > 0, got {float(tofs[k])!r}")
+    bad = ~np.isfinite(anchor_pos).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"row {k}: anchor position must be finite, got {anchor_pos[k].tolist()}")
 
     bounds = config.search_bounds
     if -bounds.up[0] > profile.total_depth:
@@ -345,9 +339,6 @@ def ga_localize(
             f"search bounds reach below the water column "
             f"({-bounds.up[0]} m > {profile.total_depth} m)"
         )
-
-    anchor_pos = np.asarray([by_id[m.anchor_id].position for m in measurements], float)
-    tofs = np.array([m.tof_measured for m in measurements])
 
     def tof_residual(x):
         tof, ok, jac, _ = tof_jacobian(profile, x, anchor_pos)

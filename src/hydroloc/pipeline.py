@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
-from .multilateration import Anchor, PositionEstimate, ga_localize
+from .multilateration import PositionEstimate, ga_localize
 from .propagation import ping_paths, simulate_ping
 from .scenario import Scenario
 from .streams import Stream, child_seed
@@ -98,9 +98,11 @@ def epoch_times(scenario: Scenario) -> list[float]:
 def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
     """Generate one epoch's observations.
 
-    Returns (true_position, reported_anchors, measurements, depth_measured).
-    The acoustic paths use the true anchor positions; the reported anchors
-    carry that epoch's GPS noise and are what the localizer sees.
+    Returns (true_position, reported, tofs, depth_measured). reported is
+    the (M, 3) array of anchor positions with that epoch's GPS noise,
+    which the localizer sees; the acoustic paths use the true positions.
+    tofs is (M,): each anchor's measured TOF (s), in scenario.anchor_ids
+    order, NaN where the ping was not heard.
     """
     true_pos = interpolate_position(scenario.waypoints, t)
     profile = scenario.profile
@@ -112,39 +114,36 @@ def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
     # Keep reported hydrophone depths physical so the fitness model can
     # trace to them: at or below the surface, inside the column.
     reported[:, 2] = np.clip(reported[:, 2], -profile.total_depth, 0.0)
-    anchors = [
-        Anchor(id=aid, position=tuple(pos))
-        for aid, pos in zip(scenario.anchor_ids, reported)
-    ]
 
     # One kernel call traces every anchor; each then detects on its own noise stream.
     channel = scenario.channel
     tof, length, absorbed = ping_paths(profile, true_pos, anchors_true)
-    measurements = []
+    tofs = np.empty(len(anchors_true))
     for a, aid in enumerate(scenario.anchor_ids):
         seed = child_seed(scenario.seed, _TAG_PING, epoch_idx, a)
         ping = simulate_ping(channel, aid, tof[a], length[a], absorbed[a], seed, t)
-        if ping is not None:
-            measurements.append(ping)
+        tofs[a] = np.nan if ping is None else ping
 
     pressure = Stream(child_seed(scenario.seed, _TAG_PRESSURE, epoch_idx))
     true_depth = -float(true_pos[2])
     depth_measured = max(
         0.0, true_depth + scenario.ekf.pressure_sigma_depth * pressure.standard_normal()
     )
-    return true_pos, anchors, measurements, depth_measured
+    return true_pos, reported, tofs, depth_measured
 
 
-def localize_epoch(scenario: Scenario, epoch_idx: int, anchors, measurements, trace=None):
-    """One epoch's fix, or None when fewer than 4 distinct anchors were heard.
+def localize_epoch(scenario: Scenario, epoch_idx: int, reported, tofs, trace=None):
+    """One epoch's fix from its heard anchors, or None when fewer than 4 were heard.
 
-    The solver draws from the epoch's own child seed of the master seed;
-    its covariance comes from the scenario's TOF and GPS noise.
+    reported and tofs are simulate_epoch's; a NaN TOF is an anchor not
+    heard. The solver draws from the epoch's own child seed of the master
+    seed; its covariance comes from the scenario's TOF and GPS noise.
     """
-    if len({m.anchor_id for m in measurements}) < 4:
+    heard = ~np.isnan(tofs)
+    if heard.sum() < 4:
         return None
     return ga_localize(
-        measurements, anchors, scenario.ga, scenario.profile,
+        reported[heard], tofs[heard], scenario.ga, scenario.profile,
         child_seed(scenario.seed, _TAG_GA, epoch_idx), trace=trace,
         tof_sigma=scenario.channel.tof_noise_sigma,
         anchor_sigma=scenario.gps_noise_sigma,
@@ -172,17 +171,13 @@ def run_simulation(scenario: Scenario):
     records: list[EpochRecord] = []
     total_detections = 0
     for epoch_idx, t in enumerate(epoch_times(scenario)):
-        true_pos, anchors, measurements, depth_measured = simulate_epoch(
-            scenario, epoch_idx, t
-        )
-        total_detections += len(measurements)
+        true_pos, reported, tofs, depth_measured = simulate_epoch(scenario, epoch_idx, t)
+        n_detections = int(np.count_nonzero(~np.isnan(tofs)))
+        total_detections += n_detections
 
-        estimate = localize_epoch(scenario, epoch_idx, anchors, measurements)
+        estimate = localize_epoch(scenario, epoch_idx, reported, tofs)
         if estimate is None:
-            log.info(
-                "epoch %d (t=%.3f): %d detections, skipping fix",
-                epoch_idx, t, len(measurements),
-            )
+            log.info("epoch %d (t=%.3f): %d detections, skipping fix", epoch_idx, t, n_detections)
 
         state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
         if estimate is not None:
@@ -197,7 +192,7 @@ def run_simulation(scenario: Scenario):
             EpochRecord(
                 timestamp=t,
                 true_position=true_pos,
-                n_detections=len(measurements),
+                n_detections=n_detections,
                 estimate=estimate,
                 fused=state,
                 raw_error=raw_error,

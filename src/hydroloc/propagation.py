@@ -35,7 +35,6 @@ from .streams import Stream
 __all__ = [
     "ChannelProfile",
     "ChannelConfig",
-    "PingMeasurement",
     "snr",
     "link_budget",
     "ping_paths",
@@ -113,16 +112,6 @@ class ChannelConfig:
             raise ValueError(
                 f"tof_noise_sigma: must be <= {TOF_NOISE_SIGMA_MAX}, got {self.tof_noise_sigma}"
             )
-
-
-@dataclass(frozen=True)
-class PingMeasurement:
-    """One anchor's observation of a beacon ping."""
-
-    anchor_id: str
-    tof_measured: float  # s
-    snr: float           # dB
-    timestamp: float     # s since scenario start
 
 
 def _check_depth(profile: ChannelProfile, depth: np.ndarray, what: str) -> None:
@@ -312,14 +301,15 @@ def simulate_ping(
     absorbed: float,
     seed: int,
     timestamp: float,
-) -> PingMeasurement | None:
-    """One anchor's observation of a ping path traced by ping_paths.
+) -> float | None:
+    """One anchor's measured TOF (s) of a ping path traced by ping_paths.
 
     Returns None (a non-detection) when no direct path exists (tof not
     finite), when link_budget does not detect the path, or when timing
     noise would make the TOF non-positive. The measured TOF is the path
     TOF plus tof_noise_sigma times the first normal of Stream(seed),
-    drawn only for a detected ping.
+    drawn only for a detected ping. anchor_id and timestamp label the
+    debug log lines.
     """
     if not math.isfinite(tof):
         log.debug("anchor %s at t=%.3f: no direct path", anchor_id, timestamp)
@@ -335,7 +325,7 @@ def simulate_ping(
     if tof_measured <= 0.0:
         log.debug("anchor %s at t=%.3f: noisy TOF non-positive", anchor_id, timestamp)
         return None
-    return PingMeasurement(anchor_id, tof_measured, snr_db, timestamp)
+    return tof_measured
 
 
 def _pair_paths(profile: ChannelProfile, points_a, points_b):

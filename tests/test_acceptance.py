@@ -31,10 +31,10 @@ from hydroloc.geodesy import (
     enu_to_ecef,
     geodetic_to_ecef,
 )
-from hydroloc.multilateration import Anchor, GaConfig, SearchBounds, fitness, ga_localize
+from hydroloc.multilateration import GaConfig, SearchBounds, fitness, ga_localize
 from hydroloc.pipeline import run_simulation
 from hydroloc import propagation
-from hydroloc.propagation import ChannelProfile, PingMeasurement, pairwise_tof, ping_paths
+from hydroloc.propagation import ChannelProfile, pairwise_tof, ping_paths
 from hydroloc.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -69,24 +69,17 @@ def homogeneous_profile(c=1500.0, depth=100.0):
 
 def canonical_setup():
     profile = homogeneous_profile()
-    anchors = [
-        Anchor("ne", (100.0, 100.0, 0.0)),
-        Anchor("se", (100.0, -100.0, 0.0)),
-        Anchor("nw", (-100.0, 100.0, 0.0)),
-        Anchor("sw", (-100.0, -100.0, 0.0)),
-    ]
+    # The ne, se, nw and sw anchors.
+    anchor_pos = np.array([
+        [100.0, 100.0, 0.0],
+        [100.0, -100.0, 0.0],
+        [-100.0, 100.0, 0.0],
+        [-100.0, -100.0, 0.0],
+    ])
     truth = np.array([0.0, 0.0, -50.0])
-    measurements = [
-        PingMeasurement(
-            a.id,
-            float(np.linalg.norm(truth - np.asarray(a.position))) / 1500.0,
-            20.0,
-            0.0,
-        )
-        for a in anchors
-    ]
+    tofs = np.linalg.norm(truth - anchor_pos, axis=1) / 1500.0
     bounds = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(-100.0, 0.0))
-    return profile, anchors, truth, measurements, bounds
+    return profile, anchor_pos, truth, tofs, bounds
 
 
 def test_criterion_1_formula_oracles():
@@ -191,14 +184,14 @@ def test_criterion_4_homogeneous_equivalence():
 
 
 def test_criterion_5_noiseless_recovery():
-    profile, anchors, truth, measurements, bounds = canonical_setup()
+    profile, anchor_pos, truth, tofs, bounds = canonical_setup()
     hits = 0
     slowest = 0.0
     worst_err = 0.0
     for seed in range(100):
         config = GaConfig(search_bounds=bounds)
         start = time.perf_counter()
-        estimate = ga_localize(measurements, anchors, config, profile, seed)
+        estimate = ga_localize(anchor_pos, tofs, config, profile, seed)
         slowest = max(slowest, time.perf_counter() - start)
         err = float(np.linalg.norm(estimate.position - truth))
         worst_err = max(worst_err, err)
@@ -225,21 +218,13 @@ def test_criterion_6_grid_search_oracle():
             up=(center[2] - 1.0, center[2] + 1.0),
         )
         truth = rng.uniform(bounds.lows(), bounds.highs())
-        anchors = [
-            Anchor(f"a{i}", (sx * rng.uniform(80, 120), sy * rng.uniform(80, 120), 0.0))
-            for i, (sx, sy) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-        ]
-        measurements = [
-            PingMeasurement(
-                a.id,
-                float(np.linalg.norm(truth - np.asarray(a.position))) / 1500.0,
-                20.0,
-                0.0,
-            )
-            for a in anchors
-        ]
+        anchor_pos = np.array([
+            (sx * rng.uniform(80, 120), sy * rng.uniform(80, 120), 0.0)
+            for sx, sy in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        ])
+        tofs = np.linalg.norm(truth - anchor_pos, axis=1) / 1500.0
         config = GaConfig(search_bounds=bounds, population_size=100, generations=120)
-        ga_fit = ga_localize(measurements, anchors, config, profile, k).best_fitness
+        ga_fit = ga_localize(anchor_pos, tofs, config, profile, k).best_fitness
 
         axes = [
             np.arange(lo, hi + 1e-9, 0.05)
@@ -248,8 +233,6 @@ def test_criterion_6_grid_search_oracle():
         grid = np.stack(
             np.meshgrid(*axes, indexing="ij"), axis=-1
         ).reshape(-1, 3)
-        anchor_pos = np.array([a.position for a in anchors])
-        tofs = np.array([m.tof_measured for m in measurements])
         grid_fit = np.inf
         for chunk in np.array_split(grid, max(1, len(grid) // 300000)):
             grid_fit = min(grid_fit, float(fitness(chunk, anchor_pos, tofs, profile).min()))

@@ -9,8 +9,8 @@ import pytest
 import yaml
 
 from hydroloc.cli import main
-from hydroloc.pipeline import run_simulation
-from hydroloc.propagation import ping_paths, simulate_ping, snr
+from hydroloc.pipeline import epoch_times, run_simulation, simulate_epoch
+from hydroloc.propagation import link_budget, ping_paths, simulate_ping, snr
 from hydroloc.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -145,10 +145,15 @@ def _ping_lines(capsys, scenario, dst):
 
 
 def _run_ping(channel, profile, dst):
-    """A run's observation of the path from PING_SRC to dst, without timing noise."""
+    """A run's observation of the path from PING_SRC to dst, without timing noise.
+
+    Returns (measured TOF or None, link_budget's SNR of the path), the
+    SNR being the one simulate_ping detects by.
+    """
     tof, length, absorbed = ping_paths(profile, PING_SRC, dst)
     config = dataclasses.replace(channel, tof_noise_sigma=0.0)
-    return simulate_ping(config, "a", tof[0], length[0], absorbed[0], seed=0, timestamp=0.0)
+    ping = simulate_ping(config, "a", tof[0], length[0], absorbed[0], seed=0, timestamp=0.0)
+    return ping, link_budget(config, length[0], absorbed[0])[1]
 
 
 class TestPingLinkRule:
@@ -159,18 +164,18 @@ class TestPingLinkRule:
         lines = _ping_lines(capsys, NOISY, dst)
         scenario = load_scenario(NOISY)
         channel, profile = scenario.channel, scenario.profile
-        ping = _run_ping(channel, profile, dst)
-        # With no threshold the run reports the SNR of every path it models.
-        heard = _run_ping(
+        ping, _ = _run_ping(channel, profile, dst)
+        # With no threshold the run detects every path it models.
+        heard, heard_snr = _run_ping(
             dataclasses.replace(channel, detection_threshold=-math.inf), profile, dst
         )
         assert lines["detected"] == str(ping is not None)
         if heard is None:
             assert "transmission_loss_db" not in lines and "snr_db" not in lines
         else:
-            assert float(lines["snr_db"]) == heard.snr
+            assert float(lines["snr_db"]) == heard_snr
             loss_db = float(lines["transmission_loss_db"])
-            assert snr(channel.source_level, loss_db, channel.noise_level) == heard.snr
+            assert snr(channel.source_level, loss_db, channel.noise_level) == heard_snr
         got = "sub-metre" if heard is None else "detected" if ping else "below threshold"
         assert got == outcome
 
@@ -180,7 +185,7 @@ class TestPingLinkRule:
         scenario = load_scenario(NOISY)
         dst = (6900.0, 0.0, -50.0)
         open_channel = dataclasses.replace(scenario.channel, detection_threshold=-math.inf)
-        snr_db = _run_ping(open_channel, scenario.profile, dst).snr
+        snr_db = _run_ping(open_channel, scenario.profile, dst)[1]
         threshold = math.nextafter(snr_db, math.inf) if above else snr_db
         doc["channel"]["detection_threshold"] = threshold
         path = tmp_path / "threshold.yaml"
@@ -188,7 +193,7 @@ class TestPingLinkRule:
         channel = load_scenario(path).channel
         assert channel.detection_threshold == threshold
         lines = _ping_lines(capsys, str(path), dst)
-        detected = _run_ping(channel, scenario.profile, dst) is not None
+        detected = _run_ping(channel, scenario.profile, dst)[0] is not None
         assert lines["detected"] == str(detected) == str(not above)
 
 
@@ -200,6 +205,18 @@ class TestLocalizeCommand:
         assert "fix: east=" in out
         assert "gen " in out  # solver trace
         assert "error_vs_truth_m:" in out
+
+    def test_prints_each_heard_anchor_tof(self, small_scenario, capsys):
+        scenario = load_scenario(small_scenario)
+        t = epoch_times(scenario)[1]
+        tofs = simulate_epoch(scenario, 1, t)[2]
+        assert main(["localize", small_scenario, "--epoch", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = [line for line in lines if line.startswith("  anchor ")]
+        assert printed == [
+            f"  anchor {aid}: tof={float(tof)!r} s"
+            for aid, tof in zip(scenario.anchor_ids, tofs) if not math.isnan(tof)
+        ]
 
     def test_fix_matches_run(self, small_scenario, capsys):
         # localize and run solve an epoch through the same fix path.

@@ -5,7 +5,6 @@ import pytest
 
 from hydroloc import multilateration
 from hydroloc.multilateration import (
-    Anchor,
     GaConfig,
     SearchBounds,
     evolve_generation,
@@ -14,7 +13,6 @@ from hydroloc.multilateration import (
 )
 from hydroloc.propagation import (
     ChannelProfile,
-    PingMeasurement,
     pairwise_tof,
     ping_paths,
     range_from_tof,
@@ -30,32 +28,22 @@ THREE_LAYER = ChannelProfile(
     absorption=(1.0, 1.0, 1.0), frequency=25.0,
 )
 BOUNDS = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(-100.0, 0.0))
-ANCHORS = [
-    Anchor("ne", (100.0, 100.0, 0.0)),
-    Anchor("se", (100.0, -100.0, 0.0)),
-    Anchor("nw", (-100.0, 100.0, 0.0)),
-    Anchor("sw", (-100.0, -100.0, 0.0)),
-]
+# The ne, se, nw and sw anchors.
+ANCHOR_POS = np.array([
+    [100.0, 100.0, 0.0],
+    [100.0, -100.0, 0.0],
+    [-100.0, 100.0, 0.0],
+    [-100.0, -100.0, 0.0],
+])
 TRUTH = np.array([0.0, 0.0, -50.0])
 
 
-def noiseless_measurements(anchors=ANCHORS, truth=TRUTH, profile=HOMOG):
+def noiseless_tofs(anchor_pos=ANCHOR_POS, truth=TRUTH, profile=HOMOG):
     """Each anchor's ping from truth, as a run traces it, without timing noise."""
-    tof, _, _ = ping_paths(profile, truth, [a.position for a in anchors])
-    return [PingMeasurement(a.id, float(t), 20.0, 0.0) for a, t in zip(anchors, tof)]
+    return ping_paths(profile, truth, anchor_pos)[0]
 
 
-def observed_tofs(measurements):
-    return np.array([m.tof_measured for m in measurements])
-
-
-def anchor_array(anchors):
-    return np.array([a.position for a in anchors])
-
-
-MEASUREMENTS = noiseless_measurements()
-TOFS = observed_tofs(MEASUREMENTS)
-ANCHOR_POS = anchor_array(ANCHORS)
+TOFS = noiseless_tofs()
 
 
 class TestSearchBounds:
@@ -66,6 +54,15 @@ class TestSearchBounds:
     def test_degenerate_axis_rejected(self):
         with pytest.raises(ValueError, match="north"):
             SearchBounds(east=(-1.0, 1.0), north=(2.0, 2.0), up=(-1.0, 0.0))
+
+    @pytest.mark.parametrize("east", [(-1e6 - 1.0, 0.0), (0.0, 1.0000001e6), (-1e300, 1e300)])
+    def test_ends_beyond_the_ceiling_rejected(self, east):
+        with pytest.raises(ValueError, match=r"east: ends must be within \+-1000000.0 m"):
+            SearchBounds(east=east, north=(-1.0, 1.0), up=(-1.0, 0.0))
+
+    def test_ceiling_is_inclusive(self):
+        ends = (-multilateration.SEARCH_BOUND_MAX, multilateration.SEARCH_BOUND_MAX)
+        assert SearchBounds(east=ends, north=ends, up=(ends[0], 0.0)).largest_extent() == 2e6
 
     def test_contains(self):
         assert BOUNDS.contains((0.0, 0.0, -50.0))
@@ -181,12 +178,11 @@ class TestFitness:
     def test_surface_candidates_against_near_surface_anchors_are_finite(self):
         # Candidates clipped to the surface against anchors a hair below it
         # make near-level pairs, which used to score inf or NaN.
-        near = [Anchor(a.id, (*a.position[:2], up)) for a, up in
-                zip(ANCHORS, (-1e-6, -1e-7, -3e-9, -1e-8))]
-        meas = noiseless_measurements(near)
+        near = ANCHOR_POS.copy()
+        near[:, 2] = (-1e-6, -1e-7, -3e-9, -1e-8)
         grid = np.linspace(-150.0, 150.0, 31)
         cands = np.array([(e, n, 0.0) for e in grid for n in grid])
-        assert np.isfinite(fitness(cands, anchor_array(near), observed_tofs(meas), HOMOG)).all()
+        assert np.isfinite(fitness(cands, near, noiseless_tofs(near), HOMOG)).all()
 
     def test_candidate_outside_column_rejected(self):
         with pytest.raises(ValueError, match="water column"):
@@ -197,9 +193,9 @@ class TestFitness:
             boundaries=(0.0, 100.0, 200.0), sound_speeds=(1500.0, 1480.0),
             absorption=(1.0, 1.0), frequency=25.0,
         )
-        far = [Anchor("far", (5e6, 0.0, 0.0))] + ANCHORS[1:]
-        meas = [PingMeasurement("far", 0.5, 20.0, 0.0)] + MEASUREMENTS[1:]
-        value = fitness((0.0, 0.0, -150.0), anchor_array(far), observed_tofs(meas), prof)
+        far = np.vstack([(5e6, 0.0, 0.0), ANCHOR_POS[1:]])
+        observed = np.concatenate([[0.5], TOFS[1:]])
+        value = fitness((0.0, 0.0, -150.0), far, observed, prof)
         assert np.isfinite(value)
         assert value >= 1e6
 
@@ -237,7 +233,7 @@ class TestEvolveGeneration:
 class TestGaLocalize:
     def test_canonical_recovery(self):
         cfg = GaConfig(search_bounds=BOUNDS)
-        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=42)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=42)
         assert np.linalg.norm(est.position - TRUTH) < 0.1
         assert BOUNDS.contains(est.position)
         assert 0.0 <= est.best_fitness < 1e-6
@@ -246,8 +242,8 @@ class TestGaLocalize:
 
     def test_seed_determinism_is_bit_exact(self):
         cfg = GaConfig(search_bounds=BOUNDS)
-        a = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=7)
-        b = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=7)
+        a = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=7)
+        b = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=7)
         assert np.array_equal(a.position, b.position)
         assert a.best_fitness == b.best_fitness
         assert np.array_equal(a.covariance, b.covariance)
@@ -258,35 +254,50 @@ class TestGaLocalize:
         history = []
         cfg = GaConfig(search_bounds=BOUNDS, generations=80)
         ga_localize(
-            MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=3,
+            ANCHOR_POS, TOFS, cfg, HOMOG, seed=3,
             trace=lambda gen, best, sigma: history.append(best),
         )
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_underdetermined_with_three_anchors(self):
         with pytest.raises(ValueError, match="underdetermined"):
-            ga_localize(MEASUREMENTS[:3], ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
-
-    def test_duplicate_anchor_measurements_do_not_count_twice(self):
-        meas = MEASUREMENTS[:3] + [MEASUREMENTS[0]]
-        with pytest.raises(ValueError, match="underdetermined"):
-            ga_localize(meas, ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+            ga_localize(ANCHOR_POS[:3], TOFS[:3], GaConfig(search_bounds=BOUNDS), HOMOG, 0)
 
     def test_empty_measurements_rejected(self):
-        with pytest.raises(ValueError, match="no measurements"):
-            ga_localize([], ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+        with pytest.raises(ValueError, match="underdetermined"):
+            ga_localize(np.empty((0, 3)), np.empty(0), GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+
+    @pytest.mark.parametrize("anchor_pos, tofs", [
+        (ANCHOR_POS, TOFS[:3]),
+        (ANCHOR_POS[:3], TOFS),
+        (ANCHOR_POS[:, :2], TOFS),
+        (ANCHOR_POS, TOFS[:, None]),
+    ])
+    def test_mismatched_shapes_rejected(self, anchor_pos, tofs):
+        with pytest.raises(ValueError, match=r"need \(M, 3\), \(M,\)"):
+            ga_localize(anchor_pos, tofs, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_position_rejected(self, mode, axis, value):
+        # Before this check a NaN east failed as a source depth outside the
+        # water column, and an infinite one overflowed.
+        bad = ANCHOR_POS.copy()
+        bad[2, axis] = value
+        cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
+        with pytest.raises(ValueError, match="row 2: anchor position must be finite"):
+            ga_localize(bad, TOFS, cfg, HOMOG, 0)
 
     def test_bounds_below_column_rejected(self):
         bounds = SearchBounds(east=(-10.0, 10.0), north=(-10.0, 10.0), up=(-500.0, 0.0))
         with pytest.raises(ValueError, match="water column"):
-            ga_localize(MEASUREMENTS, ANCHORS, GaConfig(search_bounds=bounds), HOMOG, 0)
+            ga_localize(ANCHOR_POS, TOFS, GaConfig(search_bounds=bounds), HOMOG, 0)
 
     def test_coincident_anchors_flagged_by_dispersion(self, caplog):
-        anchors = [Anchor(f"a{k}", (0.0, 0.0, 0.0)) for k in range(4)]
-        meas = [PingMeasurement(a.id, 50.0 / 1500.0, 20.0, 0.0) for a in anchors]
         cfg = GaConfig(search_bounds=BOUNDS)
         with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
-            est = ga_localize(meas, anchors, cfg, HOMOG, seed=1)
+            est = ga_localize(np.zeros((4, 3)), np.full(4, 50.0 / 1500.0), cfg, HOMOG, seed=1)
         assert any("poorly constrained" in r.message for r in caplog.records)
         # Only the range to the anchors is observed: the two directions
         # across it get the largest search extent as their sigma.
@@ -296,7 +307,7 @@ class TestGaLocalize:
     def test_well_posed_fix_is_not_flagged(self, caplog):
         cfg = GaConfig(search_bounds=BOUNDS)
         with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
-            ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=1)
+            ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=1)
         assert not caplog.records
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
@@ -307,11 +318,11 @@ class TestGaLocalize:
         # where J's up column vanishes. Every polish starts below that
         # face, so Gauss-Newton reaches the beacon whatever the GA's draws.
         truth = np.array([20.0, -30.0, -depth])
-        meas = noiseless_measurements(truth=truth, profile=THREE_LAYER)
+        tofs = noiseless_tofs(truth=truth, profile=THREE_LAYER)
         cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
                        fitness_mode=mode)
         for seed in range(20):
-            est = ga_localize(meas, ANCHORS, cfg, THREE_LAYER, seed=seed)
+            est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=seed)
             assert est.position[2] <= -1e-4, seed
             assert np.linalg.norm(est.position - truth) < 1e-3, seed
 
@@ -342,39 +353,34 @@ class TestGaLocalize:
             sound_speeds=(1510.2898880489495, 1500.0266145778114, 1490.8619856978494),
             absorption=(1.0, 1.0, 1.0), frequency=25.0,
         )
-        anchors = [
-            Anchor("a2", (118.47615913438644, 0.8225477815701625, -1.6387405354142265e-10)),
-            Anchor("a3", (85.20431777292985, -83.7066273762866, -2.1572838520000914e-06)),
-            Anchor("a4", (-1.0625703309916883, -119.39616524381006, -4.303302588937186e-06)),
-            Anchor("a5", (-85.27958643776105, -85.62194108178493, -2.1578369242547524e-06)),
-        ]
+        # Anchors a2 to a5.
+        anchor_pos = np.array([
+            (118.47615913438644, 0.8225477815701625, -1.6387405354142265e-10),
+            (85.20431777292985, -83.7066273762866, -2.1572838520000914e-06),
+            (-1.0625703309916883, -119.39616524381006, -4.303302588937186e-06),
+            (-85.27958643776105, -85.62194108178493, -2.1578369242547524e-06),
+        ])
         tofs = (0.0829217138171218, 0.06459527866405385, 0.06301276623322687,
                 0.07763072010171883)
-        meas = [PingMeasurement(a.id, tof, 20.0, 0.0) for a, tof in zip(anchors, tofs)]
         bounds = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(-80.0, 0.0))
         cfg = GaConfig(search_bounds=bounds, population_size=40, generations=30,
                        fitness_mode="range_residual")
-        est = ga_localize(meas, anchors, cfg, profile, seed=9826007391723107960)
+        est = ga_localize(anchor_pos, tofs, cfg, profile, seed=9826007391723107960)
         truth = np.array([12.31385642737898, -40.0, -51.02615470228158])
         assert np.linalg.norm(est.position - truth) < 5.0
 
     def test_range_residual_mode_recovers_truth(self):
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode="range_residual")
-        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=5)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
         assert np.linalg.norm(est.position - TRUTH) < 0.1
-
-    def test_unknown_anchor_id_rejected(self):
-        bad = [PingMeasurement("ghost", 0.1, 20.0, 0.0)] + MEASUREMENTS[1:]
-        with pytest.raises(ValueError, match="ghost"):
-            ga_localize(bad, ANCHORS, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
     @pytest.mark.parametrize("tof", [np.nan, np.inf, 0.0, -0.5])
     def test_bad_measured_tof_rejected(self, mode, tof):
-        bad = MEASUREMENTS[:3] + [PingMeasurement("sw", tof, 20.0, 0.0)]
+        bad = np.concatenate([TOFS[:3], [tof]])
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
-        with pytest.raises(ValueError, match="anchor 'sw': measured TOF"):
-            ga_localize(bad, ANCHORS, cfg, HOMOG, 0)
+        with pytest.raises(ValueError, match="row 3: measured TOF"):
+            ga_localize(ANCHOR_POS, bad, cfg, HOMOG, 0)
 
     def test_range_mode_converts_tofs_once(self, monkeypatch):
         calls = []
@@ -385,7 +391,7 @@ class TestGaLocalize:
 
         monkeypatch.setattr(multilateration, "range_from_tof", counted)
         cfg = GaConfig(search_bounds=BOUNDS, generations=20, fitness_mode="range_residual")
-        est = ga_localize(MEASUREMENTS, ANCHORS, cfg, HOMOG, seed=5)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
         assert est.generations_run > 1
         assert len(calls) == 1
         # converted at the middle of the search depths
@@ -403,10 +409,10 @@ class TestGaLocalize:
 
         monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
         truth = np.array([30.0, -20.0, -60.0])
-        meas = noiseless_measurements(truth=truth, profile=THREE_LAYER)
+        tofs = noiseless_tofs(truth=truth, profile=THREE_LAYER)
         cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
                        fitness_mode="range_residual")
-        est = ga_localize(meas, ANCHORS, cfg, THREE_LAYER, seed=3, tof_sigma=1e-4,
+        est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=3, tof_sigma=1e-4,
                           anchor_sigma=(0.5, 0.5, 0.1), sigma_floor=1e-6)
         start, polished = polishes[-1][:2]
         assert np.array_equal(est.position, polished)
@@ -445,10 +451,10 @@ class TestGaLocalize:
         monkeypatch.setattr(multilateration, "pairwise_tof", counted_pairwise)
         monkeypatch.setattr(multilateration, "tof_jacobian", counted_jacobian)
         monkeypatch.setattr(multilateration, "_gauss_newton", recorded)
-        meas = noiseless_measurements(truth=np.array([30.0, -20.0, -60.0]), profile=THREE_LAYER)
+        tofs = noiseless_tofs(truth=np.array([30.0, -20.0, -60.0]), profile=THREE_LAYER)
         cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
                        fitness_mode=mode)
-        est = ga_localize(meas, ANCHORS, cfg, THREE_LAYER, seed=3)
+        est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=3)
         expected = est.generations_run if mode == "tof_residual" else 0
         assert calls["pairwise_tof"] == expected
         assert calls["tof_jacobian"] > 0

@@ -213,43 +213,50 @@ class TestSimulatePing:
 
     def pings(self, prof=HOMOG, config=config, receivers=receivers, seeds=(7, 8, 9),
               source=source):
-        """One epoch as the pipeline runs it: one ping_paths call, then each anchor."""
+        """One epoch as the pipeline runs it: one ping_paths call, then each anchor.
+
+        Returns the measured TOF of each heard anchor, by anchor id.
+        """
         tof, length, absorbed = ping_paths(prof, source, receivers)
-        pings = [
-            simulate_ping(config, f"a{j}", tof[j], length[j], absorbed[j], seeds[j], 1.5)
+        pings = {
+            f"a{j}": simulate_ping(config, f"a{j}", tof[j], length[j], absorbed[j], seeds[j], 1.5)
             for j in range(len(receivers))
-        ]
-        return [p for p in pings if p is not None]
+        }
+        return {aid: ping for aid, ping in pings.items() if ping is not None}
+
+    def snrs(self, receivers=receivers):
+        """link_budget's SNR (dB) of each path, by which simulate_ping detects."""
+        _, length, absorbed = ping_paths(HOMOG, self.source, receivers)
+        return [link_budget(self.config, m, a)[1] for m, a in zip(length, absorbed)]
 
     def test_zero_noise_matches_trace(self):
         pings = self.pings()
-        assert [p.anchor_id for p in pings] == ["a0", "a1", "a2"]
+        assert list(pings) == ["a0", "a1", "a2"]
+        assert all(type(p) is float for p in pings.values())
         # The fitness's forward model, on the same kernel paths.
         tof, _ = pairwise_tof(HOMOG, [self.source], self.receivers)
-        assert [p.tof_measured for p in pings] == list(tof[0])
-        assert [p.timestamp for p in pings] == [1.5] * 3
+        assert list(pings.values()) == list(tof[0])
 
     def test_zero_noise_homogeneous_epoch(self):
         # Every detection is the direct line: TOF r/c, SNR SL - 20 log10 r - alpha r - NL.
-        for ping, rcv in zip(self.pings(), self.receivers):
+        for ping, snr_db, rcv in zip(self.pings().values(), self.snrs(), self.receivers):
             r = math.dist(self.source, rcv)
-            assert ping.tof_measured == pytest.approx(r / 1500.0, rel=1e-12)
+            assert ping == pytest.approx(r / 1500.0, rel=1e-12)
             expected_snr = 170.0 - 20.0 * math.log10(r) - 1.0e-3 * r - 50.0
-            assert ping.snr == pytest.approx(expected_snr, abs=1e-9)
+            assert snr_db == pytest.approx(expected_snr, abs=1e-9)
 
     def test_unreachable_threshold_never_detects(self):
-        assert self.pings(config=ChannelConfig(170.0, 50.0, 1e6, 0.0)) == []
+        assert self.pings(config=ChannelConfig(170.0, 50.0, 1e6, 0.0)) == {}
 
     def test_seeded_determinism(self):
         config = ChannelConfig(170.0, 50.0, 10.0, 1e-3)
         first, second = self.pings(config=config), self.pings(config=config)
-        assert [p.tof_measured for p in first] == [p.tof_measured for p in second]
-        assert [p.snr for p in first] == [p.snr for p in second]
-        assert first[0].tof_measured != self.pings()[0].tof_measured  # noise applied
+        assert first == second
+        assert first["a0"] != self.pings()["a0"]  # noise applied
 
     def test_below_threshold_anchor_leaves_other_draws(self):
         receivers = self.receivers + ((5000.0, 0.0, 0.0),)
-        snrs = [p.snr for p in self.pings(receivers=receivers, seeds=(7, 8, 9, 10))]
+        snrs = self.snrs(receivers=receivers)
         threshold = 0.5 * (snrs[-1] + min(snrs[:-1]))  # only the far anchor fails
         everyone = self.pings(
             config=ChannelConfig(170.0, 50.0, -1e6, 1e-3), receivers=receivers,
@@ -259,20 +266,20 @@ class TestSimulatePing:
             config=ChannelConfig(170.0, 50.0, threshold, 1e-3), receivers=receivers,
             seeds=(7, 8, 9, 10),
         )
-        assert [p.anchor_id for p in near_only] == ["a0", "a1", "a2"]
-        assert [p.tof_measured for p in near_only] == [p.tof_measured for p in everyone[:3]]
+        assert list(near_only) == ["a0", "a1", "a2"]
+        assert list(near_only.values()) == list(everyone.values())[:3]
 
     def test_no_direct_path_is_a_non_detection(self):
         pings = self.pings(
             TWO_LAYER, receivers=[(1e7, 0.0, -200.0)], seeds=[0], source=(0.0, 0.0, 0.0)
         )
-        assert pings == []
+        assert pings == {}
 
     def test_path_below_reference_distance_is_a_non_detection(self):
         # 0.54 m: below link_budget's reference distance; the ping is not detected.
         receivers = ((0.2, 0.0, -399.5), (300.0, 0.0, 0.0))
         pings = self.pings(receivers=receivers, seeds=(0, 1))
-        assert [p.anchor_id for p in pings] == ["a1"]
+        assert list(pings) == ["a1"]
 
     def test_nan_snr_is_a_non_detection(self):
         # NaN absorption gives a NaN SNR, which is not at or above any threshold.
@@ -281,7 +288,7 @@ class TestSimulatePing:
             prof, ChannelConfig(170.0, 50.0, 10.0), receivers=[(100.0, 0.0, 0.0)],
             seeds=[0], source=(0.0, 0.0, -50.0),
         )
-        assert pings == []
+        assert pings == {}
 
     def test_invalid_path_model_rejected(self):
         with pytest.raises(ValueError, match="path_model"):

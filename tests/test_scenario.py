@@ -507,7 +507,9 @@ def test_integer_beyond_float_range_rejected():
 
 def test_bounds_extent_past_float_range_rejected():
     text = MINIMAL.replace("east: [-200.0, 200.0]", "east: [-1.0e+308, 1.0e+308]")
-    with pytest.raises(ScenarioError, match=r"^ga\.search_bounds\.east: extent must be finite"):
+    with pytest.raises(
+        ScenarioError, match=r"^ga\.search_bounds\.east: ends must be within \+-1000000\.0 m"
+    ):
         parse_scenario(text)
 
 
@@ -573,14 +575,8 @@ TOP_LEVEL_KEYS = set(yaml.safe_load(FULL)) | {"scenario"}
 )
 # Accepted mutants, so the finiteness half runs whatever examples the
 # derandomized search draws from this test's source.
-@example(
-    leaf=("canonical_noisy.yaml", ("channel", "tof_noise_sigma")), others=[], values=[1e300]
-)
-@example(
-    leaf=("canonical_noisy.yaml", ("ga", "search_bounds", "east", 1)),
-    others=[],
-    values=[1e300],
-)
+@example(leaf=("canonical_noisy.yaml", ("channel", "source_level")), others=[], values=[1e300])
+@example(leaf=("canonical_noisy.yaml", ("channel", "noise_level")), others=[], values=[1e300])
 def test_mutated_numbers_rejected_or_finite(leaf, others, values):
     """Mutants of the shipped scenarios either fail naming a key or stay finite."""
     name = leaf[0]
@@ -603,15 +599,22 @@ def test_mutated_numbers_rejected_or_finite(leaf, others, values):
 
 # Run-level mutants of a short canonical_noisy run: every ekf number, the
 # ping interval and the trajectory's end time at sizes that overflowed
-# the filter's arithmetic or turned it to NaN, GPS scatter that overflowed
-# the solver's squared residuals, a density that lost the pressure depth,
-# and an end time and interval that overflowed dt**3.
+# the filter's arithmetic or turned it to NaN, GPS scatter and search
+# boxes that overflowed the solver's squared residuals, a density that
+# lost the pressure depth, and an end time and interval that overflowed
+# dt**3.
 LAST_TIME = ("trajectory", 4, "time")
 RUN_LEAVES = [
     path for path in _numeric_leaves(SHIPPED["canonical_noisy.yaml"])
     if path[0] in ("ekf", "gps_noise_sigma")
-] + [("ping_interval",), LAST_TIME]
-RUN_MUTANTS = [((path, value),) for path in RUN_LEAVES for value in (1e154, 1e200, 1e300)] + [
+] + [("ping_interval",), LAST_TIME] + [
+    ("ga", "search_bounds", axis, end) for axis in ("east", "north") for end in (0, 1)
+]
+# A search box's low end (index 0) grows downwards, every other leaf upwards.
+RUN_MUTANTS = [
+    ((path, -value if path[-1] == 0 else value),)
+    for path in RUN_LEAVES for value in (1e154, 1e200, 1e300)
+] + [
     ((("ekf", "water_density"), 1e-300),),
     ((LAST_TIME, 1e200), (("ping_interval",), 1e199)),
 ]
