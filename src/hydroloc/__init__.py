@@ -14,8 +14,6 @@ from .environment import (
 )
 from .fusion import EkfConfig, EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
 from .geodesy import (
-    EcefCoord,
-    EnuCoord,
     GeodeticCoord,
     ecef_to_enu,
     ecef_to_geodetic,

@@ -49,8 +49,6 @@ TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
 MUTATION_RATE = 0.3
 MUTATION_SIGMA_DECAY = 0.96
-# The best individual passes to the next generation unchanged.
-ELITE_COUNT = 1
 # The GA's best is polished every POLISH_EVERY generations; the GA stops
 # once two polishes in a row land within POLISH_AGREE_M (m) of each other.
 POLISH_EVERY = 3
@@ -200,7 +198,7 @@ def evolve_generation(
 ) -> np.ndarray:
     """One generation step: elitism, tournament, BLX-0.5, mutation, clamp.
 
-    The ELITE_COUNT best individuals are copied verbatim; the remainder
+    The best individual (the first, on a tie) is copied verbatim; the remainder
     come from tournament-selected parents, blended with probability
     CROSSOVER_RATE (otherwise cloned from the first parent), then each
     coordinate is perturbed with probability MUTATION_RATE by Gaussian
@@ -218,9 +216,8 @@ def evolve_generation(
     if pop.shape != (n, 3):
         raise ValueError(f"population shape {pop.shape} does not match config ({n}, 3)")
 
-    order = np.argsort(fits, kind="stable")
-    elites = pop[order[:ELITE_COUNT]].copy()
-    n_off = n - ELITE_COUNT
+    elite = pop[np.argmin(fits)]
+    n_off = n - 1
 
     t = 2 * TOURNAMENT_SIZE
     u = rng.random((n_off, t + 13))
@@ -240,7 +237,7 @@ def evolve_generation(
 
     bounds = config.search_bounds
     children = np.clip(children, bounds.lows(), bounds.highs())
-    return np.vstack([elites, children])
+    return np.vstack([elite, children])
 
 
 def _gauss_newton(x, residual, bounds: SearchBounds):
@@ -332,6 +329,14 @@ def ga_localize(
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"row {k}: anchor position must be finite, got {anchor_pos[k].tolist()}")
+    depth = -anchor_pos[:, 2]
+    bad = ~((depth >= 0.0) & (depth <= profile.total_depth))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"row {k}: anchor depth {float(depth[k])!r} m outside the water column "
+            f"[0, {profile.total_depth}]"
+        )
 
     bounds = config.search_bounds
     if -bounds.up[0] > profile.total_depth:

@@ -239,7 +239,7 @@ def _summarize(scenario: Scenario, records, total_detections: int) -> RunSummary
         rmse_fused_axes=rmse_fused_axes,
         max_error_raw=max_raw,
         max_error_fused=max_fused,
-        enu_origin=(origin.latitude_deg, origin.longitude_deg, origin.height),
+        enu_origin=(origin.latitude, origin.longitude, origin.height),
         origin_from_anchor=scenario.origin_from_anchor,
         master_seed=scenario.seed,
     )

@@ -1,11 +1,12 @@
 """Scenario files: strict schema, validation and defaults.
 
 A scenario is one YAML document whose nested keys mirror the
-configuration types: the layer, channel, ga and ekf sections are read
-field by field from their dataclasses, whose annotations and defaults
-are the schema. Parsing is strict: unknown keys and non-finite numbers
-are rejected and validation failures name the offending key. Angles are
-degrees in the file and radians internally.
+configuration types: the layer, channel, ga, ga.search_bounds and ekf
+sections, enu_origin and each anchor's coordinates are read field by
+field from their dataclasses, whose annotations and defaults are the
+schema and whose checks are the validation. Parsing is strict: unknown
+keys and non-finite numbers are rejected and validation failures name
+the offending key. Angles are degrees, in the file and in GeodeticCoord.
 """
 
 from __future__ import annotations
@@ -194,17 +195,6 @@ def _parse_profile(node: dict) -> ChannelProfile:
         raise ScenarioError(f"water_column.layers: {exc}") from None
 
 
-def _parse_geodetic(m: dict, ctx: str) -> GeodeticCoord:
-    latitude, longitude = _read(m, "latitude", ctx), _read(m, "longitude", ctx)
-    height = _read(m, "height", ctx, float, GeodeticCoord.height)
-    if not -90.0 <= latitude <= 90.0:
-        raise ScenarioError(f"{ctx}.latitude: must be within [-90, 90], got {latitude}")
-    if not -180.0 < longitude <= 180.0:
-        raise ScenarioError(f"{ctx}.longitude: must be within (-180, 180], got {longitude}")
-    # These degree ranges convert exactly onto GeodeticCoord's radian ranges.
-    return GeodeticCoord.from_degrees(latitude, longitude, height)
-
-
 def _parse_anchors(node: dict):
     items = _sequence(node, "anchors", "scenario")
     if len(items) < 4:
@@ -213,12 +203,11 @@ def _parse_anchors(node: dict):
     for i, item in enumerate(items):
         ctx = f"anchors[{i}]"
         m = _mapping(item, ctx)
-        _check_unknown(m, ("id", "latitude", "longitude", "height"), ctx)
         anchor_id = _read(m, "id", ctx, str)
         if anchor_id in ids:
             raise ScenarioError(f"{ctx}.id: duplicate anchor id {anchor_id!r}")
         ids.append(anchor_id)
-        coords.append(_parse_geodetic(m, ctx))
+        coords.append(_read_config(GeodeticCoord, {k: v for k, v in m.items() if k != "id"}, ctx))
     return tuple(ids), tuple(coords)
 
 
@@ -272,24 +261,18 @@ def _parse_trajectory(node: dict, bounds: SearchBounds):
     return tuple(waypoints)
 
 
-def _parse_bounds(node, ctx: str) -> SearchBounds:
-    m = _mapping(node, ctx)
-    _check_unknown(m, _AXES, ctx)
-    spans = {}
-    for axis in _AXES:
-        raw = _get(m, axis, ctx)
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ScenarioError(f"{ctx}.{axis}: expected [low, high], got {raw!r}")
-        spans[axis] = tuple(_typed(v, float, f"{ctx}.{axis}") for v in raw)
-    try:
-        return SearchBounds(**spans)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}.{exc}") from None
+def _pair(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{where}: expected [low, high], got {value!r}")
+    return tuple(_typed(v, float, where) for v in value)
 
 
 def _parse_ga(node: dict, profile: ChannelProfile) -> GaConfig:
+    def bounds(value, ctx):
+        return _read_config(SearchBounds, value, ctx, **dict.fromkeys(_AXES, _pair))
+
     section = _get(node, "ga", "scenario")
-    ga = _read_config(GaConfig, section, "ga", search_bounds=_parse_bounds)
+    ga = _read_config(GaConfig, section, "ga", search_bounds=bounds)
     if -ga.search_bounds.up[0] > profile.total_depth:
         raise ScenarioError(
             f"ga.search_bounds.up: reaches {-ga.search_bounds.up[0]} m, below the "
@@ -331,9 +314,7 @@ def parse_scenario(text: str) -> Scenario:
     if origin_from_anchor:
         origin = anchor_coords[0]
     else:
-        m = _mapping(root["enu_origin"], "enu_origin")
-        _check_unknown(m, ("latitude", "longitude", "height"), "enu_origin")
-        origin = _parse_geodetic(m, "enu_origin")
+        origin = _read_config(GeodeticCoord, root["enu_origin"], "enu_origin")
 
     ga = _parse_ga(root, profile)
     waypoints = _parse_trajectory(root, ga.search_bounds)
@@ -358,15 +339,15 @@ def parse_scenario(text: str) -> Scenario:
 
     anchor_enu = []
     for i, g in enumerate(anchor_coords):
-        p = geodetic_to_enu(g, origin)
+        east, north, up = geodetic_to_enu(g, origin)
         # Allow micrometre-scale round-off above the surface, pinned back
         # to 0 so path tracing sees a valid depth.
-        if not -profile.total_depth <= p.up <= 1e-6:
+        if not -profile.total_depth <= up <= 1e-6:
             raise ScenarioError(
-                f"anchors[{i}]: ENU depth {-p.up:.3f} m falls outside the water "
+                f"anchors[{i}]: ENU depth {-up:.3f} m falls outside the water "
                 "column; check anchor heights against the ENU origin"
             )
-        anchor_enu.append((p.east, p.north, min(p.up, 0.0)))
+        anchor_enu.append((east, north, min(up, 0.0)))
 
     return Scenario(
         profile=profile,

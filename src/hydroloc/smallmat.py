@@ -58,9 +58,9 @@ def eigh3(matrix):
             a[r][q] = a[q][r] = s * arp + c * arq
             for row in v:
                 row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-    w = np.array([a[0][0], a[1][1], a[2][2]])
-    order = np.argsort(w, kind="stable")
-    return w[order], np.array(v)[:, order]
+    w = [a[0][0], a[1][1], a[2][2]]
+    order = sorted(range(3), key=w.__getitem__)  # stable: equal values keep their order
+    return np.array([w[i] for i in order]), np.array(v)[:, order]
 
 
 def cholesky(matrix) -> list[list[float]]:

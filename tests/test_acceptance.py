@@ -23,8 +23,6 @@ from hydroloc.fusion import (
 from hydroloc.geodesy import (
     WGS84_A,
     WGS84_B,
-    EcefCoord,
-    EnuCoord,
     GeodeticCoord,
     ecef_to_enu,
     ecef_to_geodetic,
@@ -251,34 +249,29 @@ def test_criterion_7_geodesy_round_trips():
     for lat in np.linspace(-89.0, 89.0, 13):
         for lon in np.arange(-175.0, 181.0, 5.0):
             for h in (-1000.0, 0.0, 10000.0):
-                g = GeodeticCoord.from_degrees(float(lat), float(lon), h)
+                g = GeodeticCoord(float(lat), float(lon), h)
                 e = geodetic_to_ecef(g)
                 back = geodetic_to_ecef(ecef_to_geodetic(e))
-                worst_ecef = max(
-                    worst_ecef, math.dist((e.x, e.y, e.z), (back.x, back.y, back.z))
-                )
+                worst_ecef = max(worst_ecef, math.dist(e, back))
 
-    origin = GeodeticCoord.from_degrees(41.185, -8.706, 0.0)
+    origin = GeodeticCoord(41.185, -8.706, 0.0)
     rng = np.random.default_rng(77)
     worst_enu = 0.0
     for _ in range(100):
-        p = EnuCoord(*rng.uniform(-5000.0, 5000.0, 3))
+        p = tuple(rng.uniform(-5000.0, 5000.0, 3))
         back = ecef_to_enu(enu_to_ecef(p, origin), origin)
-        worst_enu = max(
-            worst_enu,
-            math.dist((p.east, p.north, p.up), (back.east, back.north, back.up)),
-        )
+        worst_enu = max(worst_enu, math.dist(p, back))
 
     equator = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
-    pole = geodetic_to_ecef(GeodeticCoord(math.pi / 2, 0.0, 0.0))
-    axis = geodetic_to_ecef(GeodeticCoord.from_degrees(0.0, 90.0, 100.0))
+    pole = geodetic_to_ecef(GeodeticCoord(90.0, 0.0, 0.0))
+    axis = geodetic_to_ecef(GeodeticCoord(0.0, 90.0, 100.0))
     fixed_ok = (
-        math.dist((equator.x, equator.y, equator.z), (WGS84_A, 0.0, 0.0)) < 1e-6
-        and math.dist((pole.x, pole.y, pole.z), (0.0, 0.0, WGS84_B)) < 1e-6
+        math.dist(equator, (WGS84_A, 0.0, 0.0)) < 1e-6
+        and math.dist(pole, (0.0, 0.0, WGS84_B)) < 1e-6
         and abs(WGS84_B - 6356752.314) < 1e-3
-        and math.dist((axis.x, axis.y, axis.z), (0.0, WGS84_A + 100.0, 0.0)) < 1e-6
+        and math.dist(axis, (0.0, WGS84_A + 100.0, 0.0)) < 1e-6
     )
-    inverse_pole = ecef_to_geodetic(EcefCoord(0.0, 0.0, WGS84_B))
+    inverse_pole = ecef_to_geodetic((0.0, 0.0, WGS84_B))
     fixed_ok = fixed_ok and inverse_pole.longitude == 0.0
 
     report(

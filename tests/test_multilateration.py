@@ -220,6 +220,14 @@ class TestEvolveGeneration:
         assert nxt.shape == pop.shape
         assert np.array_equal(nxt[0], pop[np.argmin(fits)])
 
+    def test_tied_best_keeps_the_first(self):
+        rng = np.random.default_rng(1)
+        pop = rng.uniform(BOUNDS.lows(), BOUNDS.highs(), size=(16, 3))
+        fits = np.full(16, 2.0)
+        fits[[5, 9, 12]] = 1.0
+        nxt = evolve_generation(pop, fits, self.cfg, rng, 5.0)
+        assert np.array_equal(nxt[0], pop[5])
+
     def test_offspring_respect_bounds(self):
         cfg = GaConfig(search_bounds=BOUNDS, population_size=64)
         rng = np.random.default_rng(3)
@@ -288,6 +296,20 @@ class TestGaLocalize:
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
         with pytest.raises(ValueError, match="row 2: anchor position must be finite"):
             ga_localize(bad, TOFS, cfg, HOMOG, 0)
+
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    @pytest.mark.parametrize("up", [5.0, -150.0])
+    def test_anchor_outside_water_column_rejected(self, mode, up):
+        # Before this check the kernel raised "receiver depth [[-0. -0. -5. -0.]]
+        # outside the water column", naming no row.
+        bad = ANCHOR_POS.copy()
+        bad[3, 2] = up
+        cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
+        with pytest.raises(ValueError) as info:
+            ga_localize(bad, TOFS, cfg, HOMOG, 0)
+        assert str(info.value) == (
+            f"row 3: anchor depth {-up!r} m outside the water column [0, 100.0]"
+        )
 
     def test_bounds_below_column_rejected(self):
         bounds = SearchBounds(east=(-10.0, 10.0), north=(-10.0, 10.0), up=(-500.0, 0.0))
@@ -459,6 +481,22 @@ class TestGaLocalize:
         assert calls["pairwise_tof"] == expected
         assert calls["tof_jacobian"] > 0
         assert calls["tail"] == 1
+
+
+class TestEigh3:
+    def test_ascending_and_reconstructs(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 3))
+        m = a + a.T
+        w, v = eigh3(m)
+        assert w[0] <= w[1] <= w[2]
+        np.testing.assert_allclose((v * w) @ v.T, m, rtol=0.0, atol=1e-12)
+
+    def test_equal_eigenvalues_keep_their_order(self):
+        # A diagonal matrix needs no rotation: the tied 2s stay in input order.
+        w, v = eigh3(np.diag([2.0, 1.0, 2.0]))
+        assert w.tolist() == [1.0, 2.0, 2.0]
+        assert v.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 class TestMatmulForms:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import subprocess
 import sys
 import textwrap
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from hydroloc.geodesy import geodetic_to_enu
+from hydroloc.geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef, geodetic_to_enu
 from hydroloc.pipeline import (
     CSV_COLUMNS,
     child_seed,
@@ -217,6 +219,20 @@ class TestWriteOutputs:
                 Path(paths["epochs"]).read_bytes() + Path(paths["summary"]).read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+    def test_enu_origin_written_in_the_degrees_read(self, tmp_path):
+        # No radian round trip: -122.6 is written as -122.6, not -122.60000000000001.
+        origin = GeodeticCoord(45.5, -122.6, 30.0)
+        doc = yaml.safe_load(FAST_NOISELESS)
+        doc["enu_origin"] = dataclasses.asdict(origin)
+        doc["anchors"] = [
+            {"id": f"a{k}", **dataclasses.asdict(ecef_to_geodetic(enu_to_ecef(corner, origin)))}
+            for k, corner in enumerate([(100.0, 100.0, 0.0), (100.0, -100.0, 0.0),
+                                        (-100.0, 100.0, 0.0), (-100.0, -100.0, 0.0)])
+        ]
+        records, summary = run_simulation(parse_scenario(yaml.safe_dump(doc)))
+        paths = write_outputs(records, summary, tmp_path / "out")
+        assert json.loads(Path(paths["summary"]).read_text())["enu_origin"] == [45.5, -122.6, 30.0]
 
 
 # Run in a fresh interpreter: the summed Rss (kB) of every mapping whose

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydroloc.environment import Layer
+from hydroloc.geodesy import GeodeticCoord
 from hydroloc.multilateration import GaConfig, SearchBounds
 from hydroloc.pipeline import run_simulation, write_outputs
 from hydroloc.propagation import ChannelConfig, ChannelProfile
@@ -86,7 +87,7 @@ class TestMinimalScenario:
         text = MINIMAL + "enu_origin: {latitude: 41.0005, longitude: -8.0005, height: 0.0}\n"
         s = parse_scenario(text)
         assert not s.origin_from_anchor
-        assert s.enu_origin.latitude_deg == pytest.approx(41.0005)
+        assert s.enu_origin == GeodeticCoord(41.0005, -8.0005, 0.0)
 
     def test_duration(self):
         assert parse_scenario(MINIMAL).epochs == 7  # pings at t = 0, 10, ..., 60 s
