@@ -108,8 +108,6 @@ def _cmd_localize(args) -> int:
         raise ScenarioError(
             f"--epoch: must be within [0, {scenario.epochs - 1}], got {args.epoch}"
         )
-    if args.trace_every < 1:
-        raise ScenarioError(f"--trace-every: must be >= 1, got {args.trace_every}")
     t = epoch_times(scenario)[args.epoch]
     true_pos, reported, tofs, _ = simulate_epoch(scenario, args.epoch, t)
     print(f"epoch {args.epoch} (t={t!r} s): {np.count_nonzero(~np.isnan(tofs))} detections")
@@ -121,8 +119,7 @@ def _cmd_localize(args) -> int:
     label = "ga_fit_m2" if scenario.ga.fitness_mode == "range_residual" else "ga_fit_s2"
 
     def trace(gen, best, sigma):
-        if gen % args.trace_every == 0:
-            print(f"  gen {gen:4d}  {label}={best:.6e}  sigma={sigma:.3f} m")
+        print(f"  gen {gen:4d}  {label}={best:.6e}  sigma={sigma:.3f} m")
 
     estimate = localize_epoch(scenario, args.epoch, reported, tofs, trace=trace)
     if estimate is None:
@@ -182,10 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="run a single epoch fix with a solver trace")
     p.add_argument("scenario", help="scenario file")
     p.add_argument("--epoch", type=int, default=0, help="epoch index (default 0)")
-    p.add_argument(
-        "--trace-every", type=int, default=10,
-        help="print the solver trace every N generations (default 10)",
-    )
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("run", help="run the full pipeline and write outputs")

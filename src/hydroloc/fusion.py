@@ -99,10 +99,6 @@ class EkfState:
     def position(self) -> np.ndarray:
         return self.mean[:3]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[3:]
-
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
@@ -149,14 +145,13 @@ def _joseph_update(state: EkfState, idx: slice, z: np.ndarray, r: np.ndarray) ->
     return EkfState(mean=mean, covariance=_symmetrize(cov), timestamp=state.timestamp)
 
 
-def ekf_update_fix(state: EkfState, fix, covariance) -> EkfState:
+def ekf_update_fix(state: EkfState, position, covariance) -> EkfState:
     """Fold a 3-D position fix into the state.
 
-    fix is a PositionEstimate or a bare ENU triple; covariance is the
-    3x3 measurement covariance, which must be finite, symmetric and
-    positive-definite.
+    position is the fix's ENU triple; covariance is the 3x3 measurement
+    covariance, which must be finite, symmetric and positive-definite.
     """
-    z = np.asarray(getattr(fix, "position", fix), float).reshape(3)
+    z = np.asarray(position, float).reshape(3)
     r = np.asarray(covariance, float)
     if not np.isfinite(z).all():
         raise ValueError(f"fix must be finite, got {z}")

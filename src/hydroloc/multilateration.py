@@ -92,10 +92,6 @@ class SearchBounds:
     def highs(self) -> np.ndarray:
         return np.array([self.east[1], self.north[1], self.up[1]])
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, float)
-        return bool(np.all(p >= self.lows()) and np.all(p <= self.highs()))
-
     def largest_extent(self) -> float:
         return float(np.max(self.highs() - self.lows()))
 
@@ -151,37 +147,26 @@ class PositionEstimate:
     polishes: int
 
 
-def fitness(
-    candidates,
-    anchor_pos,
-    observed,
-    profile: ChannelProfile,
-    mode: str = "tof_residual",
-):
-    """Sum of squared residuals of the candidate(s) against one fix's pings.
+def fitness(candidates, anchor_pos, observed, profile: ChannelProfile, mode: str):
+    """Per-candidate sum of squared residuals against one fix's pings.
 
+    candidates is an (N, 3) ENU array and the result is (N,).
     anchor_pos is the (M, 3) ENU array of the pinged anchors. observed
     holds their measured TOFs (s) for tof_residual, which compares
     modelled travel times (s^2), or their slant ranges (m) for
-    range_residual, which compares Euclidean distances (m^2). Candidates
-    may be a single ENU triple or an (N, 3) array; no-direct-path terms
-    add a large finite penalty instead of raising.
+    range_residual, which compares Euclidean distances (m^2).
+    No-direct-path terms add a large finite penalty instead of raising.
     """
-    cands = np.asarray(candidates, float)
-    scalar_in = cands.ndim == 1
-    cands = np.atleast_2d(cands)
-    depths = -cands[:, 2]
+    depths = -candidates[:, 2]
     if (depths < 0.0).any() or (depths > profile.total_depth).any():
         raise ValueError("candidate depth outside the water column")
 
     if mode == "tof_residual":
-        total = _tof_fit(*pairwise_tof(profile, cands, anchor_pos), observed)
-    elif mode == "range_residual":
-        dist = np.linalg.norm(cands[:, None, :] - anchor_pos[None, :, :], axis=-1)
-        total = ((dist - observed) ** 2).sum(axis=1)
-    else:
-        raise ValueError(f"unknown fitness mode {mode!r}")
-    return float(total[0]) if scalar_in else total
+        return _tof_fit(*pairwise_tof(profile, candidates, anchor_pos), observed)
+    if mode == "range_residual":
+        dist = np.linalg.norm(candidates[:, None, :] - anchor_pos[None, :, :], axis=-1)
+        return ((dist - observed) ** 2).sum(axis=1)
+    raise ValueError(f"unknown fitness mode {mode!r}")
 
 
 def _tof_fit(tof, ok, observed):

@@ -27,7 +27,6 @@ from .streams import Stream, child_seed
 __all__ = [
     "EpochRecord",
     "RunSummary",
-    "child_seed",
     "simulate_epoch",
     "localize_epoch",
     "run_simulation",
@@ -181,7 +180,7 @@ def run_simulation(scenario: Scenario):
 
         state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
         if estimate is not None:
-            state = ekf_update_fix(state, estimate, estimate.covariance)
+            state = ekf_update_fix(state, estimate.position, estimate.covariance)
         state = ekf_update_depth(
             state, depth_measured, ekf_cfg.pressure_sigma_depth**2
         )

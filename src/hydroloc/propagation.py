@@ -394,8 +394,8 @@ def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
 
     The speed is thickness-weighted over the depth interval between the
     anchor and an assumed target depth; a zero-thickness interval uses
-    the local layer speed. Arguments broadcast elementwise; scalar
-    arguments give a float.
+    the local layer speed. Arguments broadcast elementwise to the
+    returned array of ranges (m).
     """
     tof = np.asarray(tof, float)
     z_lo = np.minimum(anchor_depth, target_depth)
@@ -412,5 +412,4 @@ def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
     with np.errstate(invalid="ignore", divide="ignore"):
         harmonic = thickness / _tof(profile, _layer_overlaps(boundaries, z_lo, z_hi))
     local = np.asarray(profile.sound_speeds)[_layer_at(boundaries, z_lo)]
-    ranges = tof * np.where(thickness > 0.0, harmonic, local)
-    return float(ranges) if ranges.ndim == 0 else ranges
+    return tof * np.where(thickness > 0.0, harmonic, local)

@@ -76,7 +76,6 @@ class Scenario:
     profile: ChannelProfile  # the water column's acoustics at the carrier frequency
     channel: ChannelConfig
     anchor_ids: tuple[str, ...]
-    anchor_positions: tuple[GeodeticCoord, ...]
     anchor_enu: tuple[tuple[float, float, float], ...]  # m, up <= 0
     gps_noise_sigma: tuple[float, float, float]  # m per ENU axis
     enu_origin: GeodeticCoord
@@ -353,7 +352,6 @@ def parse_scenario(text: str) -> Scenario:
         profile=profile,
         channel=channel,
         anchor_ids=anchor_ids,
-        anchor_positions=anchor_coords,
         anchor_enu=tuple(anchor_enu),
         gps_noise_sigma=gps_sigma,
         enu_origin=origin,

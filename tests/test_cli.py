@@ -247,6 +247,23 @@ class TestLocalizeCommand:
         assert sum(line.startswith("tof_fit_s2: ") for line in lines) == 1
         assert not any("best_fitness" in line for line in lines)
 
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    def test_traces_every_evaluated_generation(self, mode, small_scenario, capsys):
+        doc = yaml.safe_load(Path(small_scenario).read_text())
+        doc["ga"]["fitness_mode"] = mode
+        Path(small_scenario).write_text(yaml.safe_dump(doc))
+        assert main(["localize", small_scenario, "--epoch", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        gens = [int(line.split()[1]) for line in lines if line.lstrip().startswith("gen ")]
+        (run,) = (line for line in lines if line.startswith("generations_run: "))
+        assert gens == list(range(int(run.split()[1])))
+
+    def test_trace_every_is_not_an_option(self, small_scenario, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["localize", small_scenario, "--trace-every", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --trace-every 5" in capsys.readouterr().err
+
     def test_epoch_out_of_range(self, small_scenario, capsys):
         assert main(["localize", small_scenario, "--epoch", "99"]) == 1
         assert "--epoch" in capsys.readouterr().err

@@ -105,13 +105,6 @@ class TestUpdateFix:
         for i in range(3):
             assert out.covariance[i, i] <= s.covariance[i, i]
 
-    def test_accepts_position_estimate_duck_type(self):
-        class Fix:
-            position = np.array([1.0, 2.0, -3.0])
-
-        out = ekf_update_fix(make_state(), Fix(), np.eye(3))
-        assert out.mean[0] > 0.0
-
     def test_non_symmetric_covariance_rejected(self):
         r = np.eye(3)
         r[0, 1] = 0.5

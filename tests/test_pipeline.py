@@ -12,7 +12,6 @@ import yaml
 from hydroloc.geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef, geodetic_to_enu
 from hydroloc.pipeline import (
     CSV_COLUMNS,
-    child_seed,
     epoch_times,
     interpolate_position,
     run_simulation,
@@ -21,6 +20,7 @@ from hydroloc.pipeline import (
 )
 from hydroloc.propagation import link_budget, ping_paths
 from hydroloc.scenario import load_scenario, parse_scenario
+from hydroloc.streams import child_seed
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

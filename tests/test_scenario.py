@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydroloc.environment import Layer
-from hydroloc.geodesy import GeodeticCoord
+from hydroloc.geodesy import GeodeticCoord, geodetic_to_enu
 from hydroloc.multilateration import GaConfig, SearchBounds
 from hydroloc.pipeline import run_simulation, write_outputs
 from hydroloc.propagation import ChannelConfig, ChannelProfile
@@ -79,7 +79,8 @@ class TestMinimalScenario:
     def test_origin_defaults_to_first_anchor(self):
         s = parse_scenario(MINIMAL)
         assert s.origin_from_anchor
-        assert s.enu_origin == s.anchor_positions[0]
+        # The first anchor, whose height is omitted: 0.0.
+        assert s.enu_origin == GeodeticCoord(41.0, -8.0, 0.0)
         east, north, up = s.anchor_enu[0]
         assert abs(east) < 1e-9 and abs(north) < 1e-9 and abs(up) < 1e-9
 
@@ -419,7 +420,14 @@ class TestEveryKey:
         assert s.ekf == EkfConfig(
             accel_noise_density=(accel["east"], accel["north"], accel["up"]), **ekf
         )
-        assert s.anchor_positions[3].height == 0.0
+        origin = GeodeticCoord(**doc["enu_origin"])
+        coords = [{k: v for k, v in a.items() if k != "id"} for a in doc["anchors"]]
+        assert s.anchor_enu == pytest.approx(
+            [geodetic_to_enu(GeodeticCoord(**c), origin) for c in coords], abs=1e-9
+        )
+        # An omitted height is 0.0.
+        del doc["anchors"][3]["height"]
+        assert parse_scenario(yaml.safe_dump(doc)).anchor_enu[3] == s.anchor_enu[3]
         assert s.gps_noise_sigma == (0.5, 0.6, 0.1)
         assert not s.origin_from_anchor
         assert s.waypoints[1] == (60.0, 20.0, 10.0, -50.0)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hydroloc.multilateration import GaConfig, SearchBounds, evolve_generation
-from hydroloc.pipeline import child_seed
-from hydroloc.streams import Stream, box_muller
+from hydroloc.streams import Stream, box_muller, child_seed
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 N = 100_000
