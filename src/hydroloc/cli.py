@@ -16,6 +16,7 @@ import dataclasses
 import logging
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -140,6 +141,11 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(scenario_text)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    # A file at or above --out would fail only after the whole run.
+    out = Path(args.out).absolute()
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ScenarioError(f"--out: {str(existing)!r} is not a directory")
 
     records, summary = run_simulation(scenario)
     paths = write_outputs(records, summary, args.out, scenario_text=scenario_text)

@@ -352,7 +352,7 @@ def ga_localize(
 
     last = None
     polishes = 0
-    generations_run = config.generations
+    # The loop always leaves by a break, so gen + 1 generations ran.
     for gen in range(config.generations):
         fits = fitness(pop, anchor_pos, observed, profile, mode=config.fitness_mode)
         if trace is not None:
@@ -365,7 +365,6 @@ def ga_localize(
             agree = last is not None and math.dist(x, last) < POLISH_AGREE_M
             last = x
             if agree:
-                generations_run = gen + 1
                 break
         pop = evolve_generation(pop, fits, config, rng, sigma)
         sigma *= MUTATION_SIGMA_DECAY
@@ -380,6 +379,6 @@ def ga_localize(
         position=fix,
         best_fitness=float(_tof_fit(tof, ok, tofs)[0]),
         covariance=_fix_covariance(jac, tof_var, sigma_floor, bounds.largest_extent()),
-        generations_run=generations_run,
+        generations_run=gen + 1,
         polishes=polishes + 1,
     )

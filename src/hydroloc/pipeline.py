@@ -52,15 +52,16 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True, eq=False, slots=True)
 class EpochRecord:
-    """One ping epoch: truth, raw fix (if any) and the fused state."""
+    """One ping epoch: truth, raw fix (if any) and the fused state.
+
+    It holds no errors; write_outputs and _summarize derive them from these.
+    """
 
     timestamp: float
     true_position: np.ndarray
     n_detections: int
     estimate: PositionEstimate | None
     fused: EkfState
-    raw_error: float | None
-    fused_error: float
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,7 @@ def localize_epoch(scenario: Scenario, epoch_idx: int, reported, tofs, trace=Non
 def _initial_state(scenario: Scenario) -> EkfState:
     bounds = scenario.ga.search_bounds
     mean = np.zeros(6)
-    mean[0] = 0.5 * (bounds.east[0] + bounds.east[1])
-    mean[1] = 0.5 * (bounds.north[0] + bounds.north[1])
-    mean[2] = 0.5 * (bounds.up[0] + bounds.up[1])
+    mean[:3] = 0.5 * (bounds.lows() + bounds.highs())
     pos_var = scenario.ekf.initial_position_sigma**2
     vel_var = scenario.ekf.initial_velocity_sigma**2
     cov = np.diag([pos_var] * 3 + [vel_var] * 3)
@@ -168,11 +167,9 @@ def run_simulation(scenario: Scenario):
     state = _initial_state(scenario)
 
     records: list[EpochRecord] = []
-    total_detections = 0
     for epoch_idx, t in enumerate(epoch_times(scenario)):
         true_pos, reported, tofs, depth_measured = simulate_epoch(scenario, epoch_idx, t)
         n_detections = int(np.count_nonzero(~np.isnan(tofs)))
-        total_detections += n_detections
 
         estimate = localize_epoch(scenario, epoch_idx, reported, tofs)
         if estimate is None:
@@ -185,8 +182,6 @@ def run_simulation(scenario: Scenario):
             state, depth_measured, ekf_cfg.pressure_sigma_depth**2
         )
 
-        raw_error = math.dist(estimate.position, true_pos) if estimate is not None else None
-        fused_error = math.dist(state.position, true_pos)
         records.append(
             EpochRecord(
                 timestamp=t,
@@ -194,12 +189,10 @@ def run_simulation(scenario: Scenario):
                 n_detections=n_detections,
                 estimate=estimate,
                 fused=state,
-                raw_error=raw_error,
-                fused_error=fused_error,
             )
         )
 
-    summary = _summarize(scenario, records, total_detections)
+    summary = _summarize(scenario, records)
     return records, summary
 
 
@@ -213,9 +206,10 @@ def _error_stats(diff: np.ndarray):
     return _rmse(norms), tuple(_rmse(diff[:, k]) for k in range(3)), float(np.max(norms))
 
 
-def _summarize(scenario: Scenario, records, total_detections: int) -> RunSummary:
+def _summarize(scenario: Scenario, records) -> RunSummary:
     n_epochs = len(records)
     fix_records = [r for r in records if r.estimate is not None]
+    detections = sum(r.n_detections for r in records)
     origin = scenario.enu_origin
 
     rmse_fused, rmse_fused_axes, max_fused = _error_stats(
@@ -231,7 +225,7 @@ def _summarize(scenario: Scenario, records, total_detections: int) -> RunSummary
         epochs=n_epochs,
         fix_epochs=len(fix_records),
         gap_epochs=n_epochs - len(fix_records),
-        detection_rate=total_detections / (n_epochs * len(scenario.anchor_ids)),
+        detection_rate=detections / (n_epochs * len(scenario.anchor_ids)),
         rmse_raw=rmse_raw,
         rmse_fused=rmse_fused,
         rmse_raw_axes=rmse_raw_axes,
@@ -252,7 +246,9 @@ def write_outputs(records, summary: RunSummary, out_dir, scenario_text: str | No
     """Write epochs.csv, summary.json and an optional scenario echo.
 
     Numbers are written at full precision (shortest round-trip repr).
-    Returns the paths written.
+    Each row's raw_err and fused_err are computed here, and only here: the
+    distance from its true position to its fix (empty on a gap row) and to
+    its fused position. Returns the paths written.
     """
     os.makedirs(out_dir, exist_ok=True)
     epochs_path = os.path.join(out_dir, "epochs.csv")
@@ -263,6 +259,7 @@ def write_outputs(records, summary: RunSummary, out_dir, scenario_text: str | No
         writer.writerow(CSV_COLUMNS)
         for r in records:
             est = r.estimate.position if r.estimate is not None else (None, None, None)
+            raw_err = math.dist(est, r.true_position) if r.estimate is not None else None
             writer.writerow(
                 [
                     _fmt(r.timestamp),
@@ -275,8 +272,8 @@ def write_outputs(records, summary: RunSummary, out_dir, scenario_text: str | No
                     _fmt(r.fused.position[0]),
                     _fmt(r.fused.position[1]),
                     _fmt(r.fused.position[2]),
-                    _fmt(r.raw_error),
-                    _fmt(r.fused_error),
+                    _fmt(raw_err),
+                    _fmt(math.dist(r.fused.position, r.true_position)),
                     str(r.n_detections),
                 ]
             )

@@ -247,16 +247,6 @@ def _tof(profile: ChannelProfile, lengths: np.ndarray) -> np.ndarray:
     return (lengths / np.asarray(profile.sound_speeds)).sum(axis=-1)
 
 
-def _loss_db(total_length: float, absorbed: float) -> float | None:
-    """Spherical spreading relative to 1 m plus the absorption along the path, dB.
-
-    None below the 1 m reference distance, where the model has no loss.
-    """
-    if total_length < _REFERENCE_DISTANCE:
-        return None
-    return 20.0 * math.log10(total_length) + absorbed
-
-
 def snr(source_level: float, transmission_loss_db: float, noise_level: float) -> float:
     """Passive sonar equation: SNR = SL - TL - NL, all dB."""
     return source_level - transmission_loss_db - noise_level
@@ -265,12 +255,15 @@ def snr(source_level: float, transmission_loss_db: float, noise_level: float) ->
 def link_budget(config: ChannelConfig, length: float, absorbed: float):
     """(loss_db, snr_db, detected) of a path's length (m) and absorption (dB).
 
-    Below the 1 m reference distance: (None, None, False). Otherwise the
+    The one place transmission loss is computed: spherical spreading
+    relative to 1 m plus the path's absorption. Below that reference
+    distance the model has no loss: (None, None, False). Otherwise the
     path is detected when SNR >= the threshold, so a NaN SNR is not.
     """
-    loss_db = _loss_db(float(length), float(absorbed))
-    if loss_db is None:
+    length = float(length)
+    if length < _REFERENCE_DISTANCE:
         return None, None, False
+    loss_db = 20.0 * math.log10(length) + float(absorbed)
     snr_db = snr(config.source_level, loss_db, config.noise_level)
     return loss_db, snr_db, snr_db >= config.detection_threshold
 

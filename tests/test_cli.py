@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hydroloc import cli
 from hydroloc.cli import main
 from hydroloc.pipeline import epoch_times, run_simulation, simulate_epoch
 from hydroloc.propagation import link_budget, ping_paths, simulate_ping, snr
@@ -305,9 +306,23 @@ class TestRunCommand:
         assert blobs[0] != blobs[2]  # different seed: different
 
     def test_unwritable_out_is_runtime_error(self, small_scenario, tmp_path, capsys):
+        # --out is a directory, but epochs.csv in it is not a file: only the write sees it.
+        out_dir = tmp_path / "results"
+        (out_dir / "epochs.csv").mkdir(parents=True)
+        assert main(["run", small_scenario, "--out", str(out_dir)]) == 2
+
+    @pytest.mark.parametrize("below", ["", "results"])
+    def test_out_at_or_under_a_file_is_usage_error(
+        self, below, small_scenario, tmp_path, capsys, monkeypatch
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", lambda scenario: runs.append(scenario))
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
-        assert main(["run", small_scenario, "--out", str(blocker)]) == 2
+        assert main(["run", small_scenario, "--out", str(blocker / below)]) == 1
+        err = capsys.readouterr().err
+        assert f"--out: {str(blocker)!r} is not a directory" in err
+        assert runs == []
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -447,6 +447,17 @@ class TestGaLocalize:
         np.testing.assert_allclose(est.covariance, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
+    @pytest.mark.parametrize("generations", range(1, 7))
+    def test_generation_cap_exit(self, mode, generations):
+        # Two polishes can first agree after generation 6, so up to 6 the run
+        # ends at the cap; up to 3 no polish runs and the fix starts from the
+        # GA's best.
+        cfg = GaConfig(search_bounds=BOUNDS, generations=generations, fitness_mode=mode)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
+        assert est.generations_run == generations
+        assert est.polishes == (generations - 1) // 3 + 1
+
+    @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
     def test_kernel_call_budget(self, monkeypatch, mode):
         # The GA scores each generation with one pairwise_tof call (TOF mode)
         # or none (range mode); past Gauss-Newton's own steps, one

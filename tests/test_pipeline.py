@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -96,7 +98,8 @@ class TestRunSimulation:
         assert summary.fix_epochs == 5
         assert summary.detection_rate == 1.0
         for r in records:
-            assert r.raw_error is not None and r.raw_error < 0.1
+            assert r.estimate is not None
+            assert math.dist(r.estimate.position, r.true_position) < 0.1
             assert r.n_detections == 4
 
     def test_timestamps_monotone(self):
@@ -119,7 +122,7 @@ class TestRunSimulation:
         # Predict-only epochs still advance the fused chain.
         stamps = [r.fused.timestamp for r in records]
         assert stamps == sorted(stamps)
-        assert all(r.estimate is None and r.raw_error is None for r in records)
+        assert all(r.estimate is None for r in records)
 
     def test_master_seed_changes_noisy_outputs(self):
         a = run_simulation(parse_scenario(FAST_NOISY))[0]
@@ -202,6 +205,31 @@ class TestWriteOutputs:
         row = Path(paths["epochs"]).read_text().splitlines()[1].split(",")
         est_cells = row[4:7] + [row[10]]
         assert est_cells == ["", "", "", ""]
+
+    def test_error_cells_are_each_row_own_distances(self, tmp_path):
+        # Out to (140, 140) and back: at the far epoch only 3 anchors clear 70 dB.
+        text = FAST_NOISY.replace(
+            "detection_threshold: 10.0", "detection_threshold: 70.0"
+        ).replace(
+            "- {time: 40.0, east: 0.0",
+            "- {time: 20.0, east: 140.0, north: 140.0, up: -50.0}\n  - {time: 40.0, east: 0.0",
+        )
+        records, summary = run_simulation(parse_scenario(text))
+        paths = write_outputs(records, summary, tmp_path / "out")
+        with open(paths["epochs"], encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        gaps = [int(row["n_detections"]) < 4 for row in rows]
+        assert len(rows) == len(records) and any(gaps) and not all(gaps)
+
+        def cells(row, prefix):
+            return [float(row[f"{prefix}_{axis}"]) for axis in "enu"]
+
+        for row, gap in zip(rows, gaps):
+            assert row["fused_err"] == repr(math.dist(cells(row, "fused"), cells(row, "true")))
+            if gap:
+                assert [row["est_e"], row["est_n"], row["est_u"], row["raw_err"]] == [""] * 4
+            else:
+                assert row["raw_err"] == repr(math.dist(cells(row, "est"), cells(row, "true")))
 
     def test_scenario_echo(self, tmp_path):
         records, summary = run_simulation(parse_scenario(FAST_NOISELESS))
