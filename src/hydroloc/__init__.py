@@ -35,7 +35,6 @@ from .propagation import (
     link_budget,
     pairwise_tof,
     ping_paths,
-    range_from_tof,
     simulate_ping,
     snr,
     tof_jacobian,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -141,11 +142,15 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(scenario_text)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    # A file at or above --out would fail only after the whole run.
+    # An --out that cannot be made a directory would fail only after the whole run.
     out = Path(args.out).absolute()
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ScenarioError(f"--out: {str(existing)!r} is not a directory")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out: {exc}") from None
 
     records, summary = run_simulation(scenario)
     paths = write_outputs(records, summary, args.out, scenario_text=scenario_text)

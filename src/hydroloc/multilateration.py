@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import ChannelProfile, pairwise_tof, range_from_tof, tof_jacobian
+from .propagation import ChannelProfile, pairwise_tof, tof_jacobian
 from .smallmat import eigh3, matmul
 from .streams import Stream, box_muller
 
@@ -156,10 +156,9 @@ def fitness(candidates, anchor_pos, observed, profile: ChannelProfile, mode: str
     modelled travel times (s^2), or their slant ranges (m) for
     range_residual, which compares Euclidean distances (m^2).
     No-direct-path terms add a large finite penalty instead of raising.
+    A candidate depth outside the water column or NaN raises ValueError.
     """
-    depths = -candidates[:, 2]
-    if (depths < 0.0).any() or (depths > profile.total_depth).any():
-        raise ValueError("candidate depth outside the water column")
+    profile.check_depths(-candidates[:, 2], "candidate")
 
     if mode == "tof_residual":
         return _tof_fit(*pairwise_tof(profile, candidates, anchor_pos), observed)
@@ -287,9 +286,11 @@ def ga_localize(
     anchor_pos (M, 3) and tofs (M,) are the heard anchors' ENU positions
     and measured TOFs (s): M >= 4, every position finite, every TOF
     finite and > 0. In range_residual mode the TOFs become ranges once,
-    at the middle of the search depths. Every POLISH_EVERY generations
-    Gauss-Newton polishes the GA's best on the GA's residual; the GA
-    stops when two polishes in a row agree, or after config.generations.
+    times the column's mean speed from the surface, where the anchors
+    sit, to the middle of the search depths (ChannelProfile.mean_speed).
+    Every POLISH_EVERY generations Gauss-Newton polishes the GA's best on
+    the GA's residual; the GA stops when two polishes in a row agree, or
+    after config.generations.
     The fix is always a final TOF polish of the last polish (of the GA's
     best if none ran). One tof_jacobian call at the fix gives its TOF
     fit and the gradients through which the covariance maps tof_sigma
@@ -314,14 +315,7 @@ def ga_localize(
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"row {k}: anchor position must be finite, got {anchor_pos[k].tolist()}")
-    depth = -anchor_pos[:, 2]
-    bad = ~((depth >= 0.0) & (depth <= profile.total_depth))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"row {k}: anchor depth {float(depth[k])!r} m outside the water column "
-            f"[0, {profile.total_depth}]"
-        )
+    profile.check_depths(-anchor_pos[:, 2], "anchor")
 
     bounds = config.search_bounds
     if -bounds.up[0] > profile.total_depth:
@@ -335,8 +329,7 @@ def ga_localize(
         return np.where(ok[0], tof[0] - tofs, 0.0), np.where(ok[0, :, None], jac[0], 0.0)
 
     if config.fitness_mode == "range_residual":
-        assumed_depth = -0.5 * (bounds.up[0] + bounds.up[1])
-        observed = range_from_tof(tofs, profile, -anchor_pos[:, 2], assumed_depth)
+        observed = tofs * profile.mean_speed(-0.5 * (bounds.up[0] + bounds.up[1]))
 
         def residual(x):
             diff = x - anchor_pos

@@ -2,10 +2,10 @@
 
 One vectorized kernel gives each direct path's length in every layer.
 Travel time, path length and absorption are sums over those lengths in
-layer order (TOF = sum of length_i / c_i), so pings and the fitness's
-pairwise travel times share one rule. A run's pings and `hydroloc ping`
-take the same path sums (ping_paths) and apply the same link rule
-(link_budget).
+layer order (TOF = sum of length_i / c_i), so pings, the fitness's
+pairwise travel times and the column's mean speed share one rule. A
+run's pings and `hydroloc ping` take the same path sums (ping_paths) and
+apply the same link rule (link_budget).
 
 A path that crosses at most one layer is the chord between its
 endpoints. A path across two or more layers refracts by the
@@ -41,7 +41,6 @@ __all__ = [
     "simulate_ping",
     "pairwise_tof",
     "tof_jacobian",
-    "range_from_tof",
 ]
 
 log = logging.getLogger(__name__)
@@ -91,6 +90,25 @@ class ChannelProfile:
     def total_depth(self) -> float:
         return self.boundaries[-1]
 
+    def check_depths(self, depth: np.ndarray, what: str) -> None:
+        """Raise ValueError naming the first depth (m) outside [0, total_depth] or NaN."""
+        inside = (depth >= 0.0) & (depth <= self.total_depth)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise ValueError(
+                f"row {k}: {what} depth {float(depth.flat[k])!r} m outside the water column "
+                f"[0, {self.total_depth}]"
+            )
+
+    def mean_speed(self, depth: float) -> float:
+        """Harmonic-mean sound speed (m/s) from the surface down to depth (m), in (0, D].
+
+        depth over the kernel's travel time of that vertical path, sum of overlap_i / c_i.
+        """
+        if not 0.0 < depth <= self.total_depth:
+            raise ValueError(f"depth {depth!r} m outside (0, {self.total_depth}]")
+        return depth / _tof(self, _layer_overlaps(np.asarray(self.boundaries), 0.0, depth))
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -112,13 +130,6 @@ class ChannelConfig:
             raise ValueError(
                 f"tof_noise_sigma: must be <= {TOF_NOISE_SIGMA_MAX}, got {self.tof_noise_sigma}"
             )
-
-
-def _check_depth(profile: ChannelProfile, depth: np.ndarray, what: str) -> None:
-    if not ((depth >= 0.0) & (depth <= profile.total_depth)).all():
-        raise ValueError(
-            f"{what} depth {depth} outside the water column [0, {profile.total_depth}]"
-        )
 
 
 def _layer_overlaps(boundaries: np.ndarray, z_lo, z_hi) -> np.ndarray:
@@ -218,8 +229,8 @@ def _layer_paths(profile: ChannelProfile, z_src, z_rcv, horizontal):
     boundaries = np.asarray(profile.boundaries)
     speeds = np.asarray(profile.sound_speeds)
     z_src, z_rcv = np.asarray(z_src, float), np.asarray(z_rcv, float)
-    _check_depth(profile, z_src, "source")
-    _check_depth(profile, z_rcv, "receiver")
+    profile.check_depths(z_src, "source")
+    profile.check_depths(z_rcv, "receiver")
     z_lo, z_hi, horizontal = np.broadcast_arrays(
         np.minimum(z_src, z_rcv), np.maximum(z_src, z_rcv), np.asarray(horizontal, float)
     )
@@ -381,28 +392,3 @@ def tof_jacobian(profile: ChannelProfile, points_a, points_b):
     jac[1, ..., 2] = np.where(above, -bottom, top)
     return _tof(profile, lengths), ok, jac[0], jac[1]
 
-
-def range_from_tof(tof, profile: ChannelProfile, anchor_depth, target_depth):
-    """Convert TOFs to slant ranges with the harmonic-mean sound speed.
-
-    The speed is thickness-weighted over the depth interval between the
-    anchor and an assumed target depth; a zero-thickness interval uses
-    the local layer speed. Arguments broadcast elementwise to the
-    returned array of ranges (m).
-    """
-    tof = np.asarray(tof, float)
-    z_lo = np.minimum(anchor_depth, target_depth)
-    z_hi = np.maximum(anchor_depth, target_depth)
-    if not ((tof > 0.0) & (z_lo >= 0.0) & (z_hi <= profile.total_depth)).all():
-        raise ValueError(
-            f"need tof > 0 and depths in the water column [0, {profile.total_depth}], "
-            f"got tof {tof}, anchor depth {anchor_depth}, target depth "
-            f"{target_depth}"
-        )
-
-    boundaries = np.asarray(profile.boundaries)
-    thickness = z_hi - z_lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        harmonic = thickness / _tof(profile, _layer_overlaps(boundaries, z_lo, z_hi))
-    local = np.asarray(profile.sound_speeds)[_layer_at(boundaries, z_lo)]
-    return tof * np.where(thickness > 0.0, harmonic, local)

@@ -324,6 +324,21 @@ class TestRunCommand:
         assert f"--out: {str(blocker)!r} is not a directory" in err
         assert runs == []
 
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_out_that_cannot_be_made_is_usage_error(
+        self, dangling, small_scenario, tmp_path, capsys, monkeypatch
+    ):
+        # An empty --out and a dangling symlink both used to exit 2 after the whole run.
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", lambda scenario: runs.append(scenario))
+        out = ""
+        if dangling:
+            out = tmp_path / "link"
+            out.symlink_to(tmp_path / "missing")
+        assert main(["run", small_scenario, "--out", str(out)]) == 1
+        assert "validation error: --out: [Errno" in capsys.readouterr().err
+        assert runs == []
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(Path(NOISELESS).read_text() + "mystery_key: 1\n")

@@ -15,7 +15,6 @@ from hydroloc.propagation import (
     ChannelProfile,
     pairwise_tof,
     ping_paths,
-    range_from_tof,
     tof_jacobian,
 )
 from hydroloc.smallmat import eigh3
@@ -84,61 +83,30 @@ class TestGaConfig:
             GaConfig(search_bounds=BOUNDS, **kwargs)
 
 
-class TestRangeFromTof:
+class TestMeanSpeed:
     def test_homogeneous(self):
-        assert range_from_tof(1.0, HOMOG, 0.0, 50.0) == pytest.approx(1500.0)
+        assert HOMOG.mean_speed(50.0) == 1500.0
 
     def test_harmonic_mean_two_layers(self):
         prof = ChannelProfile(
             boundaries=(0.0, 100.0, 200.0), sound_speeds=(1500.0, 1460.0),
             absorption=(1.0, 1.0), frequency=25.0,
         )
-        # 0.1 s across two equal-thickness layers: 0.1 * 2/(1/1500 + 1/1460)
-        assert range_from_tof(0.1, prof, 0.0, 200.0) == pytest.approx(
-            147.97297297297297, abs=1e-12
-        )
+        # Two equal-thickness layers: 2/(1/1500 + 1/1460), so 0.1 s is 147.97 m.
+        assert prof.mean_speed(200.0) == pytest.approx(1479.7297297297297, rel=1e-15)
 
-    def test_linear_in_tof(self):
-        a = range_from_tof(0.1, HOMOG, 0.0, 80.0)
-        b = range_from_tof(0.2, HOMOG, 0.0, 80.0)
-        assert b == pytest.approx(2.0 * a, rel=1e-12)
-
-    def test_degenerate_interval_uses_local_speed(self):
-        assert range_from_tof(0.01, HOMOG, 40.0, 40.0) == pytest.approx(15.0)
-
-    def test_non_positive_tof_rejected(self):
-        with pytest.raises(ValueError, match="tof"):
-            range_from_tof(0.0, HOMOG, 0.0, 50.0)
-        with pytest.raises(ValueError, match=r"tof \[ 0.1 -0.1\]"):
-            range_from_tof(np.array([0.1, -0.1]), HOMOG, 0.0, 50.0)
-
-    def test_out_of_column_depth_rejected(self):
-        with pytest.raises(ValueError, match="anchor depth -1.0,"):
-            range_from_tof(0.1, HOMOG, -1.0, 50.0)
-        with pytest.raises(ValueError, match="target depth 101.0$"):
-            range_from_tof(np.array([0.1, 0.2]), HOMOG, np.array([0.0, 5.0]), 101.0)
-        with pytest.raises(ValueError, match="water column"):
-            range_from_tof(0.1, HOMOG, np.array([0.0, np.nan]), 50.0)
-
-    def test_array_call_equals_scalar_calls(self):
+    def test_equals_depth_over_the_vertical_path_tof(self):
         rng = np.random.default_rng(4)
-        boundaries = np.array(THREE_LAYER.boundaries)
-        # Equal depths, the surface, layer boundaries and random depths.
-        depths = np.concatenate([boundaries, rng.uniform(0.0, boundaries[-1], 12)])
-        anchor, target = (a.ravel() for a in np.meshgrid(depths, depths))
-        tof = rng.uniform(1e-3, 0.2, anchor.size)
-        ranges = range_from_tof(tof, THREE_LAYER, anchor, target)
-        expected = [
-            range_from_tof(float(t), THREE_LAYER, float(a), float(z))
-            for t, a, z in zip(tof, anchor, target)
-        ]
-        assert np.array_equal(ranges, expected)
-        # The target depth may be one scalar for all anchors.
-        assert np.array_equal(
-            range_from_tof(tof[:16], THREE_LAYER, anchor[:16], 60.0),
-            [range_from_tof(float(t), THREE_LAYER, float(a), 60.0)
-             for t, a in zip(tof[:16], anchor[:16])],
-        )
+        depths = np.concatenate([THREE_LAYER.boundaries[1:], rng.uniform(0.0, 150.0, 12)])
+        for depth in depths.tolist():
+            tof, ok = pairwise_tof(THREE_LAYER, [(0.0, 0.0, -depth)], [(0.0, 0.0, 0.0)])
+            assert ok[0, 0]
+            assert THREE_LAYER.mean_speed(depth) == depth / tof[0, 0]
+
+    @pytest.mark.parametrize("depth", [0.0, -1.0, 100.5, np.nan])
+    def test_depth_outside_the_column_rejected(self, depth):
+        with pytest.raises(ValueError, match=r"outside \(0, 100.0\]"):
+            HOMOG.mean_speed(depth)
 
 
 class TestFitness:
@@ -148,7 +116,7 @@ class TestFitness:
         assert 0.0 <= value[0] < 1e-18
 
     def test_zero_at_truth_range_mode(self):
-        ranges = range_from_tof(TOFS, HOMOG, -ANCHOR_POS[:, 2], 50.0)
+        ranges = TOFS * HOMOG.mean_speed(50.0)
         value = fitness(TRUTH[None], ANCHOR_POS, ranges, HOMOG, mode="range_residual")
         assert 0.0 <= value[0] < 1e-18
 
@@ -185,8 +153,15 @@ class TestFitness:
         assert np.isfinite(fits).all()
 
     def test_candidate_outside_column_rejected(self):
-        with pytest.raises(ValueError, match="water column"):
-            fitness(np.array([[0.0, 0.0, -150.0]]), ANCHOR_POS, TOFS, HOMOG, mode="tof_residual")
+        # A NaN candidate used to score NaN in range mode.
+        for mode in ("tof_residual", "range_residual"):
+            for up in (-150.0, 5.0, np.nan):
+                cands = np.array([[0.0, 0.0, -50.0], [0.0, 0.0, up], [0.0, 0.0, -200.0]])
+                with pytest.raises(ValueError) as info:
+                    fitness(cands, ANCHOR_POS, TOFS, HOMOG, mode=mode)
+                assert str(info.value) == (
+                    f"row 1: candidate depth {-up!r} m outside the water column [0, 100.0]"
+                )
 
     def test_no_path_candidates_get_finite_penalty(self):
         prof = ChannelProfile(
@@ -406,18 +381,18 @@ class TestGaLocalize:
 
     def test_range_mode_converts_tofs_once(self, monkeypatch):
         calls = []
+        mean_speed = ChannelProfile.mean_speed
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return range_from_tof(*args, **kwargs)
+        def counted(profile, depth):
+            calls.append(depth)
+            return mean_speed(profile, depth)
 
-        monkeypatch.setattr(multilateration, "range_from_tof", counted)
+        monkeypatch.setattr(ChannelProfile, "mean_speed", counted)
         cfg = GaConfig(search_bounds=BOUNDS, generations=20, fitness_mode="range_residual")
         est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
         assert est.generations_run > 1
-        assert len(calls) == 1
         # converted at the middle of the search depths
-        assert calls[0][3] == 50.0
+        assert calls == [50.0]
 
     def test_covariance_is_taken_at_the_fix(self, monkeypatch):
         # In range mode the final TOF polish moves off the range optimum, so

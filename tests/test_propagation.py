@@ -390,8 +390,22 @@ class TestPairwiseTof:
         assert ok.tolist() == [[False, True, False]]
 
     def test_rejects_out_of_column_points(self):
-        with pytest.raises(ValueError, match="outside the water column"):
-            pairwise_tof(TWO_LAYER, [(0.0, 0.0, 5.0)], [(0.0, 0.0, -50.0)])
+        # The error names the first point outside, not the whole depth array.
+        cases = [
+            (lambda: pairwise_tof(TWO_LAYER, [(0.0, 0.0, -50.0), (0.0, 0.0, 5.0),
+                                              (0.0, 0.0, 6.0)], [(0.0, 0.0, -50.0)]),
+             "row 1: source depth -5.0 m"),
+            (lambda: pairwise_tof(TWO_LAYER, [(0.0, 0.0, -50.0)], [(1.0, 0.0, -10.0),
+                                  (0.0, 0.0, -10.0), (0.0, 1.0, np.nan)]),
+             "row 2: receiver depth nan m"),
+            (lambda: ping_paths(TWO_LAYER, (0.0, 0.0, -50.0), [(1.0, 0.0, -10.0),
+                                (0.0, 1.0, -250.0), (0.0, 0.0, -300.0)]),
+             "row 1: receiver depth 250.0 m"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{message} outside the water column [0, 200.0]"
 
     @pytest.mark.parametrize("grazing", [1e-3, 1e-5, 1e-7, 1e-8, 1.5e-9])
     def test_tof_precise_up_to_grazing(self, grazing):
