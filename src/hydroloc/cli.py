@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .pipeline import (
+    OUTPUT_FILES,
     epoch_times,
     localize_epoch,
     run_simulation,
@@ -142,7 +143,7 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(scenario_text)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    # An --out that cannot be made a directory would fail only after the whole run.
+    # An --out that cannot take the outputs would fail only after the whole run.
     out = Path(args.out).absolute()
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
@@ -151,9 +152,13 @@ def _cmd_run(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"--out: {exc}") from None
+    for name in OUTPUT_FILES.values():
+        path = os.path.join(args.out, name)
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ScenarioError(f"--out: {path!r} exists and is not a regular file")
 
-    records, summary = run_simulation(scenario)
-    paths = write_outputs(records, summary, args.out, scenario_text=scenario_text)
+    table, summary = run_simulation(scenario)
+    paths = write_outputs(table, summary, args.out, scenario_text=scenario_text)
     print(f"epochs: {summary.epochs}  fixes: {summary.fix_epochs}  "
           f"gaps: {summary.gap_epochs}")
     if summary.rmse_raw is not None:

@@ -26,12 +26,14 @@ from .streams import Stream, child_seed
 
 __all__ = [
     "EpochRecord",
+    "EpochTable",
     "RunSummary",
     "simulate_epoch",
     "localize_epoch",
     "run_simulation",
     "write_outputs",
     "CSV_COLUMNS",
+    "OUTPUT_FILES",
 ]
 
 log = logging.getLogger(__name__)
@@ -48,11 +50,13 @@ CSV_COLUMNS = (
     "fused_e", "fused_n", "fused_u",
     "raw_err", "fused_err", "n_detections",
 )
+# The files write_outputs makes in its output directory, by key of the paths it returns.
+OUTPUT_FILES = {"epochs": "epochs.csv", "summary": "summary.json", "scenario": "scenario.yaml"}
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class EpochRecord:
-    """One ping epoch: truth, raw fix (if any) and the fused state.
+    """One epoch, as a row of an EpochTable: truth, raw fix (if any) and the fused state.
 
     It holds no errors; write_outputs and _summarize derive them from these.
     """
@@ -62,6 +66,86 @@ class EpochRecord:
     n_detections: int
     estimate: PositionEstimate | None
     fused: EkfState
+
+
+@dataclass(frozen=True, eq=False)
+class EpochTable:
+    """A run's epochs: one column per field, one row per epoch.
+
+    fix, fix_covariance and best_fitness are NaN, and generations_run and
+    polishes 0, on a gap row (no fix). The fused state's timestamp is the
+    epoch's. table[k] builds row k as an EpochRecord, negative k counting
+    from the end; a slice is a table of views of the same rows.
+    """
+
+    timestamp: np.ndarray        # (E,) s
+    true_position: np.ndarray    # (E, 3) ENU m
+    n_detections: np.ndarray     # (E,)
+    fix: np.ndarray              # (E, 3) ENU m
+    fix_covariance: np.ndarray   # (E, 3, 3) m^2
+    best_fitness: np.ndarray     # (E,) s^2
+    generations_run: np.ndarray  # (E,)
+    polishes: np.ndarray         # (E,)
+    fused_mean: np.ndarray       # (E, 6)
+    fused_covariance: np.ndarray  # (E, 6, 6)
+
+    @classmethod
+    def empty(cls, n: int) -> EpochTable:
+        """A table of n rows, each to be written once by write_row."""
+        return cls(
+            np.empty(n), np.empty((n, 3)), np.empty(n, int), np.empty((n, 3)),
+            np.empty((n, 3, 3)), np.empty(n), np.empty(n, int), np.empty(n, int),
+            np.empty((n, 6)), np.empty((n, 6, 6)),
+        )
+
+    def write_row(self, k: int, t: float, true_position, n_detections: int,
+                  estimate: PositionEstimate | None, fused: EkfState) -> None:
+        """Write epoch k's row: its time, truth, detections, fix (or None) and fused state."""
+        self.timestamp[k] = t
+        self.true_position[k] = true_position
+        self.n_detections[k] = n_detections
+        if estimate is None:
+            self.fix[k] = self.fix_covariance[k] = self.best_fitness[k] = np.nan
+            self.generations_run[k] = self.polishes[k] = 0
+        else:
+            self.fix[k] = estimate.position
+            self.fix_covariance[k] = estimate.covariance
+            self.best_fitness[k] = estimate.best_fitness
+            self.generations_run[k] = estimate.generations_run
+            self.polishes[k] = estimate.polishes
+        self.fused_mean[k] = fused.mean
+        self.fused_covariance[k] = fused.covariance
+
+    def has_fix(self) -> np.ndarray:
+        """(E,) bool: which rows hold a fix."""
+        return ~np.isnan(self.fix[:, 0])
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return EpochTable(*(getattr(self, f.name)[key] for f in dataclasses.fields(self)))
+        t = float(self.timestamp[key])  # raises IndexError past either end
+        estimate = None
+        if not math.isnan(self.fix[key, 0]):
+            estimate = PositionEstimate(
+                position=self.fix[key].copy(),
+                best_fitness=float(self.best_fitness[key]),
+                covariance=self.fix_covariance[key].copy(),
+                generations_run=int(self.generations_run[key]),
+                polishes=int(self.polishes[key]),
+            )
+        return EpochRecord(
+            timestamp=t,
+            true_position=self.true_position[key].copy(),
+            n_detections=int(self.n_detections[key]),
+            estimate=estimate,
+            fused=EkfState(self.fused_mean[key], self.fused_covariance[key], t),
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -162,11 +246,15 @@ def _initial_state(scenario: Scenario) -> EkfState:
 
 
 def run_simulation(scenario: Scenario):
-    """Run the full pipeline; returns (records, summary)."""
+    """Run the full pipeline; returns (table, summary).
+
+    table is the run's EpochTable, one row per epoch, each written in
+    place as the epoch ends; table[k] is row k as an EpochRecord.
+    """
     ekf_cfg = scenario.ekf
     state = _initial_state(scenario)
 
-    records: list[EpochRecord] = []
+    table = EpochTable.empty(scenario.epochs)
     for epoch_idx, t in enumerate(epoch_times(scenario)):
         true_pos, reported, tofs, depth_measured = simulate_epoch(scenario, epoch_idx, t)
         n_detections = int(np.count_nonzero(~np.isnan(tofs)))
@@ -182,18 +270,10 @@ def run_simulation(scenario: Scenario):
             state, depth_measured, ekf_cfg.pressure_sigma_depth**2
         )
 
-        records.append(
-            EpochRecord(
-                timestamp=t,
-                true_position=true_pos,
-                n_detections=n_detections,
-                estimate=estimate,
-                fused=state,
-            )
-        )
+        table.write_row(epoch_idx, t, true_pos, n_detections, estimate, state)
 
-    summary = _summarize(scenario, records)
-    return records, summary
+    summary = _summarize(scenario, table)
+    return table, summary
 
 
 def _rmse(values: np.ndarray) -> float:
@@ -206,25 +286,26 @@ def _error_stats(diff: np.ndarray):
     return _rmse(norms), tuple(_rmse(diff[:, k]) for k in range(3)), float(np.max(norms))
 
 
-def _summarize(scenario: Scenario, records) -> RunSummary:
-    n_epochs = len(records)
-    fix_records = [r for r in records if r.estimate is not None]
-    detections = sum(r.n_detections for r in records)
+def _summarize(scenario: Scenario, table: EpochTable) -> RunSummary:
+    n_epochs = len(table)
+    has_fix = table.has_fix()
+    fix_epochs = int(np.count_nonzero(has_fix))
+    detections = int(table.n_detections.sum())
     origin = scenario.enu_origin
 
     rmse_fused, rmse_fused_axes, max_fused = _error_stats(
-        np.array([r.fused.position - r.true_position for r in records])
+        table.fused_mean[:, :3] - table.true_position
     )
     rmse_raw = rmse_raw_axes = max_raw = None
-    if fix_records:
+    if fix_epochs:
         rmse_raw, rmse_raw_axes, max_raw = _error_stats(
-            np.array([r.estimate.position - r.true_position for r in fix_records])
+            table.fix[has_fix] - table.true_position[has_fix]
         )
 
     return RunSummary(
         epochs=n_epochs,
-        fix_epochs=len(fix_records),
-        gap_epochs=n_epochs - len(fix_records),
+        fix_epochs=fix_epochs,
+        gap_epochs=n_epochs - fix_epochs,
         detection_rate=detections / (n_epochs * len(scenario.anchor_ids)),
         rmse_raw=rmse_raw,
         rmse_fused=rmse_fused,
@@ -242,50 +323,44 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_outputs(records, summary: RunSummary, out_dir, scenario_text: str | None = None):
-    """Write epochs.csv, summary.json and an optional scenario echo.
+def write_outputs(table: EpochTable, summary: RunSummary, out_dir,
+                  scenario_text: str | None = None):
+    """Write OUTPUT_FILES: epochs.csv, summary.json and an optional scenario echo.
 
-    Numbers are written at full precision (shortest round-trip repr).
-    Each row's raw_err and fused_err are computed here, and only here: the
-    distance from its true position to its fix (empty on a gap row) and to
-    its fused position. Returns the paths written.
+    table is run_simulation's EpochTable, or a slice of it; its columns
+    are read directly, one CSV row per table row. Numbers are written at
+    full precision (shortest round-trip repr). Each row's raw_err and
+    fused_err are computed here, and only here: the distance from its
+    true position to its fix (empty on a gap row) and to its fused
+    position. Returns the paths written.
     """
     os.makedirs(out_dir, exist_ok=True)
-    epochs_path = os.path.join(out_dir, "epochs.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
+    paths = {key: os.path.join(out_dir, name) for key, name in OUTPUT_FILES.items()}
+    if scenario_text is None:
+        del paths["scenario"]
 
-    with open(epochs_path, "w", encoding="utf-8", newline="") as fh:
+    rows = zip(
+        table.timestamp.tolist(),
+        table.true_position.tolist(),
+        table.fix.tolist(),
+        table.has_fix().tolist(),
+        table.fused_mean[:, :3].tolist(),
+        table.n_detections.tolist(),
+    )
+    with open(paths["epochs"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            est = r.estimate.position if r.estimate is not None else (None, None, None)
-            raw_err = math.dist(est, r.true_position) if r.estimate is not None else None
-            writer.writerow(
-                [
-                    _fmt(r.timestamp),
-                    _fmt(r.true_position[0]),
-                    _fmt(r.true_position[1]),
-                    _fmt(r.true_position[2]),
-                    _fmt(est[0]),
-                    _fmt(est[1]),
-                    _fmt(est[2]),
-                    _fmt(r.fused.position[0]),
-                    _fmt(r.fused.position[1]),
-                    _fmt(r.fused.position[2]),
-                    _fmt(raw_err),
-                    _fmt(math.dist(r.fused.position, r.true_position)),
-                    str(r.n_detections),
-                ]
-            )
+        for t, true, fix, has_fix, fused, n_detections in rows:
+            est = fix if has_fix else (None, None, None)
+            raw_err = math.dist(fix, true) if has_fix else None
+            cells = (t, *true, *est, *fused, raw_err, math.dist(fused, true))
+            writer.writerow([*map(_fmt, cells), str(n_detections)])
 
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(paths["summary"], "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    paths = {"epochs": epochs_path, "summary": summary_path}
     if scenario_text is not None:
-        echo_path = os.path.join(out_dir, "scenario.yaml")
-        with open(echo_path, "w", encoding="utf-8") as fh:
+        with open(paths["scenario"], "w", encoding="utf-8") as fh:
             fh.write(scenario_text)
-        paths["scenario"] = echo_path
     return paths

@@ -305,11 +305,29 @@ class TestRunCommand:
         assert blobs[0] == blobs[1]  # same seed: byte-identical
         assert blobs[0] != blobs[2]  # different seed: different
 
-    def test_unwritable_out_is_runtime_error(self, small_scenario, tmp_path, capsys):
-        # --out is a directory, but epochs.csv in it is not a file: only the write sees it.
+    @pytest.mark.parametrize("name", ["epochs.csv", "summary.json", "scenario.yaml"])
+    def test_out_holding_a_non_file_output_is_usage_error(
+        self, name, small_scenario, tmp_path, capsys, monkeypatch
+    ):
+        # --out is a directory, but an output in it is not a file: it used to exit 2
+        # after the whole run, when the write failed.
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation", lambda scenario: runs.append(scenario))
         out_dir = tmp_path / "results"
-        (out_dir / "epochs.csv").mkdir(parents=True)
-        assert main(["run", small_scenario, "--out", str(out_dir)]) == 2
+        (out_dir / name).mkdir(parents=True)
+        assert main(["run", small_scenario, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"--out: {str(out_dir / name)!r} exists and is not a regular file" in err
+        assert runs == []
+
+    def test_out_holding_output_files_is_overwritten(self, small_scenario, tmp_path):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        for name in ("epochs.csv", "summary.json", "scenario.yaml"):
+            (out_dir / name).write_text("stale")
+        assert main(["run", small_scenario, "--out", str(out_dir)]) == 0
+        assert (out_dir / "scenario.yaml").read_text() == Path(small_scenario).read_text()
+        assert (out_dir / "epochs.csv").read_text().startswith("t,true_e")
 
     @pytest.mark.parametrize("below", ["", "results"])
     def test_out_at_or_under_a_file_is_usage_error(

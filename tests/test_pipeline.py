@@ -1,19 +1,23 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from hydroloc import pipeline
 from hydroloc.geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef, geodetic_to_enu
 from hydroloc.pipeline import (
     CSV_COLUMNS,
+    EpochTable,
     epoch_times,
     interpolate_position,
     run_simulation,
@@ -59,6 +63,15 @@ FAST_NOISY = FAST_NOISELESS.replace(
     "  detection_threshold: 10.0",
     "  detection_threshold: 10.0\n  tof_noise_sigma: 0.001",
 ) + "gps_noise_sigma: {east: 1.0, north: 1.0, up: 0.0}\n"
+
+
+# Out to (140, 140) and back: at the far epoch only 3 anchors clear 70 dB.
+FAST_NOISY_GAPS = FAST_NOISY.replace(
+    "detection_threshold: 10.0", "detection_threshold: 70.0"
+).replace(
+    "- {time: 40.0, east: 0.0",
+    "- {time: 20.0, east: 140.0, north: 140.0, up: -50.0}\n  - {time: 40.0, east: 0.0",
+)
 
 
 class TestChildSeed:
@@ -175,15 +188,126 @@ class TestRunSimulation:
         assert near_only[1:].tolist() == everyone[1:].tolist()
 
 
+def _row_values(row):
+    """Every field of an EpochRecord, as plain values."""
+    est = row.estimate
+    fix = None if est is None else (
+        est.position.tolist(), est.covariance.tolist(), est.best_fitness,
+        est.generations_run, est.polishes,
+    )
+    return (row.timestamp, row.true_position.tolist(), row.n_detections, fix,
+            row.fused.mean.tolist(), row.fused.covariance.tolist(), row.fused.timestamp)
+
+
+class TestEpochTable:
+    @pytest.fixture()
+    def run(self, monkeypatch):
+        """A noisy run with gap epochs, and what each step of its loop returned."""
+        seen = {}
+
+        def spy(name):
+            real = getattr(pipeline, name)
+
+            def recorded(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.setdefault(name, []).append(out)
+                return out
+
+            monkeypatch.setattr(pipeline, name, recorded)
+
+        for name in ("simulate_epoch", "localize_epoch", "ekf_update_depth"):
+            spy(name)
+        table, _ = run_simulation(parse_scenario(FAST_NOISY_GAPS))
+        return table, seen
+
+    def test_rows_are_the_loop_state(self, run):
+        table, seen = run
+        gaps = [e is None for e in seen["localize_epoch"]]
+        assert len(table) == 5 and any(gaps) and not all(gaps)
+        steps = zip(seen["simulate_epoch"], seen["localize_epoch"], seen["ekf_update_depth"])
+        for k, ((true_pos, _, tofs, _), estimate, state) in enumerate(steps):
+            row = table[k]
+            assert row.timestamp == state.timestamp
+            assert row.true_position.tolist() == true_pos.tolist()
+            assert row.n_detections == np.count_nonzero(~np.isnan(tofs))
+            assert row.fused.mean.tolist() == state.mean.tolist()
+            assert row.fused.covariance.tolist() == state.covariance.tolist()
+            assert row.fused.timestamp == state.timestamp
+            if estimate is None:
+                assert row.estimate is None
+            else:
+                assert row.estimate.position.tolist() == estimate.position.tolist()
+                assert row.estimate.covariance.tolist() == estimate.covariance.tolist()
+                assert row.estimate.best_fitness == estimate.best_fitness
+                assert row.estimate.generations_run == estimate.generations_run
+                assert row.estimate.polishes == estimate.polishes
+
+    def test_rows_are_copies(self, run):
+        table, _ = run
+        table[0].true_position[:] = 1e9
+        assert table[0].true_position.tolist() != [1e9] * 3
+
+    def test_negative_index_and_past_the_end(self, run):
+        table, _ = run
+        n = len(table)
+        for k in range(1, n + 1):
+            assert _row_values(table[-k]) == _row_values(table[n - k])
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[k]
+
+    @pytest.mark.parametrize("key", [slice(1, 4), slice(None, None, 2), slice(-2, None),
+                                     slice(0, 0)])
+    def test_slice_is_a_table_of_the_rows(self, run, key):
+        table, _ = run
+        part = table[key]
+        rows = range(len(table))[key]
+        assert isinstance(part, EpochTable) and len(part) == len(rows)
+        assert [_row_values(part[i]) for i in range(len(part))] == [
+            _row_values(table[k]) for k in rows
+        ]
+
+    def test_iteration_matches_indexing(self, run):
+        table, _ = run
+        assert [_row_values(r) for r in table] == [
+            _row_values(table[k]) for k in range(len(table))
+        ]
+
+
+def test_retained_memory_per_epoch():
+    # A run keeps each epoch's 62 numbers (496 B) in its table's columns; one
+    # EpochRecord object graph per epoch retained about 950 B here (1300 B on
+    # a fix epoch). Out to (140, 140) and there for 4900 s: most of the 501
+    # epochs are gaps, which keeps the traced run short.
+    text = FAST_NOISY_GAPS.replace(
+        "- {time: 40.0, east: 0.0, north: 0.0",
+        "- {time: 5000.0, east: 140.0, north: 140.0",
+    ).replace("{time: 20.0, east: 140.0", "{time: 100.0, east: 140.0")
+    text = text.replace("population_size: 150", "population_size: 20")
+    text = text.replace("generations: 200", "generations: 10")
+    scenario = parse_scenario(text)
+    assert scenario.epochs >= 500
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_simulation(scenario)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == scenario.epochs
+    assert retained / scenario.epochs <= 640
+
+
 class TestWriteOutputs:
     def test_empty_records_header_only(self, tmp_path):
-        summary = run_simulation(parse_scenario(FAST_NOISELESS))[1]
+        records, summary = run_simulation(parse_scenario(FAST_NOISELESS))
         summary = dataclasses.replace(
             summary, epochs=0, fix_epochs=0, gap_epochs=0, detection_rate=None,
             rmse_raw=None, rmse_fused=None, rmse_raw_axes=None, rmse_fused_axes=None,
             max_error_raw=None, max_error_fused=None,
         )
-        paths = write_outputs([], summary, tmp_path / "out")
+        paths = write_outputs(records[:0], summary, tmp_path / "out")
         lines = Path(paths["epochs"]).read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
         assert '"rmse_raw": null' in Path(paths["summary"]).read_text()
@@ -207,14 +331,7 @@ class TestWriteOutputs:
         assert est_cells == ["", "", "", ""]
 
     def test_error_cells_are_each_row_own_distances(self, tmp_path):
-        # Out to (140, 140) and back: at the far epoch only 3 anchors clear 70 dB.
-        text = FAST_NOISY.replace(
-            "detection_threshold: 10.0", "detection_threshold: 70.0"
-        ).replace(
-            "- {time: 40.0, east: 0.0",
-            "- {time: 20.0, east: 140.0, north: 140.0, up: -50.0}\n  - {time: 40.0, east: 0.0",
-        )
-        records, summary = run_simulation(parse_scenario(text))
+        records, summary = run_simulation(parse_scenario(FAST_NOISY_GAPS))
         paths = write_outputs(records, summary, tmp_path / "out")
         with open(paths["epochs"], encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
