@@ -88,8 +88,8 @@ class EkfState:
     timestamp: float
 
     def __post_init__(self) -> None:
-        # One owning array each: a reshaped copy would keep a second array
-        # object alive per field for every state a run records.
+        # One owning array each, never a view of the caller's: a reshaped
+        # copy would keep a second array object alive per field.
         mean = np.array(np.reshape(self.mean, 6), float)
         cov = np.array(np.reshape(self.covariance, (6, 6)), float)
         object.__setattr__(self, "mean", mean)
