@@ -339,20 +339,16 @@ def write_outputs(table: EpochTable, summary: RunSummary, out_dir,
     if scenario_text is None:
         del paths["scenario"]
 
-    rows = zip(
-        table.timestamp.tolist(),
-        table.true_position.tolist(),
-        table.fix.tolist(),
-        table.has_fix().tolist(),
-        table.fused_mean[:, :3].tolist(),
-        table.n_detections.tolist(),
-    )
+    # Row by row: whole-column lists of floats would outweigh the table.
+    rows = zip(table.timestamp, table.true_position, table.fix, table.has_fix(),
+               table.fused_mean[:, :3], table.n_detections)
     with open(paths["epochs"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for t, true, fix, has_fix, fused, n_detections in rows:
-            est = fix if has_fix else (None, None, None)
-            raw_err = math.dist(fix, true) if has_fix else None
+            true, fused = true.tolist(), fused.tolist()
+            est = fix.tolist() if has_fix else (None, None, None)
+            raw_err = math.dist(est, true) if has_fix else None
             cells = (t, *true, *est, *fused, raw_err, math.dist(fused, true))
             writer.writerow([*map(_fmt, cells), str(n_detections)])
 
