@@ -1,4 +1,4 @@
-"""Scenario execution: simulate pings per epoch, localize, fuse, write out.
+"""Scenario execution: simulate every epoch, solve every fix, filter, write out.
 
 Every random draw comes from a SplitMix64 Stream whose seed child_seed
 mixes from the master seed and (purpose tag, epoch index, anchor index),
@@ -73,9 +73,10 @@ class EpochTable:
     """A run's epochs: one column per field, one row per epoch.
 
     fix, fix_covariance and best_fitness are NaN, and generations_run and
-    polishes 0, on a gap row (no fix). The fused state's timestamp is the
-    epoch's. table[k] builds row k as an EpochRecord, negative k counting
-    from the end; a slice is a table of views of the same rows.
+    polishes 0, on a gap row (no fix); empty(n) is n gap rows, which
+    run_simulation's passes fill column by column. The fused state's
+    timestamp is the epoch's. table[k] builds row k as an EpochRecord,
+    negative k counting from the end; a slice is a table of views.
     """
 
     timestamp: np.ndarray        # (E,) s
@@ -91,30 +92,15 @@ class EpochTable:
 
     @classmethod
     def empty(cls, n: int) -> EpochTable:
-        """A table of n rows, each to be written once by write_row."""
-        return cls(
-            np.empty(n), np.empty((n, 3)), np.empty(n, int), np.empty((n, 3)),
-            np.empty((n, 3, 3)), np.empty(n), np.empty(n, int), np.empty(n, int),
-            np.empty((n, 6)), np.empty((n, 6, 6)),
-        )
+        """n gap rows: NaN in every float column, 0 in every count."""
+        def nan(*shape):
+            return np.full((n, *shape), np.nan)
 
-    def write_row(self, k: int, t: float, true_position, n_detections: int,
-                  estimate: PositionEstimate | None, fused: EkfState) -> None:
-        """Write epoch k's row: its time, truth, detections, fix (or None) and fused state."""
-        self.timestamp[k] = t
-        self.true_position[k] = true_position
-        self.n_detections[k] = n_detections
-        if estimate is None:
-            self.fix[k] = self.fix_covariance[k] = self.best_fitness[k] = np.nan
-            self.generations_run[k] = self.polishes[k] = 0
-        else:
-            self.fix[k] = estimate.position
-            self.fix_covariance[k] = estimate.covariance
-            self.best_fitness[k] = estimate.best_fitness
-            self.generations_run[k] = estimate.generations_run
-            self.polishes[k] = estimate.polishes
-        self.fused_mean[k] = fused.mean
-        self.fused_covariance[k] = fused.covariance
+        def zero():
+            return np.zeros(n, int)
+
+        return cls(nan(), nan(3), zero(), nan(3), nan(3, 3), nan(), zero(), zero(),
+                   nan(6), nan(6, 6))
 
     def has_fix(self) -> np.ndarray:
         """(E,) bool: which rows hold a fix."""
@@ -248,32 +234,42 @@ def _initial_state(scenario: Scenario) -> EkfState:
 def run_simulation(scenario: Scenario):
     """Run the full pipeline; returns (table, summary).
 
-    table is the run's EpochTable, one row per epoch, each written in
-    place as the epoch ends; table[k] is row k as an EpochRecord.
+    table is the run's EpochTable, filled in three passes over the epochs:
+    every epoch's observations; every fix, each from its own epoch's
+    observations alone (a gap row keeps EpochTable.empty's); the filter,
+    the only pass that carries state from one epoch to the next. The
+    stacked observations, (4M + 1) x 8 B an epoch, live for the call only.
     """
-    ekf_cfg = scenario.ekf
-    state = _initial_state(scenario)
+    times = epoch_times(scenario)
+    n, m = len(times), len(scenario.anchor_ids)
+    table = EpochTable.empty(n)
+    table.timestamp[:] = times
+    reported, tofs, depths = np.empty((n, m, 3)), np.empty((n, m)), np.empty(n)
+    for k, t in enumerate(times):
+        table.true_position[k], reported[k], tofs[k], depths[k] = simulate_epoch(scenario, k, t)
+    table.n_detections[:] = np.count_nonzero(~np.isnan(tofs), axis=1)
 
-    table = EpochTable.empty(scenario.epochs)
-    for epoch_idx, t in enumerate(epoch_times(scenario)):
-        true_pos, reported, tofs, depth_measured = simulate_epoch(scenario, epoch_idx, t)
-        n_detections = int(np.count_nonzero(~np.isnan(tofs)))
-
-        estimate = localize_epoch(scenario, epoch_idx, reported, tofs)
+    for k, t in enumerate(times):
+        estimate = localize_epoch(scenario, k, reported[k], tofs[k])
         if estimate is None:
-            log.info("epoch %d (t=%.3f): %d detections, skipping fix", epoch_idx, t, n_detections)
+            log.info("epoch %d (t=%.3f): %d detections, skipping fix", k, t, table.n_detections[k])
+            continue
+        table.fix[k] = estimate.position
+        table.fix_covariance[k] = estimate.covariance
+        table.best_fitness[k] = estimate.best_fitness
+        table.generations_run[k] = estimate.generations_run
+        table.polishes[k] = estimate.polishes
 
+    ekf_cfg, state = scenario.ekf, _initial_state(scenario)
+    for k, (t, has_fix) in enumerate(zip(times, table.has_fix())):
         state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
-        if estimate is not None:
-            state = ekf_update_fix(state, estimate.position, estimate.covariance)
-        state = ekf_update_depth(
-            state, depth_measured, ekf_cfg.pressure_sigma_depth**2
-        )
+        if has_fix:
+            state = ekf_update_fix(state, table.fix[k], table.fix_covariance[k])
+        state = ekf_update_depth(state, depths[k], ekf_cfg.pressure_sigma_depth**2)
+        table.fused_mean[k] = state.mean
+        table.fused_covariance[k] = state.covariance
 
-        table.write_row(epoch_idx, t, true_pos, n_detections, estimate, state)
-
-    summary = _summarize(scenario, table)
-    return table, summary
+    return table, _summarize(scenario, table)
 
 
 def _rmse(values: np.ndarray) -> float:

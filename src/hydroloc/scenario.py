@@ -12,6 +12,7 @@ the offending key. Angles are degrees, in the file and in GeodeticCoord.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
@@ -63,6 +64,16 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 )
             seen.add(key_node.value)
         return super().construct_mapping(node, deep=deep)
+
+
+# YAML 1.1 reads a float only with a dot and a signed exponent (1.0e-3, not
+# 1e-3 or 1e3); take every exponent form of the YAML 1.2 core schema. Each
+# string this matches is one float() reads.
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 class ScenarioError(ValueError):

@@ -30,10 +30,10 @@ from hydroloc.geodesy import (
     geodetic_to_ecef,
 )
 from hydroloc.multilateration import GaConfig, SearchBounds, fitness, ga_localize
-from hydroloc.pipeline import run_simulation
+from hydroloc.pipeline import run_simulation, write_outputs
 from hydroloc import propagation
 from hydroloc.propagation import ChannelProfile, pairwise_tof, ping_paths
-from hydroloc.scenario import load_scenario
+from hydroloc.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -368,6 +368,24 @@ def test_filter_nees():
         "filter NEES",
         1.5 <= mean <= 6.0,
         f"epochs 10-119: mean position NEES {mean:.3f} (in [1.5, 6])",
+    )
+
+
+def test_rows_depend_on_no_later_epoch(tmp_path):
+    # Cut to its first three waypoints (t <= 300 s), the run's epochs.csv is
+    # the full run's first 61 rows to the byte: no pass mixes rows.
+    text = (SCENARIO_DIR / "canonical_noisy.yaml").read_text()
+    cut = text[:text.index("  - {time: 450.0")]
+    cut_run = run_simulation(parse_scenario(cut + text[text.index("\nping_interval"):]))
+    blobs = [
+        Path(write_outputs(*run, tmp_path / name)["epochs"]).read_bytes()
+        for name, run in (("cut", cut_run), ("full", canonical_noisy_run()))
+    ]
+    rows = blobs[0].count(b"\n") - 1
+    report(
+        "rows depend on no later epoch",
+        rows == 61 and blobs[1].startswith(blobs[0]),
+        f"epochs.csv of the run cut to t <= 300 s ({rows} rows) opens the full run's",
     )
 
 

@@ -277,8 +277,10 @@ class TestEpochTable:
 def test_retained_memory_per_epoch():
     # A run keeps each epoch's 62 numbers (496 B) in its table's columns; one
     # EpochRecord object graph per epoch retained about 910 B here (1300 B on
-    # a fix epoch). Out to (140, 140) and there for 4900 s: most of the 501
-    # epochs are gaps, which keeps the traced run short.
+    # a fix epoch). At its peak the run also holds the stacked observations,
+    # (4M + 1) x 8 B = 136 B an epoch at M = 4; a list of per-epoch tuples of
+    # them would add about 600 B an epoch. Out to (140, 140) and there for
+    # 4900 s: most of the 501 epochs are gaps, which keeps the traced run short.
     text = FAST_NOISY_GAPS.replace(
         "- {time: 40.0, east: 0.0, north: 0.0",
         "- {time: 5000.0, east: 140.0, north: 140.0",
@@ -292,11 +294,12 @@ def test_retained_memory_per_epoch():
     try:
         table, summary = run_simulation(scenario)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(table) == scenario.epochs and 0 < summary.fix_epochs < scenario.epochs
     assert retained / scenario.epochs <= 640
+    assert peak / scenario.epochs <= 900
 
 
 class TestWriteOutputs:

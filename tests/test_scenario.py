@@ -128,9 +128,39 @@ class TestStrictness:
             parse_scenario(text)
 
     def test_wrong_type_reports_key(self):
-        text = MINIMAL.replace("carrier_frequency: 25.0", "carrier_frequency: fast")
-        with pytest.raises(ScenarioError, match="carrier_frequency"):
+        # The last three are near-misses of an exponent number: strings, not floats.
+        for word in ("fast", ".e3", "1e", "e5"):
+            text = MINIMAL.replace("carrier_frequency: 25.0", f"carrier_frequency: {word}")
+            message = f"scenario.carrier_frequency: expected a finite number, got '{word}'"
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "word,value",
+        [("1e-3", 1e-3), ("1e3", 1e3), ("1.0e3", 1e3), ("1.0e-3", 1e-3), ("+2.5E+2", 250.0),
+         (".5e1", 5.0), ("5.e-1", 0.5)],
+    )
+    def test_exponent_numbers_are_floats(self, word, value):
+        # YAML 1.1 left every form here but 1.0e-3 a string.
+        text = MINIMAL.replace("  noise_level: 50.0", f"  noise_level: {word}")
+        assert parse_scenario(text).channel.noise_level == value
+
+    def test_exponent_at_a_stated_bound(self):
+        s = parse_scenario(MINIMAL + "ekf: {initial_position_sigma: 1e-6}\n")
+        assert s.ekf.initial_position_sigma == 1e-6
+
+    def test_exponent_past_float_range_rejected(self):
+        text = MINIMAL.replace("carrier_frequency: 25.0", "carrier_frequency: 1e400")
+        message = "scenario.carrier_frequency: expected a finite number, got inf"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(text)
+
+    def test_numeric_anchor_id_rejected(self):
+        # An exponent id is a number now, like an integer id.
+        for word in ("12", "1e3"):
+            text = MINIMAL.replace("{id: a0,", f"{{id: {word},")
+            with pytest.raises(ScenarioError, match=r"^anchors\[0\]\.id: expected a string, got "):
+                parse_scenario(text)
 
     def test_unknown_keys_of_mixed_types(self):
         # Sorting the unknown keys 1 and 'foo' used to raise TypeError.
