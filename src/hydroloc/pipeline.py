@@ -260,7 +260,8 @@ def run_simulation(scenario: Scenario):
         table.generations_run[k] = estimate.generations_run
         table.polishes[k] = estimate.polishes
 
-    ekf_cfg, state = scenario.ekf, _initial_state(scenario)
+    ekf_cfg = scenario.ekf
+    state = _initial_state(scenario)
     for k, (t, has_fix) in enumerate(zip(times, table.has_fix())):
         state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
         if has_fix:

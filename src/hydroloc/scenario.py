@@ -66,14 +66,10 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep=deep)
 
 
-# YAML 1.1 reads a float only with a dot and a signed exponent (1.0e-3, not
-# 1e-3 or 1e3); take every exponent form of the YAML 1.2 core schema. Each
-# string this matches is one float() reads.
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+# YAML 1.1 reads 1.0e-3 as a float but 1e-3 and 1e3 as strings. Add the
+# exponent forms of the YAML 1.2 core schema; float() reads every match.
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 class ScenarioError(ValueError):

@@ -469,18 +469,6 @@ class TestRunCommand:
         assert "ping_interval: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("word", [".e3", "1e", "e5", "1e400"])
-    def test_malformed_or_huge_exponent_is_validation_error(self, word, tmp_path, capsys):
-        text = Path(NOISELESS).read_text()
-        assert "tof_noise_sigma: 0.0" in text
-        path = tmp_path / "exponent.yaml"
-        path.write_text(text.replace("tof_noise_sigma: 0.0", f"tof_noise_sigma: {word}"))
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "validation error: channel.tof_noise_sigma: expected a finite number" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "o").exists()
-
 
 def test_module_entry_point_help():
     result = subprocess.run(
