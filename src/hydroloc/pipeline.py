@@ -44,6 +44,8 @@ _TAG_PING = 2
 _TAG_PRESSURE = 3
 _TAG_GA = 4
 
+_BLOCK = 64  # epochs per block of run_simulation's simulate and fix passes
+
 CSV_COLUMNS = (
     "t", "true_e", "true_n", "true_u",
     "est_e", "est_n", "est_u",
@@ -96,11 +98,9 @@ class EpochTable:
         def nan(*shape):
             return np.full((n, *shape), np.nan)
 
-        def zero():
-            return np.zeros(n, int)
-
-        return cls(nan(), nan(3), zero(), nan(3), nan(3, 3), nan(), zero(), zero(),
-                   nan(6), nan(6, 6))
+        n_detections, generations_run, polishes = np.zeros((3, n), int)
+        return cls(nan(), nan(3), n_detections, nan(3), nan(3, 3), nan(), generations_run,
+                   polishes, nan(6), nan(6, 6))
 
     def has_fix(self) -> np.ndarray:
         """(E,) bool: which rows hold a fix."""
@@ -234,39 +234,41 @@ def _initial_state(scenario: Scenario) -> EkfState:
 def run_simulation(scenario: Scenario):
     """Run the full pipeline; returns (table, summary).
 
-    table is the run's EpochTable, filled in three passes over the epochs:
-    every epoch's observations; every fix, each from its own epoch's
-    observations alone (a gap row keeps EpochTable.empty's); the filter,
-    the only pass that carries state from one epoch to the next. The
-    stacked observations, (4M + 1) x 8 B an epoch, live for the call only.
+    table is the run's EpochTable, filled in three passes. Block by block,
+    every epoch's observations, stacked at 4M x 8 B an epoch, then every
+    fix from its own epoch's alone (a gap row keeps EpochTable.empty's);
+    then the filter, the only pass that carries state between epochs.
     """
     times = epoch_times(scenario)
     n, m = len(times), len(scenario.anchor_ids)
     table = EpochTable.empty(n)
     table.timestamp[:] = times
-    reported, tofs, depths = np.empty((n, m, 3)), np.empty((n, m)), np.empty(n)
-    for k, t in enumerate(times):
-        table.true_position[k], reported[k], tofs[k], depths[k] = simulate_epoch(scenario, k, t)
-    table.n_detections[:] = np.count_nonzero(~np.isnan(tofs), axis=1)
+    depths = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        block = range(lo, min(lo + _BLOCK, n))
+        reported, tofs = np.empty((len(block), m, 3)), np.empty((len(block), m))
+        for i, k in enumerate(block):
+            table.true_position[k], reported[i], tofs[i], depths[k] = simulate_epoch(
+                scenario, k, times[k])
+        table.n_detections[lo:block.stop] = np.count_nonzero(~np.isnan(tofs), axis=1)
+        for i, k in enumerate(block):
+            estimate = localize_epoch(scenario, k, reported[i], tofs[i])
+            if estimate is None:
+                log.info("epoch %d (t=%.3f): %d detections, skipping fix",
+                         k, times[k], table.n_detections[k])
+                continue
+            table.fix[k] = estimate.position
+            table.fix_covariance[k] = estimate.covariance
+            table.best_fitness[k] = estimate.best_fitness
+            table.generations_run[k] = estimate.generations_run
+            table.polishes[k] = estimate.polishes
 
-    for k, t in enumerate(times):
-        estimate = localize_epoch(scenario, k, reported[k], tofs[k])
-        if estimate is None:
-            log.info("epoch %d (t=%.3f): %d detections, skipping fix", k, t, table.n_detections[k])
-            continue
-        table.fix[k] = estimate.position
-        table.fix_covariance[k] = estimate.covariance
-        table.best_fitness[k] = estimate.best_fitness
-        table.generations_run[k] = estimate.generations_run
-        table.polishes[k] = estimate.polishes
-
-    ekf_cfg = scenario.ekf
     state = _initial_state(scenario)
     for k, (t, has_fix) in enumerate(zip(times, table.has_fix())):
-        state = ekf_predict(state, t - state.timestamp, ekf_cfg.accel_noise_density)
+        state = ekf_predict(state, t - state.timestamp, scenario.ekf.accel_noise_density)
         if has_fix:
             state = ekf_update_fix(state, table.fix[k], table.fix_covariance[k])
-        state = ekf_update_depth(state, depths[k], ekf_cfg.pressure_sigma_depth**2)
+        state = ekf_update_depth(state, depths[k], scenario.ekf.pressure_sigma_depth**2)
         table.fused_mean[k] = state.mean
         table.fused_covariance[k] = state.covariance
 

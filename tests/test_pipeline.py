@@ -277,10 +277,11 @@ class TestEpochTable:
 def test_retained_memory_per_epoch():
     # A run keeps each epoch's 62 numbers (496 B) in its table's columns; one
     # EpochRecord object graph per epoch retained about 910 B here (1300 B on
-    # a fix epoch). At its peak the run also holds the stacked observations,
-    # (4M + 1) x 8 B = 136 B an epoch at M = 4; a list of per-epoch tuples of
-    # them would add about 600 B an epoch. Out to (140, 140) and there for
-    # 4900 s: most of the 501 epochs are gaps, which keeps the traced run short.
+    # a fix epoch). The traced peak is about 655 B an epoch here: 604 B when
+    # each epoch's observations lived for its own epoch only, 769 B when the
+    # whole run's were stacked, and about 1380 B when they were a list of
+    # per-epoch tuples. Out to (140, 140) and there for 4900 s: most of the
+    # 501 epochs are gaps, which keeps the traced run short.
     text = FAST_NOISY_GAPS.replace(
         "- {time: 40.0, east: 0.0, north: 0.0",
         "- {time: 5000.0, east: 140.0, north: 140.0",
