@@ -44,7 +44,7 @@ _TAG_PING = 2
 _TAG_PRESSURE = 3
 _TAG_GA = 4
 
-_BLOCK = 64  # epochs per block of run_simulation's simulate and fix passes
+_BLOCK = 16  # epochs per block of run_simulation's simulate and fix passes
 
 CSV_COLUMNS = (
     "t", "true_e", "true_n", "true_u",

@@ -277,11 +277,11 @@ class TestEpochTable:
 def test_retained_memory_per_epoch():
     # A run keeps each epoch's 62 numbers (496 B) in its table's columns; one
     # EpochRecord object graph per epoch retained about 910 B here (1300 B on
-    # a fix epoch). The traced peak is about 655 B an epoch here: 604 B when
+    # a fix epoch). The traced peak is about 642 B an epoch here: 604 B when
     # each epoch's observations lived for its own epoch only, 769 B when the
-    # whole run's were stacked, and about 1380 B when they were a list of
-    # per-epoch tuples. Out to (140, 140) and there for 4900 s: most of the
-    # 501 epochs are gaps, which keeps the traced run short.
+    # whole run's were stacked, and about 1380 B when they were the whole
+    # run's list of per-epoch tuples. Out to (140, 140) and there for 4900 s:
+    # most of the 501 epochs are gaps, which keeps the traced run short.
     text = FAST_NOISY_GAPS.replace(
         "- {time: 40.0, east: 0.0, north: 0.0",
         "- {time: 5000.0, east: 140.0, north: 140.0",
@@ -301,6 +301,20 @@ def test_retained_memory_per_epoch():
     assert len(table) == scenario.epochs and 0 < summary.fix_epochs < scenario.epochs
     assert retained / scenario.epochs <= 640
     assert peak / scenario.epochs <= 900
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_block_size_changes_no_output(block, monkeypatch, tmp_path):
+    # Five epochs, gaps among them: one block by default, else blocks of one
+    # or two epochs, the last one short.
+    scenario = parse_scenario(FAST_NOISY_GAPS)
+    blobs = []
+    for name in ("default", "small"):
+        if name == "small":
+            monkeypatch.setattr(pipeline, "_BLOCK", block)
+        paths = write_outputs(*run_simulation(scenario), tmp_path / name)
+        blobs.append(Path(paths["epochs"]).read_bytes() + Path(paths["summary"]).read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 class TestWriteOutputs:
