@@ -8,7 +8,6 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
@@ -338,18 +337,18 @@ def write_outputs(table: EpochTable, summary: RunSummary, out_dir,
     if scenario_text is None:
         del paths["scenario"]
 
-    # Row by row: whole-column lists of floats would outweigh the table.
+    # Row by row: whole-column lists of floats would outweigh the table. No
+    # cell needs CSV quoting, and csv.writer would hold a 128 KiB buffer.
     rows = zip(table.timestamp, table.true_position, table.fix, table.has_fix(),
                table.fused_mean[:, :3], table.n_detections)
     with open(paths["epochs"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for t, true, fix, has_fix, fused, n_detections in rows:
             true, fused = true.tolist(), fused.tolist()
             est = fix.tolist() if has_fix else (None, None, None)
             raw_err = math.dist(est, true) if has_fix else None
             cells = (t, *true, *est, *fused, raw_err, math.dist(fused, true))
-            writer.writerow([*map(_fmt, cells), str(n_detections)])
+            fh.write(",".join([*map(_fmt, cells), str(n_detections)]) + "\r\n")
 
     with open(paths["summary"], "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(summary), fh, indent=2, sort_keys=True)
