@@ -28,7 +28,7 @@ from .multilateration import (
     fitness,
     ga_localize,
 )
-from .pipeline import EpochRecord, RunSummary, localize_epoch, run_simulation, write_outputs
+from .pipeline import RunSummary, localize_epoch, run_simulation, write_outputs
 from .propagation import (
     ChannelConfig,
     ChannelProfile,

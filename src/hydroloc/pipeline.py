@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
-from .multilateration import PositionEstimate, ga_localize
+from .multilateration import ga_localize
 from .propagation import ping_paths, simulate_ping
 from .scenario import Scenario
 from .streams import Stream, child_seed
@@ -57,15 +57,13 @@ OUTPUT_FILES = {"epochs": "epochs.csv", "summary": "summary.json", "scenario": "
 
 @dataclass(frozen=True, eq=False, slots=True)
 class EpochRecord:
-    """One epoch, as a row of an EpochTable: truth, raw fix (if any) and the fused state.
+    """One epoch's truth and fused state, as a row of an EpochTable.
 
-    It holds no errors; write_outputs and _summarize derive them from these.
+    The row view holds what the benchmark's NEES reader takes and no
+    more; the fix, its diagnostics and the counts are the table's columns.
     """
 
-    timestamp: float
     true_position: np.ndarray
-    n_detections: int
-    estimate: PositionEstimate | None
     fused: EkfState
 
 
@@ -74,9 +72,10 @@ class EpochTable:
     """A run's epochs: one column per field, one row per epoch.
 
     fix, fix_covariance and best_fitness are NaN, and generations_run and
-    polishes 0, on a gap row (no fix); empty(n) is n gap rows, which
-    run_simulation's passes fill column by column. The fused state's
-    timestamp is the epoch's. table[k] builds row k as an EpochRecord,
+    polishes 0, on a gap row (no fix), which has_fix() marks; empty(n) is
+    n gap rows, which run_simulation's passes fill column by column.
+    Readers take the columns. table[k] builds row k as an EpochRecord of
+    its truth and fused state (the fused timestamp is the epoch's),
     negative k counting from the end; a slice is a table of views.
     """
 
@@ -112,22 +111,8 @@ class EpochTable:
         if isinstance(key, slice):
             return EpochTable(*(getattr(self, f.name)[key] for f in dataclasses.fields(self)))
         t = float(self.timestamp[key])  # raises IndexError past either end
-        estimate = None
-        if not math.isnan(self.fix[key, 0]):
-            estimate = PositionEstimate(
-                position=self.fix[key].copy(),
-                best_fitness=float(self.best_fitness[key]),
-                covariance=self.fix_covariance[key].copy(),
-                generations_run=int(self.generations_run[key]),
-                polishes=int(self.polishes[key]),
-            )
-        return EpochRecord(
-            timestamp=t,
-            true_position=self.true_position[key].copy(),
-            n_detections=int(self.n_detections[key]),
-            estimate=estimate,
-            fused=EkfState(self.fused_mean[key], self.fused_covariance[key], t),
-        )
+        return EpochRecord(self.true_position[key].copy(),
+                           EkfState(self.fused_mean[key], self.fused_covariance[key], t))
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))

@@ -41,7 +41,7 @@ MAX_EPOCHS = 1_000_000
 # (see fusion.ACCEL_NOISE_MAX).
 PING_INTERVAL_MAX = 1e6
 _AXES = ("east", "north", "up")
-_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
@@ -123,9 +123,9 @@ def _get(node: dict, key: str, ctx: str, default=_REQUIRED):
 def _typed(value, kind, where: str):
     """Check one value against a config field type.
 
-    kind is float, int, bool or str. Integers are accepted as floats,
-    booleans are never numbers and floats must be finite; where names
-    the key in the error.
+    kind is float, int or str. Integers are accepted as floats, booleans
+    are never numbers and floats must be finite; where names the key in
+    the error.
     """
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -136,7 +136,7 @@ def _typed(value, kind, where: str):
             return number
     elif kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    elif kind in (bool, str) and isinstance(value, kind):
+    elif kind is str and isinstance(value, str):
         return value
     raise ScenarioError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
@@ -144,7 +144,7 @@ def _typed(value, kind, where: str):
 def _read(node: dict, key: str, ctx: str, kind=float, default=_REQUIRED):
     if key not in node:
         return _get(node, key, ctx, default)
-    return _typed(node[key], kind, f"{ctx}.{key}")
+    return _typed(node[key], kind, key if ctx == "scenario" else f"{ctx}.{key}")
 
 
 def _read_config(cls, node, ctx: str, **parsers):

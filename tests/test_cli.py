@@ -221,16 +221,15 @@ class TestLocalizeCommand:
 
     def test_fix_matches_run(self, small_scenario, capsys):
         # localize and run solve an epoch through the same fix path.
-        records, _ = run_simulation(load_scenario(small_scenario))
-        estimate = records[1].estimate
-        e, n, u = (float(v) for v in estimate.position)
+        table, _ = run_simulation(load_scenario(small_scenario))
+        e, n, u = table.fix[1].tolist()
         assert main(["localize", small_scenario, "--epoch", "1"]) == 0
         out = capsys.readouterr().out
         assert f"fix: east={e!r} north={n!r} up={u!r}\n" in out
         # The fix's sigma is the root of its covariance's trace.
-        fix_sigma = math.sqrt(float(np.trace(estimate.covariance)))
+        fix_sigma = math.sqrt(float(np.trace(table.fix_covariance[1])))
         assert f"fix_sigma_m: {fix_sigma!r}\n" in out
-        assert f"polishes: {estimate.polishes}\n" in out
+        assert f"polishes: {table.polishes[1]}\n" in out
         assert "population_dispersion_m" not in out
 
     @pytest.mark.parametrize(

@@ -106,42 +106,42 @@ class TestTrajectory:
 
 class TestRunSimulation:
     def test_zero_noise_stationary_recovers_truth(self):
-        records, summary = run_simulation(parse_scenario(FAST_NOISELESS))
+        table, summary = run_simulation(parse_scenario(FAST_NOISELESS))
         assert summary.epochs == 5
         assert summary.fix_epochs == 5
         assert summary.detection_rate == 1.0
-        for r in records:
-            assert r.estimate is not None
-            assert math.dist(r.estimate.position, r.true_position) < 0.1
-            assert r.n_detections == 4
+        assert table.has_fix().all()
+        for fix, true in zip(table.fix, table.true_position):
+            assert math.dist(fix, true) < 0.1
+        assert table.n_detections.tolist() == [4] * 5
 
     def test_timestamps_monotone(self):
-        records, _ = run_simulation(parse_scenario(FAST_NOISY))
-        stamps = [r.fused.timestamp for r in records]
+        table, _ = run_simulation(parse_scenario(FAST_NOISY))
+        stamps = table.timestamp.tolist()
         assert stamps == sorted(stamps)
-        assert stamps == [r.timestamp for r in records]
 
     def test_unreachable_threshold_gives_fix_gaps(self):
         s = parse_scenario(FAST_NOISELESS)
         s = dataclasses.replace(
             s, channel=dataclasses.replace(s.channel, detection_threshold=1e6)
         )
-        records, summary = run_simulation(s)
+        table, summary = run_simulation(s)
         assert summary.detection_rate == 0.0
         assert summary.fix_epochs == 0
         assert summary.gap_epochs == summary.epochs
         assert summary.rmse_raw is None
         assert summary.rmse_fused is not None
-        # Predict-only epochs still advance the fused chain.
-        stamps = [r.fused.timestamp for r in records]
-        assert stamps == sorted(stamps)
-        assert all(r.estimate is None for r in records)
+        # Predict-only epochs still advance the fused chain: with no fix,
+        # the east variance grows at every epoch.
+        assert np.all(np.diff(table.fused_covariance[:, 0, 0]) > 0)
+        assert not table.has_fix().any()
 
     def test_master_seed_changes_noisy_outputs(self):
         a = run_simulation(parse_scenario(FAST_NOISY))[0]
         s2 = dataclasses.replace(parse_scenario(FAST_NOISY), seed=43)
         b = run_simulation(s2)[0]
-        assert a[1].estimate.position.tolist() != b[1].estimate.position.tolist()
+        assert a.has_fix()[1] and b.has_fix()[1]
+        assert a.fix[1].tolist() != b.fix[1].tolist()
 
     def test_one_transform_per_anchor(self, monkeypatch):
         # The parser resolves each anchor's ENU position once; the run reads it.
@@ -190,13 +190,8 @@ class TestRunSimulation:
 
 def _row_values(row):
     """Every field of an EpochRecord, as plain values."""
-    est = row.estimate
-    fix = None if est is None else (
-        est.position.tolist(), est.covariance.tolist(), est.best_fitness,
-        est.generations_run, est.polishes,
-    )
-    return (row.timestamp, row.true_position.tolist(), row.n_detections, fix,
-            row.fused.mean.tolist(), row.fused.covariance.tolist(), row.fused.timestamp)
+    return (row.true_position.tolist(), row.fused.mean.tolist(),
+            row.fused.covariance.tolist(), row.fused.timestamp)
 
 
 class TestEpochTable:
@@ -225,22 +220,26 @@ class TestEpochTable:
         gaps = [e is None for e in seen["localize_epoch"]]
         assert len(table) == 5 and any(gaps) and not all(gaps)
         steps = zip(seen["simulate_epoch"], seen["localize_epoch"], seen["ekf_update_depth"])
+        has_fix = table.has_fix()
         for k, ((true_pos, _, tofs, _), estimate, state) in enumerate(steps):
+            assert table.timestamp[k] == state.timestamp
+            assert table.true_position[k].tolist() == true_pos.tolist()
+            assert table.n_detections[k] == np.count_nonzero(~np.isnan(tofs))
             row = table[k]
-            assert row.timestamp == state.timestamp
             assert row.true_position.tolist() == true_pos.tolist()
-            assert row.n_detections == np.count_nonzero(~np.isnan(tofs))
             assert row.fused.mean.tolist() == state.mean.tolist()
             assert row.fused.covariance.tolist() == state.covariance.tolist()
             assert row.fused.timestamp == state.timestamp
+            assert has_fix[k] == (estimate is not None)
             if estimate is None:
-                assert row.estimate is None
+                assert np.isnan(table.fix_covariance[k]).all() and np.isnan(table.best_fitness[k])
+                assert table.generations_run[k] == table.polishes[k] == 0
             else:
-                assert row.estimate.position.tolist() == estimate.position.tolist()
-                assert row.estimate.covariance.tolist() == estimate.covariance.tolist()
-                assert row.estimate.best_fitness == estimate.best_fitness
-                assert row.estimate.generations_run == estimate.generations_run
-                assert row.estimate.polishes == estimate.polishes
+                assert table.fix[k].tolist() == estimate.position.tolist()
+                assert table.fix_covariance[k].tolist() == estimate.covariance.tolist()
+                assert table.best_fitness[k] == estimate.best_fitness
+                assert table.generations_run[k] == estimate.generations_run
+                assert table.polishes[k] == estimate.polishes
 
     def test_rows_are_copies(self, run):
         table, _ = run
@@ -263,6 +262,9 @@ class TestEpochTable:
         part = table[key]
         rows = range(len(table))[key]
         assert isinstance(part, EpochTable) and len(part) == len(rows)
+        for f in dataclasses.fields(EpochTable):
+            column = getattr(table, f.name)
+            np.testing.assert_array_equal(getattr(part, f.name), column[list(rows)])
         assert [_row_values(part[i]) for i in range(len(part))] == [
             _row_values(table[k]) for k in rows
         ]

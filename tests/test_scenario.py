@@ -128,12 +128,15 @@ class TestStrictness:
             parse_scenario(text)
 
     def test_wrong_type_reports_key(self):
-        # The last three are near-misses of an exponent number: strings, not floats.
+        # A top-level key is named bare, as in its range errors. The last three
+        # words are near-misses of an exponent number: strings, not floats.
         for word in ("fast", ".e3", "1e", "e5"):
             text = MINIMAL.replace("carrier_frequency: 25.0", f"carrier_frequency: {word}")
-            message = f"scenario.carrier_frequency: expected a finite number, got '{word}'"
+            message = f"carrier_frequency: expected a finite number, got '{word}'"
             with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
                 parse_scenario(text)
+        with pytest.raises(ScenarioError, match=r"^seed: expected an integer, got 1\.5$"):
+            parse_scenario(MINIMAL + "seed: 1.5\n")
 
     @pytest.mark.parametrize(
         "word,value",
@@ -147,7 +150,7 @@ class TestStrictness:
 
     def test_exponent_past_float_range_rejected(self):
         text = MINIMAL.replace("carrier_frequency: 25.0", "carrier_frequency: 1e400")
-        message = "scenario.carrier_frequency: expected a finite number, got inf"
+        message = "carrier_frequency: expected a finite number, got inf"
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(text)
 
@@ -475,12 +478,12 @@ def _set(doc, path, value):
 NON_FINITE_CASES = [
     (("channel", "source_level"), math.nan, "channel.source_level"),
     (("channel", "tof_noise_sigma"), math.nan, "channel.tof_noise_sigma"),
-    (("carrier_frequency",), math.inf, "scenario.carrier_frequency"),
+    (("carrier_frequency",), math.inf, "carrier_frequency"),
     (("trajectory", 1, "east"), math.nan, "trajectory[1].east"),
     (("trajectory", 1, "time"), math.nan, "trajectory[1].time"),
     (("gps_noise_sigma", "east"), math.nan, "gps_noise_sigma.east"),
-    (("ping_interval",), math.nan, "scenario.ping_interval"),
-    (("ping_interval",), math.inf, "scenario.ping_interval"),
+    (("ping_interval",), math.nan, "ping_interval"),
+    (("ping_interval",), math.inf, "ping_interval"),
     (("ekf", "pressure_sigma_depth"), math.inf, "ekf.pressure_sigma_depth"),
     (("ekf", "fix_sigma_floor"), math.inf, "ekf.fix_sigma_floor"),
     (("ekf", "accel_noise_density", "up"), math.nan, "ekf.accel_noise_density.up"),
