@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .multilateration import MIN_ANCHORS
 from .pipeline import (
     OUTPUT_FILES,
     epoch_times,
@@ -126,7 +127,7 @@ def _cmd_localize(args) -> int:
 
     estimate = localize_epoch(scenario, args.epoch, reported, tofs, trace=trace)
     if estimate is None:
-        print("fewer than 4 detections; no fix possible at this epoch")
+        print(f"fewer than {MIN_ANCHORS} detections; no fix possible at this epoch")
         return 0
     e, n, u = (float(v) for v in estimate.position)
     print(f"fix: east={e!r} north={n!r} up={u!r}")

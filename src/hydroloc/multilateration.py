@@ -32,6 +32,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Fewest anchors a fix is solved from: one more than the three unknown
+# coordinates, so the least-squares fit is overdetermined and its residual
+# can tell a consistent fix from one the TOFs cannot check.
+MIN_ANCHORS = 4
 # Largest magnitude of a search-box end, m, the ceiling of gps_noise_sigma:
 # the GA's squared distances and the fit's residuals stay far inside the
 # float range. A +-1e160 m box overflowed them; a +-1e100 m one fixed 4e99 m off.
@@ -305,8 +309,8 @@ def ga_localize(
     tofs = np.asarray(tofs, float)
     if anchor_pos.ndim != 2 or anchor_pos.shape[1] != 3 or tofs.shape != anchor_pos.shape[:1]:
         raise ValueError(f"anchor_pos {anchor_pos.shape} and tofs {tofs.shape}: need (M, 3), (M,)")
-    if len(tofs) < 4:
-        raise ValueError(f"underdetermined fix: need >= 4 anchors, got {len(tofs)}")
+    if len(tofs) < MIN_ANCHORS:
+        raise ValueError(f"underdetermined fix: need >= {MIN_ANCHORS} anchors, got {len(tofs)}")
     bad = ~(np.isfinite(tofs) & (tofs > 0.0))
     if bad.any():
         k = int(np.argmax(bad))

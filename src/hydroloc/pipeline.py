@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
-from .multilateration import ga_localize
+from .multilateration import MIN_ANCHORS, ga_localize
 from .propagation import ping_paths, simulate_ping
 from .scenario import Scenario
 from .streams import Stream, child_seed
@@ -187,14 +187,14 @@ def simulate_epoch(scenario: Scenario, epoch_idx: int, t: float):
 
 
 def localize_epoch(scenario: Scenario, epoch_idx: int, reported, tofs, trace=None):
-    """One epoch's fix from its heard anchors, or None when fewer than 4 were heard.
+    """One epoch's fix from its heard anchors, or None when fewer than MIN_ANCHORS were heard.
 
     reported and tofs are simulate_epoch's; a NaN TOF is an anchor not
     heard. The solver draws from the epoch's own child seed of the master
     seed; its covariance comes from the scenario's TOF and GPS noise.
     """
     heard = ~np.isnan(tofs)
-    if heard.sum() < 4:
+    if heard.sum() < MIN_ANCHORS:
         return None
     return ga_localize(
         reported[heard], tofs[heard], scenario.ga, scenario.profile,

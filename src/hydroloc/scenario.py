@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from typing import get_type_hints
 
 import yaml
@@ -21,7 +22,7 @@ import yaml
 from .environment import FREQUENCY_RANGE, Layer
 from .fusion import SIGMA_RANGE, EkfConfig
 from .geodesy import GeodeticCoord, geodetic_to_enu
-from .multilateration import GaConfig, SearchBounds
+from .multilateration import MIN_ANCHORS, GaConfig, SearchBounds
 from .propagation import ChannelConfig, ChannelProfile
 
 __all__ = [
@@ -34,15 +35,18 @@ __all__ = [
     "read_scenario_text",
 ]
 
-_REQUIRED = object()
 # Epochs one scenario may ask for; epoch_times builds a list this long.
 MAX_EPOCHS = 1_000_000
 # Longest ping interval, s: the filter's dt, whose dt**3 must stay finite
 # (see fusion.ACCEL_NOISE_MAX).
 PING_INTERVAL_MAX = 1e6
 _AXES = ("east", "north", "up")
-_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               list: "a list", dict: "a mapping"}
 _STR_TAG = "tag:yaml.org,2002:str"
+# YAML 1.1 reads a zero-padded integer in base 8 (010 is 8) and a colon
+# number in base 60 (2:30 is 150); YAML 1.2 has neither, so both stay strings.
+_YAML11_NUMBER = re.compile(r"[-+]?(?:0[0-9_]+|[0-9_]*:[0-9_:.]*)")
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -51,6 +55,11 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     A string key repeated within one mapping is an error at the repeated
     key, where PyYAML would keep the last value.
     """
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and _YAML11_NUMBER.fullmatch(value):
+            return _STR_TAG
+        return super().resolve(kind, value, implicit)
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -99,12 +108,6 @@ class Scenario:
         return self.anchor_enu
 
 
-def _mapping(node, ctx: str) -> dict:
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{ctx}: expected a mapping, got {type(node).__name__}")
-    return node
-
-
 def _check_unknown(node: dict, allowed, ctx: str) -> None:
     # YAML keys need not be strings, nor of one type.
     unknown = sorted(set(node) - set(allowed), key=str)
@@ -112,20 +115,12 @@ def _check_unknown(node: dict, allowed, ctx: str) -> None:
         raise ScenarioError(f"{ctx}: unknown key '{unknown[0]}'")
 
 
-def _get(node: dict, key: str, ctx: str, default=_REQUIRED):
-    if key not in node:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{ctx}: missing required key '{key}'")
-        return default
-    return node[key]
-
-
 def _typed(value, kind, where: str):
-    """Check one value against a config field type.
+    """Check one value against a kind: float, int, str, list or dict.
 
-    kind is float, int or str. Integers are accepted as floats, booleans
-    are never numbers and floats must be finite; where names the key in
-    the error.
+    Integers are accepted as floats, booleans are never numbers and floats
+    must be finite. The error names where, then a list or mapping by its
+    type and any other value by its repr.
     """
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -136,58 +131,54 @@ def _typed(value, kind, where: str):
             return number
     elif kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    elif kind is str and isinstance(value, str):
+    elif kind in (str, list, dict) and isinstance(value, kind):
         return value
-    raise ScenarioError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    got = type(value).__name__ if kind in (list, dict) else repr(value)
+    raise ScenarioError(f"{where}: expected {_KIND_NAMES[kind]}, got {got}")
 
 
-def _read(node: dict, key: str, ctx: str, kind=float, default=_REQUIRED):
+def _read(node: dict, key: str, ctx: str, kind=float, default=MISSING):
+    """Read key of the mapping node, named ctx; every scenario key is read here.
+
+    An absent key takes default, or is an error without one. The key is
+    named bare in the root ("scenario") and as "ctx.key" in a section. kind
+    is a type for _typed, or a parser called as kind(value, name).
+    """
     if key not in node:
-        return _get(node, key, ctx, default)
-    return _typed(node[key], kind, key if ctx == "scenario" else f"{ctx}.{key}")
+        if default is MISSING:
+            raise ScenarioError(f"{ctx}: missing required key '{key}'")
+        return default
+    where = key if ctx == "scenario" else f"{ctx}.{key}"
+    if kind in _KIND_NAMES:
+        return _typed(node[key], kind, where)
+    return kind(node[key], where)
 
 
 def _read_config(cls, node, ctx: str, **parsers):
-    """Build the config dataclass cls from one scenario section.
+    """Build the config dataclass cls from the scenario section node, named ctx.
 
-    The fields of cls are the section's keys: their annotations give the
-    value types and their defaults fill absent keys. A field with a
-    structured value is read by parsers[name](value, key_path) instead.
-    The checks of cls raise ValueError("field: problem"), reported here
-    as "ctx.field: problem".
+    The fields of cls are the section's keys, each read by _read with its
+    annotation as the kind, or parsers[name] for a structured value, and
+    its default. The checks of cls raise ValueError("field: problem"),
+    reported here as "ctx.field: problem".
     """
-    section = _mapping(node, ctx)
+    section = _typed(node, dict, ctx)
     _check_unknown(section, [f.name for f in fields(cls)], ctx)
     kinds = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        where = f"{ctx}.{f.name}"
-        if f.name not in section:
-            if f.default is MISSING:
-                raise ScenarioError(f"{ctx}: missing required key '{f.name}'")
-        elif f.name in parsers:
-            values[f.name] = parsers[f.name](section[f.name], where)
-        else:
-            values[f.name] = _typed(section[f.name], kinds[f.name], where)
+    values = {f.name: _read(section, f.name, ctx, parsers.get(f.name, kinds[f.name]), f.default)
+              for f in fields(cls)}
     try:
         return cls(**values)
     except ValueError as exc:
         raise ScenarioError(f"{ctx}.{exc}") from None
 
 
-def _sequence(node: dict, key: str, ctx: str) -> list:
-    value = _get(node, key, ctx)
-    if not isinstance(value, list):
-        raise ScenarioError(f"{ctx}.{key}: expected a list, got {type(value).__name__}")
-    return value
-
-
 def _parse_profile(node: dict) -> ChannelProfile:
-    section = _mapping(_get(node, "water_column", "scenario"), "water_column")
+    section = _read(node, "water_column", "scenario", dict)
     _check_unknown(section, ("layers",), "water_column")
     layers = [
         _read_config(Layer, item, f"water_column.layers[{i}]")
-        for i, item in enumerate(_sequence(section, "layers", "water_column"))
+        for i, item in enumerate(_read(section, "layers", "water_column", list))
     ]
     carrier = _read(node, "carrier_frequency", "scenario")
     lo, hi = FREQUENCY_RANGE
@@ -202,13 +193,15 @@ def _parse_profile(node: dict) -> ChannelProfile:
 
 
 def _parse_anchors(node: dict):
-    items = _sequence(node, "anchors", "scenario")
-    if len(items) < 4:
-        raise ScenarioError(f"anchors: at least 4 anchors are required, got {len(items)}")
+    items = _read(node, "anchors", "scenario", list)
+    if len(items) < MIN_ANCHORS:
+        raise ScenarioError(
+            f"anchors: at least {MIN_ANCHORS} anchors are required, got {len(items)}"
+        )
     ids, coords = [], []
     for i, item in enumerate(items):
         ctx = f"anchors[{i}]"
-        m = _mapping(item, ctx)
+        m = _typed(item, dict, ctx)
         anchor_id = _read(m, "id", ctx, str)
         if anchor_id in ids:
             raise ScenarioError(f"{ctx}.id: duplicate anchor id {anchor_id!r}")
@@ -218,13 +211,14 @@ def _parse_anchors(node: dict):
 
 
 def _parse_axes(node, ctx: str, defaults) -> tuple[float, float, float]:
-    m = _mapping(node, ctx)
+    m = _typed(node, dict, ctx)
     _check_unknown(m, _AXES, ctx)
     return tuple(_read(m, axis, ctx, float, d) for axis, d in zip(_AXES, defaults))
 
 
 def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
-    sigma = _parse_axes(node.get("gps_noise_sigma", {}), "gps_noise_sigma", (0.0,) * 3)
+    zeros = (0.0,) * 3
+    sigma = _read(node, "gps_noise_sigma", "scenario", partial(_parse_axes, defaults=zeros), zeros)
     # The EKF sigmas' ceiling keeps the solver's squared residuals finite.
     hi = SIGMA_RANGE[1]
     for axis, value in zip(_AXES, sigma):
@@ -236,15 +230,13 @@ def _parse_gps_sigma(node: dict) -> tuple[float, float, float]:
 
 
 def _parse_trajectory(node: dict, bounds: SearchBounds):
-    items = _sequence(node, "trajectory", "scenario")
+    items = _read(node, "trajectory", "scenario", list)
     if len(items) < 2:
-        raise ScenarioError(
-            f"trajectory: at least 2 waypoints are required, got {len(items)}"
-        )
+        raise ScenarioError(f"trajectory: at least 2 waypoints are required, got {len(items)}")
     waypoints = []
     for i, item in enumerate(items):
         ctx = f"trajectory[{i}]"
-        m = _mapping(item, ctx)
+        m = _typed(item, dict, ctx)
         keys = ("time", *_AXES)
         _check_unknown(m, keys, ctx)
         t, e, n, u = (_read(m, key, ctx) for key in keys)
@@ -256,9 +248,7 @@ def _parse_trajectory(node: dict, bounds: SearchBounds):
                 )
         waypoints.append((t, e, n, u))
     if waypoints[0][0] != 0.0:
-        raise ScenarioError(
-            f"trajectory[0].time: must be 0.0, got {waypoints[0][0]}"
-        )
+        raise ScenarioError(f"trajectory[0].time: must be 0.0, got {waypoints[0][0]}")
     for i in range(1, len(waypoints)):
         if waypoints[i][0] <= waypoints[i - 1][0]:
             raise ScenarioError(
@@ -274,11 +264,8 @@ def _pair(value, where: str) -> tuple[float, float]:
 
 
 def _parse_ga(node: dict, profile: ChannelProfile) -> GaConfig:
-    def bounds(value, ctx):
-        return _read_config(SearchBounds, value, ctx, **dict.fromkeys(_AXES, _pair))
-
-    section = _get(node, "ga", "scenario")
-    ga = _read_config(GaConfig, section, "ga", search_bounds=bounds)
+    bounds = partial(_read_config, SearchBounds, **dict.fromkeys(_AXES, _pair))
+    ga = _read(node, "ga", "scenario", partial(_read_config, GaConfig, search_bounds=bounds))
     if -ga.search_bounds.up[0] > profile.total_depth:
         raise ScenarioError(
             f"ga.search_bounds.up: reaches {-ga.search_bounds.up[0]} m, below the "
@@ -288,10 +275,9 @@ def _parse_ga(node: dict, profile: ChannelProfile) -> GaConfig:
 
 
 def _parse_ekf(node: dict) -> EkfConfig:
-    def accel(value, ctx):
-        return _parse_axes(value, ctx, EkfConfig.accel_noise_density)
-
-    return _read_config(EkfConfig, node.get("ekf", {}), "ekf", accel_noise_density=accel)
+    accel = partial(_parse_axes, defaults=EkfConfig.accel_noise_density)
+    ekf = partial(_read_config, EkfConfig, accel_noise_density=accel)
+    return _read(node, "ekf", "scenario", ekf, EkfConfig())
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -302,7 +288,7 @@ def parse_scenario(text: str) -> Scenario:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
         raise ScenarioError(f"scenario does not parse{where}: {exc}") from None
-    root = _mapping(root, "scenario")
+    root = _typed(root, dict, "scenario")
 
     allowed = (
         "water_column", "carrier_frequency", "channel", "anchors",
@@ -312,15 +298,13 @@ def parse_scenario(text: str) -> Scenario:
     _check_unknown(root, allowed, "scenario")
 
     profile = _parse_profile(root)
-    channel = _read_config(ChannelConfig, _get(root, "channel", "scenario"), "channel")
+    channel = _read(root, "channel", "scenario", partial(_read_config, ChannelConfig))
     anchor_ids, anchor_coords = _parse_anchors(root)
     gps_sigma = _parse_gps_sigma(root)
 
     origin_from_anchor = "enu_origin" not in root
-    if origin_from_anchor:
-        origin = anchor_coords[0]
-    else:
-        origin = _read_config(GeodeticCoord, root["enu_origin"], "enu_origin")
+    coord = partial(_read_config, GeodeticCoord)
+    origin = _read(root, "enu_origin", "scenario", coord, anchor_coords[0])
 
     ga = _parse_ga(root, profile)
     waypoints = _parse_trajectory(root, ga.search_bounds)

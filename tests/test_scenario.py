@@ -128,15 +128,22 @@ class TestStrictness:
             parse_scenario(text)
 
     def test_wrong_type_reports_key(self):
-        # A top-level key is named bare, as in its range errors. The last three
-        # words are near-misses of an exponent number: strings, not floats.
-        for word in ("fast", ".e3", "1e", "e5"):
+        # A top-level key is named bare, as in its range errors. ".e3", "1e" and
+        # "e5" are near-misses of an exponent number; "010", "00" and "2:30" are
+        # YAML 1.1's base-8 and base-60 forms, which YAML 1.2 lacks. All are strings.
+        for word in ("fast", ".e3", "1e", "e5", "010", "00", "2:30"):
             text = MINIMAL.replace("carrier_frequency: 25.0", f"carrier_frequency: {word}")
             message = f"carrier_frequency: expected a finite number, got '{word}'"
             with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
                 parse_scenario(text)
         with pytest.raises(ScenarioError, match=r"^seed: expected an integer, got 1\.5$"):
             parse_scenario(MINIMAL + "seed: 1.5\n")
+        # So is every top-level key given a value of the wrong kind.
+        doc = yaml.safe_load(FULL)
+        for key, value in doc.items():
+            wrong = 5 if isinstance(value, (dict, list)) else "x"
+            with pytest.raises(ScenarioError, match=f"^{key}: expected "):
+                parse_scenario(yaml.safe_dump({**doc, key: wrong}))
 
     @pytest.mark.parametrize(
         "word,value",
@@ -160,6 +167,8 @@ class TestStrictness:
             text = MINIMAL.replace("{id: a0,", f"{{id: {word},")
             with pytest.raises(ScenarioError, match=r"^anchors\[0\]\.id: expected a string, got "):
                 parse_scenario(text)
+        # A zero-padded id is a string, as in YAML 1.2, not the octal number 7.
+        assert parse_scenario(MINIMAL.replace("{id: a0,", "{id: 007,")).anchor_ids[0] == "007"
 
     def test_unknown_keys_of_mixed_types(self):
         # Sorting the unknown keys 1 and 'foo' used to raise TypeError.
