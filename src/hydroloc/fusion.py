@@ -3,8 +3,14 @@
 State is (east, north, up, v_east, v_north, v_up). The motion model is
 constant velocity with white-acceleration process noise; both
 measurement models (3-D position fix, scalar depth) are linear, so the
-filter is an EKF whose Jacobians are constants. Updates use the Joseph
-form to keep the covariance symmetric positive-definite.
+filter is an EKF whose Jacobians are constants.
+
+Every measurement is folded as scalars z = x_i + noise of variance r,
+x_i a position component, each by one Joseph-form update (I - K h) P
+(I - K h)^T + K r K^T with h the i-th unit row and K = P h^T / (P_ii +
+r), symmetrized: no matrix factor. A depth is one scalar, up. A fix with
+covariance R = V W V^T is three, in the frame of R's principal axes: the
+components of V^T z, with variances W.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import cho_solve, cholesky, matmul
+from .smallmat import eigh3, matmul
 
 __all__ = [
     "SEAWATER_DENSITY",
@@ -114,9 +120,11 @@ def ekf_predict(state: EkfState, dt: float, accel_density) -> EkfState:
     F = [[I, dt I], [0, I]] only adds dt times the velocity blocks, so
     F P F^T is block arithmetic: the row blocks, then the column blocks.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     q = np.broadcast_to(np.asarray(accel_density, float), (3,))
+    if not ((q >= 0) & (q < math.inf)).all():
+        raise ValueError(f"accel_density must be finite and >= 0, got {q.tolist()}")
 
     mean = state.mean.copy()
     mean[:3] += dt * mean[3:]
@@ -129,20 +137,12 @@ def ekf_predict(state: EkfState, dt: float, accel_density) -> EkfState:
     return EkfState(mean=mean, covariance=_symmetrize(cov + qm), timestamp=state.timestamp + dt)
 
 
-def _joseph_update(state: EkfState, idx: slice, z: np.ndarray, r: np.ndarray) -> EkfState:
-    """Joseph-form update for a measurement of the state components idx.
-
-    H is the rows idx of the identity, so H P is P[idx] and S is
-    P[idx, idx] + R. The gain K = P H^T S^-1 comes from one Cholesky
-    factor of S; every product has at most len(idx) terms.
-    """
-    p = state.covariance
-    kt = np.array(cho_solve(cholesky(p[idx, idx] + r), p[idx]))  # K^T = S^-1 H P
-    k = kt.T
-    mean = state.mean + matmul(k, z - state.mean[idx])
-    ikh_p = p - matmul(k, p[idx])  # (I - K H) P
-    cov = ikh_p - matmul(ikh_p[:, idx], kt) + matmul(matmul(k, r), kt)
-    return EkfState(mean=mean, covariance=_symmetrize(cov), timestamp=state.timestamp)
+def _update(mean: np.ndarray, cov: np.ndarray, i: int, z: float, r: float):
+    """The Joseph-form update for z = x_i + noise of variance r; the new (mean, cov)."""
+    k = cov[:, i] / (cov[i, i] + r)  # P h^T / S
+    ikh_p = cov - k[:, None] * cov[i]  # (I - K h) P
+    cov = ikh_p - ikh_p[:, i, None] * k + r * k[:, None] * k
+    return mean + k * (z - mean[i]), _symmetrize(cov)
 
 
 def ekf_update_fix(state: EkfState, position, covariance) -> EkfState:
@@ -161,11 +161,19 @@ def ekf_update_fix(state: EkfState, position, covariance) -> EkfState:
         raise ValueError("measurement covariance must be finite")
     if not (abs(r - r.T) <= 1e-9).all():
         raise ValueError("measurement covariance must be symmetric")
-    try:
-        cholesky(r)
-    except ValueError:
-        raise ValueError("measurement covariance must be positive-definite") from None
-    return _joseph_update(state, slice(0, 3), z, r)
+    w, v = eigh3(r)
+    if not w[0] > 0.0:
+        raise ValueError("measurement covariance must be positive-definite")
+    # R's principal axes are the frame's position axes (V^T's rows). Folded
+    # along them in ENU, each intermediate covariance would hold the fix's
+    # small variances at the prior's scale and lose them to round-off.
+    t = np.eye(6)
+    t[:3, :3] = v.T
+    mean, cov = matmul(t, state.mean), matmul(matmul(t, state.covariance), t.T)
+    for i, (zi, variance) in enumerate(zip(matmul(v.T, z).tolist(), w.tolist())):
+        mean, cov = _update(mean, cov, i, zi, variance)
+    mean, cov = matmul(t.T, mean), matmul(matmul(t.T, cov), t)
+    return EkfState(mean=mean, covariance=_symmetrize(cov), timestamp=state.timestamp)
 
 
 def ekf_update_depth(state: EkfState, depth: float, variance: float) -> EkfState:
@@ -174,6 +182,5 @@ def ekf_update_depth(state: EkfState, depth: float, variance: float) -> EkfState
         raise ValueError(f"depth must be finite, got {depth}")
     if not 0 < variance < math.inf:
         raise ValueError(f"variance must be finite and > 0, got {variance}")
-    z = np.array([-depth])  # up = -depth
-    r = np.array([[variance]])
-    return _joseph_update(state, slice(2, 3), z, r)
+    mean, cov = _update(state.mean, state.covariance, 2, -depth, variance)  # up = -depth
+    return EkfState(mean=mean, covariance=cov, timestamp=state.timestamp)

@@ -320,6 +320,13 @@ def ga_localize(
         k = int(np.argmax(bad))
         raise ValueError(f"row {k}: anchor position must be finite, got {anchor_pos[k].tolist()}")
     profile.check_depths(-anchor_pos[:, 2], "anchor")
+    if not 0.0 <= tof_sigma < math.inf:
+        raise ValueError(f"tof_sigma must be finite and >= 0, got {tof_sigma}")
+    anchor_sigma = np.asarray(anchor_sigma, float)
+    if not ((anchor_sigma >= 0.0) & (anchor_sigma < math.inf)).all():
+        raise ValueError(f"anchor_sigma must be finite and >= 0, got {anchor_sigma.tolist()}")
+    if not 0.0 < sigma_floor < math.inf:
+        raise ValueError(f"sigma_floor must be finite and > 0, got {sigma_floor}")
 
     bounds = config.search_bounds
     if -bounds.up[0] > profile.total_depth:

@@ -65,8 +65,15 @@ class TestPredict:
         assert out.timestamp == 2.0
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            ekf_predict(make_state(), -1.0, 1e-3)
+        for dt in (-1.0, np.nan, np.inf):  # NaN and inf gave a NaN state
+            with pytest.raises(ValueError, match=f"dt must be finite and >= 0, got {dt}"):
+                ekf_predict(make_state(), dt, 1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_bad_noise_density_rejected(self, bad):
+        # NaN gave a NaN covariance; -1.0 an indefinite Q that shrank P.
+        with pytest.raises(ValueError, match=r"accel_density must be finite and >= 0"):
+            ekf_predict(make_state(), 1.0, (1e-3, bad, 1e-3))
 
     def test_per_axis_noise_density(self):
         out = ekf_predict(make_state(), 1.0, (1e-2, 1e-3, 1e-4))
@@ -161,13 +168,22 @@ class TestUpdateFix:
 
     def test_equals_dense_joseph_update(self):
         h = np.eye(6)[:3]
+        # Beside a random R each time, fixed ones for the folding along R's
+        # principal axes: 0.25 I, the sigma-floor covariance of every
+        # noiseless fix (three equal eigenvalues), then rotated Rs with two
+        # equal eigenvalues and with eigenvalues six decades apart.
+        rotation = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+        fixed = [0.25 * np.eye(3)] + [
+            rotation * np.array(eigenvalues) @ rotation.T
+            for eigenvalues in ((0.5, 0.5, 3.0), (1e-2, 1.0, 1e4))
+        ]
         for rng, state, _, _ in random_states(2):
             z = state.mean[:3] + rng.normal(0.0, 5.0, 3)
-            r = random_spd(rng, 3, [10.0 ** rng.uniform(-1, 2)] * 3)
-            mean, cov = dense_joseph(state, h, z, r)
-            out = ekf_update_fix(state, z, r)
-            assert_close(out.mean, mean)
-            assert_close(out.covariance, cov)
+            for r in [random_spd(rng, 3, [10.0 ** rng.uniform(-1, 2)] * 3)] + fixed:
+                mean, cov = dense_joseph(state, h, z, r)
+                out = ekf_update_fix(state, z, r)
+                assert_close(out.mean, mean)
+                assert_close(out.covariance, cov)
 
 
 class TestUpdateDepth:

@@ -379,6 +379,30 @@ class TestGaLocalize:
         with pytest.raises(ValueError, match="row 3: measured TOF"):
             ga_localize(ANCHOR_POS, bad, cfg, HOMOG, 0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tof_sigma": np.nan}, "tof_sigma must be finite and >= 0, got nan"),
+        ({"tof_sigma": np.inf}, "tof_sigma must be finite and >= 0, got inf"),
+        ({"tof_sigma": -1e-3}, "tof_sigma must be finite and >= 0, got -0.001"),
+        ({"anchor_sigma": (np.nan, 0.0, 0.0)},
+         "anchor_sigma must be finite and >= 0, got [nan, 0.0, 0.0]"),
+        ({"anchor_sigma": (0.0, 0.0, -1.0)},
+         "anchor_sigma must be finite and >= 0, got [0.0, 0.0, -1.0]"),
+        ({"sigma_floor": np.nan}, "sigma_floor must be finite and > 0, got nan"),
+        ({"sigma_floor": 0.0}, "sigma_floor must be finite and > 0, got 0.0"),
+        ({"sigma_floor": -1.0}, "sigma_floor must be finite and > 0, got -1.0"),
+    ])
+    def test_bad_noise_argument_rejected_before_the_ga(self, kwargs, message):
+        # Before these checks NaN gave a NaN covariance, a zero floor an
+        # all-zero one, and a negative sigma acted as its absolute value.
+        generations = []
+        with pytest.raises(ValueError) as info:
+            ga_localize(
+                ANCHOR_POS, TOFS, GaConfig(search_bounds=BOUNDS), HOMOG, 0,
+                trace=lambda gen, best, sigma: generations.append(gen), **kwargs,
+            )
+        assert str(info.value) == message
+        assert generations == []
+
     def test_range_mode_converts_tofs_once(self, monkeypatch):
         calls = []
         mean_speed = ChannelProfile.mean_speed
