@@ -124,21 +124,21 @@ def absorption_coeff(
     return boric + mgso4 + water
 
 
-def acoustics_profile(layers, frequency: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-layer sound speeds (m/s) and absorption (dB/km) at layer mid-depths.
+def acoustics_profile(layers, frequency: float) -> tuple[tuple[float, ...], ...]:
+    """The stack's boundaries (m), sound speeds (m/s) and absorption (dB/km).
 
-    layers is the stack from the surface down. Mid-depth keeps the
-    piecewise-constant approximation symmetric within each layer.
-    frequency in kHz.
+    layers is the stack from the surface down; boundaries are the prefix
+    sums of their thicknesses, from 0. Each layer is evaluated at its
+    mid-depth, which keeps the piecewise-constant approximation symmetric
+    within it. frequency in kHz.
     """
-    speeds, absorption = [], []
-    top = 0.0
+    boundaries, speeds, absorption = [0.0], [], []
     for layer in layers:
-        bottom = top + layer.thickness
-        mid = 0.5 * (top + bottom)
+        top = boundaries[-1]
+        boundaries.append(top + layer.thickness)
+        mid = 0.5 * (top + boundaries[-1])
         speeds.append(sound_speed(layer.temperature, layer.salinity, mid))
         absorption.append(
             absorption_coeff(frequency, layer.temperature, layer.salinity, layer.ph, mid)
         )
-        top = bottom
-    return tuple(speeds), tuple(absorption)
+    return tuple(boundaries), tuple(speeds), tuple(absorption)

@@ -71,20 +71,14 @@ class ChannelProfile:
     def from_layers(cls, layers, frequency: float) -> "ChannelProfile":
         """The profile of a stack of Layers, surface first, at frequency (kHz).
 
-        Raises ValueError for an empty stack, a total depth that is not
-        finite, or a mid-depth or frequency outside the acoustic models'
-        validity ranges.
+        Raises ValueError for an empty stack, or a mid-depth or frequency
+        outside the acoustic models' validity ranges; a total depth that
+        overflows puts a mid-depth out of range.
         """
         layers = tuple(layers)
         if not layers:
             raise ValueError("at least one layer is required")
-        boundaries = [0.0]
-        for layer in layers:
-            boundaries.append(boundaries[-1] + layer.thickness)
-        if not math.isfinite(boundaries[-1]):
-            raise ValueError(f"total thickness must be finite, got {boundaries[-1]}")
-        sound_speeds, absorption = acoustics_profile(layers, frequency)
-        return cls(tuple(boundaries), sound_speeds, absorption, frequency)
+        return cls(*acoustics_profile(layers, frequency), frequency)
 
     @property
     def total_depth(self) -> float:
@@ -371,8 +365,7 @@ def tof_jacobian(profile: ChannelProfile, points_a, points_b):
     lengths come from the solved tangent, so the slowness stays precise
     up to grazing, where sqrt(1 - p^2 c^2) / c would cancel.
     """
-    a, b = (np.atleast_2d(np.asarray(points, float)) for points in (points_a, points_b))
-    offset, horizontal, lengths, dz, p, ok = _pair_paths(profile, a, b)
+    offset, horizontal, lengths, dz, p, ok = _pair_paths(profile, points_a, points_b)
     # The ray's vertical slowness in each layer, 0 in the layers it misses.
     slowness = np.divide(dz, lengths, out=np.zeros(lengths.shape), where=lengths > 0.0)
     slowness /= np.asarray(profile.sound_speeds)

@@ -31,6 +31,17 @@ def small_scenario(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def small_noisy_scenario(tmp_path):
+    """The canonical noisy scenario cut after its second waypoint, moved to t=20 (5 epochs)."""
+    doc = yaml.safe_load(Path(NOISY).read_text())
+    doc["trajectory"] = doc["trajectory"][:2]
+    doc["trajectory"][1]["time"] = 20.0
+    path = tmp_path / "small_noisy.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
 class TestProfileCommand:
     def test_prints_layer_table(self, capsys):
         assert main(["profile", NOISELESS]) == 0
@@ -219,18 +230,24 @@ class TestLocalizeCommand:
             for aid, tof in zip(scenario.anchor_ids, tofs) if not math.isnan(tof)
         ]
 
-    def test_fix_matches_run(self, small_scenario, capsys):
-        # localize and run solve an epoch through the same fix path.
-        table, _ = run_simulation(load_scenario(small_scenario))
-        e, n, u = table.fix[1].tolist()
-        assert main(["localize", small_scenario, "--epoch", "1"]) == 0
-        out = capsys.readouterr().out
-        assert f"fix: east={e!r} north={n!r} up={u!r}\n" in out
-        # The fix's sigma is the root of its covariance's trace.
-        fix_sigma = math.sqrt(float(np.trace(table.fix_covariance[1])))
-        assert f"fix_sigma_m: {fix_sigma!r}\n" in out
-        assert f"polishes: {table.polishes[1]}\n" in out
-        assert "population_dispersion_m" not in out
+    def test_fix_matches_run(self, small_scenario, small_noisy_scenario, capsys):
+        # localize and run solve an epoch through the same fix path. The noisy
+        # scenario also shows that both draw an epoch's GPS and ping noise from
+        # the same streams, which the noiseless one cannot.
+        for path, k in ((small_scenario, 1), (small_noisy_scenario, 3)):
+            table, _ = run_simulation(load_scenario(path))
+            e, n, u = table.fix[k].tolist()
+            assert main(["localize", path, "--epoch", str(k)]) == 0
+            out = capsys.readouterr().out
+            assert f": {table.n_detections[k]} detections\n" in out
+            assert f"fix: east={e!r} north={n!r} up={u!r}\n" in out
+            # The fix's sigma is the root of its covariance's trace.
+            fix_sigma = math.sqrt(float(np.trace(table.fix_covariance[k])))
+            assert f"fix_sigma_m: {fix_sigma!r}\n" in out
+            assert f"polishes: {table.polishes[k]}\n" in out
+            error = math.dist(table.fix[k], table.true_position[k])
+            assert f"error_vs_truth_m: {error!r}\n" in out
+            assert "population_dispersion_m" not in out
 
     @pytest.mark.parametrize(
         "mode,ga_label", [("tof_residual", "ga_fit_s2="), ("range_residual", "ga_fit_m2=")]

@@ -154,12 +154,13 @@ class TestAbsorption:
 
 class TestAcousticsProfile:
     def test_single_layer_matches_direct_calls(self):
-        (speed,), (absorption,) = acoustics_profile([layer(thickness=100.0)], 25.0)
+        boundaries, (speed,), (absorption,) = acoustics_profile([layer(thickness=100.0)], 25.0)
+        assert boundaries == (0.0, 100.0)
         assert speed == sound_speed(10.0, 35.0, 50.0)
         assert absorption == absorption_coeff(25.0, 10.0, 35.0, 8.0, 50.0)
 
     def test_identical_layers_differ_only_by_depth_terms(self):
-        speeds, absorption = acoustics_profile(
+        _, speeds, absorption = acoustics_profile(
             [layer(thickness=100.0), layer(thickness=100.0)], 25.0
         )
         # Deeper evaluation point: faster sound, slightly less absorption.
@@ -169,9 +170,10 @@ class TestAcousticsProfile:
         assert speeds[1] == sound_speed(10.0, 35.0, 150.0)
 
     def test_mid_depth_evaluation(self):
-        # Layers of 50 m and 150 m are evaluated at 25 m and 125 m.
+        # Layers of 50 m and 150 m, bounded at 0, 50 and 200 m, are evaluated at 25 m and 125 m.
         layers = [layer(thickness=50.0), layer(thickness=150.0, temperature=8.0, ph=7.9)]
-        speeds, absorption = acoustics_profile(layers, 25.0)
+        boundaries, speeds, absorption = acoustics_profile(layers, 25.0)
+        assert boundaries == (0.0, 50.0, 200.0)
         assert speeds == (sound_speed(10.0, 35.0, 25.0), sound_speed(8.0, 35.0, 125.0))
         assert absorption == (
             absorption_coeff(25.0, 10.0, 35.0, 8.0, 25.0),
@@ -179,7 +181,7 @@ class TestAcousticsProfile:
         )
 
     def test_warm_surface_cold_deep_ordering(self):
-        speeds, _ = acoustics_profile(
+        _, speeds, _ = acoustics_profile(
             [layer(thickness=30.0, temperature=18.0), layer(thickness=40.0, temperature=6.0)],
             25.0,
         )
@@ -192,7 +194,8 @@ class TestAcousticsProfile:
             layer(thickness=20.0 + 10 * i, temperature=4.0 + 2 * i, ph=7.8 + 0.05 * i)
             for i in range(7)
         ]
-        speeds, absorption = acoustics_profile(layers, 12.0)
+        boundaries, speeds, absorption = acoustics_profile(layers, 12.0)
+        assert len(boundaries) == 8
         assert len(speeds) == len(absorption) == 7
         for c, a in zip(speeds, absorption):
             assert 1300.0 <= c <= 1700.0

@@ -566,7 +566,10 @@ def test_layers_summing_past_float_range_rejected():
         "    - {thickness: 100.0, temperature: 10.0, salinity: 35.0, ph: 8.0}",
         f"    - {layer}\n    - {layer}",
     )
-    with pytest.raises(ScenarioError, match="water_column.layers: total thickness"):
+    # The total, 2e308, overflows the float range; the first layer's mid-depth
+    # already lies past the sound-speed formula's range.
+    message = "water_column.layers: depth: must be within [0.0, 8000.0], got 5e+307"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         parse_scenario(text)
 
 
