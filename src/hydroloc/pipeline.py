@@ -60,7 +60,7 @@ class EpochRecord:
     """One epoch's truth and fused state, as a row of an EpochTable.
 
     The row view holds what the benchmark's NEES reader takes and no
-    more; the fix, its diagnostics and the counts are the table's columns.
+    more; the fix, the counts and the depth are the table's columns.
     """
 
     true_position: np.ndarray
@@ -71,9 +71,10 @@ class EpochRecord:
 class EpochTable:
     """A run's epochs: one column per field, one row per epoch.
 
-    fix, fix_covariance and best_fitness are NaN, and generations_run and
-    polishes 0, on a gap row (no fix), which has_fix() marks; empty(n) is
-    n gap rows, which run_simulation's passes fill column by column.
+    fix and fix_covariance are NaN on a gap row (no fix), which has_fix()
+    marks; empty(n) is n gap rows, which run_simulation's passes fill
+    column by column. A fix's solver diagnostics are not kept: hydroloc
+    localize --epoch k prints them.
     Readers take the columns. table[k] builds row k as an EpochRecord of
     its truth and fused state (the fused timestamp is the epoch's),
     negative k counting from the end; a slice is a table of views.
@@ -84,21 +85,17 @@ class EpochTable:
     n_detections: np.ndarray     # (E,)
     fix: np.ndarray              # (E, 3) ENU m
     fix_covariance: np.ndarray   # (E, 3, 3) m^2
-    best_fitness: np.ndarray     # (E,) s^2
-    generations_run: np.ndarray  # (E,)
-    polishes: np.ndarray         # (E,)
     fused_mean: np.ndarray       # (E, 6)
     fused_covariance: np.ndarray  # (E, 6, 6)
+    depth: np.ndarray            # (E,) m, measured pressure depth, positive down
 
     @classmethod
     def empty(cls, n: int) -> EpochTable:
-        """n gap rows: NaN in every float column, 0 in every count."""
+        """n gap rows: NaN in every float column, 0 detections."""
         def nan(*shape):
             return np.full((n, *shape), np.nan)
 
-        n_detections, generations_run, polishes = np.zeros((3, n), int)
-        return cls(nan(), nan(3), n_detections, nan(3), nan(3, 3), nan(), generations_run,
-                   polishes, nan(6), nan(6, 6))
+        return cls(nan(), nan(3), np.zeros(n, int), nan(3), nan(3, 3), nan(6), nan(6, 6), nan())
 
     def has_fix(self) -> np.ndarray:
         """(E,) bool: which rows hold a fix."""
@@ -219,20 +216,21 @@ def run_simulation(scenario: Scenario):
     """Run the full pipeline; returns (table, summary).
 
     table is the run's EpochTable, filled in three passes. Block by block,
-    every epoch's observations, stacked at 4M x 8 B an epoch, then every
-    fix from its own epoch's alone (a gap row keeps EpochTable.empty's);
-    then the filter, the only pass that carries state between epochs.
+    every epoch's observations (the depth into its column, the anchors'
+    positions and TOFs stacked at 4M x 8 B an epoch), then every fix from
+    its own epoch's alone (a gap row keeps EpochTable.empty's); then the
+    filter, which reads only the table and is the only pass that carries
+    state between epochs.
     """
     times = epoch_times(scenario)
     n, m = len(times), len(scenario.anchor_ids)
     table = EpochTable.empty(n)
     table.timestamp[:] = times
-    depths = np.empty(n)
     for lo in range(0, n, _BLOCK):
         block = range(lo, min(lo + _BLOCK, n))
         reported, tofs = np.empty((len(block), m, 3)), np.empty((len(block), m))
         for i, k in enumerate(block):
-            table.true_position[k], reported[i], tofs[i], depths[k] = simulate_epoch(
+            table.true_position[k], reported[i], tofs[i], table.depth[k] = simulate_epoch(
                 scenario, k, times[k])
         table.n_detections[lo:block.stop] = np.count_nonzero(~np.isnan(tofs), axis=1)
         for i, k in enumerate(block):
@@ -243,16 +241,13 @@ def run_simulation(scenario: Scenario):
                 continue
             table.fix[k] = estimate.position
             table.fix_covariance[k] = estimate.covariance
-            table.best_fitness[k] = estimate.best_fitness
-            table.generations_run[k] = estimate.generations_run
-            table.polishes[k] = estimate.polishes
 
     state = _initial_state(scenario)
     for k, (t, has_fix) in enumerate(zip(times, table.has_fix())):
         state = ekf_predict(state, t - state.timestamp, scenario.ekf.accel_noise_density)
         if has_fix:
             state = ekf_update_fix(state, table.fix[k], table.fix_covariance[k])
-        state = ekf_update_depth(state, depths[k], scenario.ekf.pressure_sigma_depth**2)
+        state = ekf_update_depth(state, table.depth[k], scenario.ekf.pressure_sigma_depth**2)
         table.fused_mean[k] = state.mean
         table.fused_covariance[k] = state.covariance
 
@@ -306,9 +301,8 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_outputs(table: EpochTable, summary: RunSummary, out_dir,
-                  scenario_text: str | None = None):
-    """Write OUTPUT_FILES: epochs.csv, summary.json and an optional scenario echo.
+def write_outputs(table: EpochTable, summary: RunSummary, out_dir, scenario_text: str):
+    """Write OUTPUT_FILES: epochs.csv, summary.json and scenario_text's echo.
 
     table is run_simulation's EpochTable, or a slice of it; its columns
     are read directly, one CSV row per table row. Numbers are written at
@@ -319,8 +313,6 @@ def write_outputs(table: EpochTable, summary: RunSummary, out_dir,
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in OUTPUT_FILES.items()}
-    if scenario_text is None:
-        del paths["scenario"]
 
     # Row by row: whole-column lists of floats would outweigh the table. No
     # cell needs CSV quoting, and csv.writer would hold a 128 KiB buffer.
@@ -339,7 +331,6 @@ def write_outputs(table: EpochTable, summary: RunSummary, out_dir,
         json.dump(dataclasses.asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if scenario_text is not None:
-        with open(paths["scenario"], "w", encoding="utf-8") as fh:
-            fh.write(scenario_text)
+    with open(paths["scenario"], "w", encoding="utf-8") as fh:
+        fh.write(scenario_text)
     return paths

@@ -398,11 +398,12 @@ def test_rows_depend_on_no_later_epoch(tmp_path):
     # Cut to its first three waypoints (t <= 300 s), the run's epochs.csv is
     # the full run's first 61 rows to the byte: no pass mixes rows.
     text = (SCENARIO_DIR / "canonical_noisy.yaml").read_text()
-    cut = text[:text.index("  - {time: 450.0")]
-    cut_run = run_simulation(parse_scenario(cut + text[text.index("\nping_interval"):]))
+    cut = text[:text.index("  - {time: 450.0")] + text[text.index("\nping_interval"):]
+    runs = (("cut", run_simulation(parse_scenario(cut)), cut),
+            ("full", canonical_noisy_run(), text))
     blobs = [
-        Path(write_outputs(*run, tmp_path / name)["epochs"]).read_bytes()
-        for name, run in (("cut", cut_run), ("full", canonical_noisy_run()))
+        Path(write_outputs(*run, tmp_path / name, run_text)["epochs"]).read_bytes()
+        for name, run, run_text in runs
     ]
     rows = blobs[0].count(b"\n") - 1
     report(

@@ -10,7 +10,7 @@ import yaml
 
 from hydroloc import cli
 from hydroloc.cli import main
-from hydroloc.pipeline import epoch_times, run_simulation, simulate_epoch
+from hydroloc.pipeline import epoch_times, localize_epoch, run_simulation, simulate_epoch
 from hydroloc.propagation import link_budget, ping_paths, simulate_ping, snr
 from hydroloc.scenario import load_scenario
 
@@ -233,9 +233,13 @@ class TestLocalizeCommand:
     def test_fix_matches_run(self, small_scenario, small_noisy_scenario, capsys):
         # localize and run solve an epoch through the same fix path. The noisy
         # scenario also shows that both draw an epoch's GPS and ping noise from
-        # the same streams, which the noiseless one cannot.
+        # the same streams, which the noiseless one cannot. The solver's
+        # diagnostics are the fix's own, which the table does not keep.
         for path, k in ((small_scenario, 1), (small_noisy_scenario, 3)):
-            table, _ = run_simulation(load_scenario(path))
+            scenario = load_scenario(path)
+            table, _ = run_simulation(scenario)
+            _, reported, tofs, _ = simulate_epoch(scenario, k, epoch_times(scenario)[k])
+            estimate = localize_epoch(scenario, k, reported, tofs)
             e, n, u = table.fix[k].tolist()
             assert main(["localize", path, "--epoch", str(k)]) == 0
             out = capsys.readouterr().out
@@ -244,7 +248,9 @@ class TestLocalizeCommand:
             # The fix's sigma is the root of its covariance's trace.
             fix_sigma = math.sqrt(float(np.trace(table.fix_covariance[k])))
             assert f"fix_sigma_m: {fix_sigma!r}\n" in out
-            assert f"polishes: {table.polishes[k]}\n" in out
+            assert f"tof_fit_s2: {estimate.best_fitness!r}\n" in out
+            assert f"generations_run: {estimate.generations_run}\n" in out
+            assert f"polishes: {estimate.polishes}\n" in out
             error = math.dist(table.fix[k], table.true_position[k])
             assert f"error_vs_truth_m: {error!r}\n" in out
             assert "population_dispersion_m" not in out

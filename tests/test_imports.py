@@ -1,4 +1,5 @@
-"""The package's modules use each other only through public names."""
+"""The package's modules use each other only through public names and import
+only what they read."""
 
 import ast
 from pathlib import Path
@@ -68,4 +69,44 @@ def test_every_exported_name_is_defined_where_exported():
     modules = sorted(SRC.glob("*.py"))
     assert any("__all__" in path.read_text() for path in modules)
     found = [hit for path in modules for hit in reexports(path.read_text(), path.name)]
+    assert found == []
+
+
+def unused_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Each name an import in source binds and the module never reads, as 'file:line: name'.
+
+    A name listed only in __all__ is not read: that is a re-export.
+    `from __future__` imports are compiler directives, not names.
+    """
+    tree = ast.parse(source, filename=filename)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                found.append(f"{filename}:{node.lineno}: {name}")
+    return found
+
+
+def test_detector_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\n"
+        "from .streams import Stream, child_seed\n"
+        "__all__ = ['child_seed']\n"
+        "def run(): return np.zeros(os.path.getsize('x')), Stream\n"
+    )
+    assert unused_imports(source) == ["<source>:4: child_seed"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = [hit for path in modules for hit in unused_imports(path.read_text(), path.name)]
     assert found == []

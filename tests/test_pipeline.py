@@ -221,10 +221,11 @@ class TestEpochTable:
         assert len(table) == 5 and any(gaps) and not all(gaps)
         steps = zip(seen["simulate_epoch"], seen["localize_epoch"], seen["ekf_update_depth"])
         has_fix = table.has_fix()
-        for k, ((true_pos, _, tofs, _), estimate, state) in enumerate(steps):
+        for k, ((true_pos, _, tofs, depth_measured), estimate, state) in enumerate(steps):
             assert table.timestamp[k] == state.timestamp
             assert table.true_position[k].tolist() == true_pos.tolist()
             assert table.n_detections[k] == np.count_nonzero(~np.isnan(tofs))
+            assert table.depth[k] == depth_measured
             row = table[k]
             assert row.true_position.tolist() == true_pos.tolist()
             assert row.fused.mean.tolist() == state.mean.tolist()
@@ -232,14 +233,10 @@ class TestEpochTable:
             assert row.fused.timestamp == state.timestamp
             assert has_fix[k] == (estimate is not None)
             if estimate is None:
-                assert np.isnan(table.fix_covariance[k]).all() and np.isnan(table.best_fitness[k])
-                assert table.generations_run[k] == table.polishes[k] == 0
+                assert np.isnan(table.fix_covariance[k]).all()
             else:
                 assert table.fix[k].tolist() == estimate.position.tolist()
                 assert table.fix_covariance[k].tolist() == estimate.covariance.tolist()
-                assert table.best_fitness[k] == estimate.best_fitness
-                assert table.generations_run[k] == estimate.generations_run
-                assert table.polishes[k] == estimate.polishes
 
     def test_rows_are_copies(self, run):
         table, _ = run
@@ -277,12 +274,15 @@ class TestEpochTable:
 
 
 def test_retained_memory_per_epoch():
-    # A run keeps each epoch's 62 numbers (496 B) in its table's columns; one
-    # EpochRecord object graph per epoch retained about 910 B here (1300 B on
-    # a fix epoch). The traced peak is about 642 B an epoch here: 604 B when
-    # each epoch's observations lived for its own epoch only, 769 B when the
-    # whole run's were stacked, and about 1380 B when they were the whole
-    # run's list of per-epoch tuples. Out to (140, 140) and there for 4900 s:
+    # A run keeps each epoch's 60 numbers (480 B) in its table's columns, the
+    # measured depth among them, and retains about 494 B an epoch here: 511 B
+    # when the table also kept the solver's three diagnostics and the depths
+    # lived beside it. One EpochRecord object graph per epoch retained about
+    # 910 B here (1300 B on a fix epoch). The traced peak is about 627 B an
+    # epoch here (652 B with those three columns): 604 B when each epoch's
+    # observations lived for its own epoch only, 769 B when the whole run's
+    # were stacked, and about 1380 B when they were the whole run's list of
+    # per-epoch tuples. Out to (140, 140) and there for 4900 s:
     # most of the 501 epochs are gaps, which keeps the traced run short.
     text = FAST_NOISY_GAPS.replace(
         "- {time: 40.0, east: 0.0, north: 0.0",
@@ -301,7 +301,7 @@ def test_retained_memory_per_epoch():
     finally:
         tracemalloc.stop()
     assert len(table) == scenario.epochs and 0 < summary.fix_epochs < scenario.epochs
-    assert retained / scenario.epochs <= 640
+    assert retained / scenario.epochs <= 624
     assert peak / scenario.epochs <= 900
 
 
@@ -314,7 +314,7 @@ def test_block_size_changes_no_output(block, monkeypatch, tmp_path):
     for name in ("default", "small"):
         if name == "small":
             monkeypatch.setattr(pipeline, "_BLOCK", block)
-        paths = write_outputs(*run_simulation(scenario), tmp_path / name)
+        paths = write_outputs(*run_simulation(scenario), tmp_path / name, FAST_NOISY_GAPS)
         blobs.append(Path(paths["epochs"]).read_bytes() + Path(paths["summary"]).read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -327,14 +327,14 @@ class TestWriteOutputs:
             rmse_raw=None, rmse_fused=None, rmse_raw_axes=None, rmse_fused_axes=None,
             max_error_raw=None, max_error_fused=None,
         )
-        paths = write_outputs(records[:0], summary, tmp_path / "out")
+        paths = write_outputs(records[:0], summary, tmp_path / "out", FAST_NOISELESS)
         lines = Path(paths["epochs"]).read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
         assert '"rmse_raw": null' in Path(paths["summary"]).read_text()
 
     def test_row_count_and_column_order(self, tmp_path):
         records, summary = run_simulation(parse_scenario(FAST_NOISELESS))
-        paths = write_outputs(records[:3], summary, tmp_path / "out")
+        paths = write_outputs(records[:3], summary, tmp_path / "out", FAST_NOISELESS)
         lines = Path(paths["epochs"]).read_text().splitlines()
         assert len(lines) == 4
         assert lines[0] == "t,true_e,true_n,true_u,est_e,est_n,est_u,fused_e,fused_n,fused_u,raw_err,fused_err,n_detections"
@@ -345,14 +345,14 @@ class TestWriteOutputs:
             s, channel=dataclasses.replace(s.channel, detection_threshold=1e6)
         )
         records, summary = run_simulation(s)
-        paths = write_outputs(records, summary, tmp_path / "out")
+        paths = write_outputs(records, summary, tmp_path / "out", FAST_NOISELESS)
         row = Path(paths["epochs"]).read_text().splitlines()[1].split(",")
         est_cells = row[4:7] + [row[10]]
         assert est_cells == ["", "", "", ""]
 
     def test_error_cells_are_each_row_own_distances(self, tmp_path):
         records, summary = run_simulation(parse_scenario(FAST_NOISY_GAPS))
-        paths = write_outputs(records, summary, tmp_path / "out")
+        paths = write_outputs(records, summary, tmp_path / "out", FAST_NOISY_GAPS)
         with open(paths["epochs"], encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         gaps = [int(row["n_detections"]) < 4 for row in rows]
@@ -379,7 +379,7 @@ class TestWriteOutputs:
         blobs = []
         for name in ("a", "b"):
             records, summary = run_simulation(parse_scenario(FAST_NOISY))
-            paths = write_outputs(records, summary, tmp_path / name)
+            paths = write_outputs(records, summary, tmp_path / name, FAST_NOISY)
             blobs.append(
                 Path(paths["epochs"]).read_bytes() + Path(paths["summary"]).read_bytes()
             )
@@ -395,8 +395,9 @@ class TestWriteOutputs:
             for k, corner in enumerate([(100.0, 100.0, 0.0), (100.0, -100.0, 0.0),
                                         (-100.0, 100.0, 0.0), (-100.0, -100.0, 0.0)])
         ]
-        records, summary = run_simulation(parse_scenario(yaml.safe_dump(doc)))
-        paths = write_outputs(records, summary, tmp_path / "out")
+        text = yaml.safe_dump(doc)
+        records, summary = run_simulation(parse_scenario(text))
+        paths = write_outputs(records, summary, tmp_path / "out", text)
         assert json.loads(Path(paths["summary"]).read_text())["enu_origin"] == [45.5, -122.6, 30.0]
 
 

@@ -684,15 +684,16 @@ def test_mutated_numbers_rejected_or_run_finite(mutants, tmp_path):
     named = {_key_of(path) for path, _ in mutants}
     if any(path == LAST_TIME for path, _ in mutants):
         named.add("ping_interval")  # the epoch-count limit names the interval
+    text = yaml.safe_dump(doc)
     try:
-        scenario = parse_scenario(yaml.safe_dump(doc))
+        scenario = parse_scenario(text)
     except ScenarioError as exc:
         assert str(exc).split(": ", 1)[0] in named, str(exc)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # an overflow is a failure
         records, summary = run_simulation(scenario)
-    paths = write_outputs(records, summary, tmp_path)
+    paths = write_outputs(records, summary, tmp_path, text)
     with open(paths["epochs"], encoding="utf-8") as fh:
         cells = [cell for row in list(csv.reader(fh))[1:] for cell in row if cell]
     assert all(math.isfinite(float(cell)) for cell in cells)
