@@ -87,11 +87,10 @@ class EkfConfig:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class EkfState:
-    """Filter state: 6-vector mean, 6x6 covariance, timestamp in seconds."""
+    """Filter state: 6-vector mean and 6x6 covariance; ekf_predict's caller keeps the clock."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    timestamp: float
 
     def __post_init__(self) -> None:
         # One owning array each, never a view of the caller's: a reshaped
@@ -114,15 +113,17 @@ def ekf_predict(state: EkfState, dt: float, accel_density) -> EkfState:
     """Constant-velocity prediction over dt seconds.
 
     accel_density is the white-acceleration spectral density in m^2/s^3,
-    a scalar or one value per ENU axis. dt = 0 returns the state
-    unchanged (apart from a fresh copy).
+    one value per ENU axis (EkfConfig.accel_noise_density). dt = 0
+    returns the state unchanged (apart from a fresh copy).
 
     F = [[I, dt I], [0, I]] only adds dt times the velocity blocks, so
     F P F^T is block arithmetic: the row blocks, then the column blocks.
     """
     if not 0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
-    q = np.broadcast_to(np.asarray(accel_density, float), (3,))
+    q = np.asarray(accel_density, float)
+    if q.shape != (3,):
+        raise ValueError(f"accel_density must be one value per ENU axis, got shape {q.shape}")
     if not ((q >= 0) & (q < math.inf)).all():
         raise ValueError(f"accel_density must be finite and >= 0, got {q.tolist()}")
 
@@ -134,7 +135,7 @@ def ekf_predict(state: EkfState, dt: float, accel_density) -> EkfState:
     cov[:, :3] += dt * cov[:, 3:]  # F P F^T
     qm = np.diag(np.concatenate([q * dt**3 / 3.0, q * dt]))
     qm[:3, 3:] = qm[3:, :3] = np.diag(q * dt**2 / 2.0)
-    return EkfState(mean=mean, covariance=_symmetrize(cov + qm), timestamp=state.timestamp + dt)
+    return EkfState(mean=mean, covariance=_symmetrize(cov + qm))
 
 
 def _update(mean: np.ndarray, cov: np.ndarray, i: int, z: float, r: float):
@@ -173,7 +174,7 @@ def ekf_update_fix(state: EkfState, position, covariance) -> EkfState:
     for i, (zi, variance) in enumerate(zip(matmul(v.T, z).tolist(), w.tolist())):
         mean, cov = _update(mean, cov, i, zi, variance)
     mean, cov = matmul(t.T, mean), matmul(matmul(t.T, cov), t)
-    return EkfState(mean=mean, covariance=_symmetrize(cov), timestamp=state.timestamp)
+    return EkfState(mean=mean, covariance=_symmetrize(cov))
 
 
 def ekf_update_depth(state: EkfState, depth: float, variance: float) -> EkfState:
@@ -183,4 +184,4 @@ def ekf_update_depth(state: EkfState, depth: float, variance: float) -> EkfState
     if not 0 < variance < math.inf:
         raise ValueError(f"variance must be finite and > 0, got {variance}")
     mean, cov = _update(state.mean, state.covariance, 2, -depth, variance)  # up = -depth
-    return EkfState(mean=mean, covariance=cov, timestamp=state.timestamp)
+    return EkfState(mean=mean, covariance=cov)

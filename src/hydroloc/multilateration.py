@@ -281,9 +281,9 @@ def ga_localize(
     seed: int,
     trace=None,
     *,
-    tof_sigma: float = 0.0,
-    anchor_sigma=(0.0, 0.0, 0.0),
-    sigma_floor: float = 0.5,
+    tof_sigma: float,
+    anchor_sigma,
+    sigma_floor: float,
 ) -> PositionEstimate:
     """Run the hybrid solver and return the fix with its covariance.
 

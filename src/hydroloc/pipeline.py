@@ -76,8 +76,8 @@ class EpochTable:
     column by column. A fix's solver diagnostics are not kept: hydroloc
     localize --epoch k prints them.
     Readers take the columns. table[k] builds row k as an EpochRecord of
-    its truth and fused state (the fused timestamp is the epoch's),
-    negative k counting from the end; a slice is a table of views.
+    its truth and fused state, negative k counting from the end; a slice
+    is a table of views.
     """
 
     timestamp: np.ndarray        # (E,) s
@@ -107,9 +107,8 @@ class EpochTable:
     def __getitem__(self, key):
         if isinstance(key, slice):
             return EpochTable(*(getattr(self, f.name)[key] for f in dataclasses.fields(self)))
-        t = float(self.timestamp[key])  # raises IndexError past either end
-        return EpochRecord(self.true_position[key].copy(),
-                           EkfState(self.fused_mean[key], self.fused_covariance[key], t))
+        return EpochRecord(self.true_position[key].copy(),  # IndexError past either end
+                           EkfState(self.fused_mean[key], self.fused_covariance[key]))
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -130,7 +129,6 @@ class RunSummary:
     max_error_raw: float | None
     max_error_fused: float | None
     enu_origin: tuple[float, float, float]  # lat deg, lon deg, height m
-    origin_from_anchor: bool
     master_seed: int
 
 
@@ -209,7 +207,7 @@ def _initial_state(scenario: Scenario) -> EkfState:
     pos_var = scenario.ekf.initial_position_sigma**2
     vel_var = scenario.ekf.initial_velocity_sigma**2
     cov = np.diag([pos_var] * 3 + [vel_var] * 3)
-    return EkfState(mean=mean, covariance=cov, timestamp=0.0)
+    return EkfState(mean=mean, covariance=cov)
 
 
 def run_simulation(scenario: Scenario):
@@ -219,8 +217,9 @@ def run_simulation(scenario: Scenario):
     every epoch's observations (the depth into its column, the anchors'
     positions and TOFs stacked at 4M x 8 B an epoch), then every fix from
     its own epoch's alone (a gap row keeps EpochTable.empty's); then the
-    filter, which reads only the table and is the only pass that carries
-    state between epochs.
+    filter, which reads only the table, steps by the differences of its
+    timestamp column (0.0 first) and is the only pass that carries state
+    between epochs.
     """
     times = epoch_times(scenario)
     n, m = len(times), len(scenario.anchor_ids)
@@ -243,8 +242,9 @@ def run_simulation(scenario: Scenario):
             table.fix_covariance[k] = estimate.covariance
 
     state = _initial_state(scenario)
-    for k, (t, has_fix) in enumerate(zip(times, table.has_fix())):
-        state = ekf_predict(state, t - state.timestamp, scenario.ekf.accel_noise_density)
+    dts = np.diff(table.timestamp, prepend=table.timestamp[:1]).tolist()
+    for k, (dt, has_fix) in enumerate(zip(dts, table.has_fix())):
+        state = ekf_predict(state, dt, scenario.ekf.accel_noise_density)
         if has_fix:
             state = ekf_update_fix(state, table.fix[k], table.fix_covariance[k])
         state = ekf_update_depth(state, table.depth[k], scenario.ekf.pressure_sigma_depth**2)
@@ -292,7 +292,6 @@ def _summarize(scenario: Scenario, table: EpochTable) -> RunSummary:
         max_error_raw=max_raw,
         max_error_fused=max_fused,
         enu_origin=(origin.latitude, origin.longitude, origin.height),
-        origin_from_anchor=scenario.origin_from_anchor,
         master_seed=scenario.seed,
     )
 

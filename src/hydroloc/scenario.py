@@ -95,7 +95,6 @@ class Scenario:
     anchor_enu: tuple[tuple[float, float, float], ...]  # m, up <= 0
     gps_noise_sigma: tuple[float, float, float]  # m per ENU axis
     enu_origin: GeodeticCoord
-    origin_from_anchor: bool
     waypoints: tuple[tuple[float, float, float, float], ...]  # (time, e, n, u)
     ping_interval: float  # s
     epochs: int  # pings at 0, ping_interval, ... up to the last waypoint
@@ -302,9 +301,7 @@ def parse_scenario(text: str) -> Scenario:
     anchor_ids, anchor_coords = _parse_anchors(root)
     gps_sigma = _parse_gps_sigma(root)
 
-    origin_from_anchor = "enu_origin" not in root
-    coord = partial(_read_config, GeodeticCoord)
-    origin = _read(root, "enu_origin", "scenario", coord, anchor_coords[0])
+    origin = _read(root, "enu_origin", "scenario", partial(_read_config, GeodeticCoord))
 
     ga = _parse_ga(root, profile)
     waypoints = _parse_trajectory(root, ga.search_bounds)
@@ -346,7 +343,6 @@ def parse_scenario(text: str) -> Scenario:
         anchor_enu=tuple(anchor_enu),
         gps_noise_sigma=gps_sigma,
         enu_origin=origin,
-        origin_from_anchor=origin_from_anchor,
         waypoints=waypoints,
         ping_interval=ping_interval,
         epochs=math.floor(steps) + 1,

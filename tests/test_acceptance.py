@@ -38,6 +38,9 @@ from hydroloc.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 README = Path(__file__).resolve().parent.parent / "README.md"
+# ga_localize's noise keywords for exact pings and anchors, floored at the
+# filter's default fix_sigma_floor.
+NOISELESS = {"tof_sigma": 0.0, "anchor_sigma": (0.0, 0.0, 0.0), "sigma_floor": 0.5}
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -191,7 +194,7 @@ def test_criterion_5_noiseless_recovery():
     for seed in range(100):
         config = GaConfig(search_bounds=bounds)
         start = time.perf_counter()
-        estimate = ga_localize(anchor_pos, tofs, config, profile, seed)
+        estimate = ga_localize(anchor_pos, tofs, config, profile, seed, **NOISELESS)
         slowest = max(slowest, time.perf_counter() - start)
         err = float(np.linalg.norm(estimate.position - truth))
         worst_err = max(worst_err, err)
@@ -224,7 +227,7 @@ def test_criterion_6_grid_search_oracle():
         ])
         tofs = np.linalg.norm(truth - anchor_pos, axis=1) / 1500.0
         config = GaConfig(search_bounds=bounds, population_size=100, generations=120)
-        ga_fit = ga_localize(anchor_pos, tofs, config, profile, k).best_fitness
+        ga_fit = ga_localize(anchor_pos, tofs, config, profile, k, **NOISELESS).best_fitness
 
         axes = [
             np.arange(lo, hi + 1e-9, 0.05)
@@ -287,13 +290,11 @@ def test_criterion_7_geodesy_round_trips():
 
 def test_criterion_8_ekf_health():
     rng = np.random.default_rng(2025)
-    state = EkfState(
-        mean=np.zeros(6), covariance=np.diag([100.0] * 3 + [1.0] * 3), timestamp=0.0
-    )
+    state = EkfState(mean=np.zeros(6), covariance=np.diag([100.0] * 3 + [1.0] * 3))
     worst_asym = 0.0
     min_eig = np.inf
     for _ in range(1000):
-        state = ekf_predict(state, rng.uniform(0.0, 5.0), 1e-3)
+        state = ekf_predict(state, rng.uniform(0.0, 5.0), (1e-3, 1e-3, 1e-3))
         if rng.random() < 0.7:
             state = ekf_update_fix(
                 state,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,16 @@ from hydroloc import multilateration
 from hydroloc.fusion import EkfState, ekf_predict, ekf_update_depth, ekf_update_fix
 
 
-def make_state(mean=None, cov=None, t=0.0):
+# The per-axis white-acceleration density, the only form ekf_predict takes.
+Q = (1e-3, 1e-3, 1e-3)
+
+
+def make_state(mean=None, cov=None):
     if mean is None:
         mean = np.zeros(6)
     if cov is None:
         cov = np.eye(6)
-    return EkfState(mean=mean, covariance=cov, timestamp=t)
+    return EkfState(mean=mean, covariance=cov)
 
 
 def random_spd(rng, n, scales):
@@ -46,34 +52,42 @@ def assert_close(actual, expected, rtol=1e-12):
 class TestPredict:
     def test_zero_dt_is_identity(self):
         s = make_state(mean=np.array([1.0, 2.0, -3.0, 0.1, 0.2, 0.3]))
-        out = ekf_predict(s, 0.0, 1e-3)
+        out = ekf_predict(s, 0.0, Q)
         assert np.array_equal(out.mean, s.mean)
         assert np.array_equal(out.covariance, s.covariance)
-        assert out.timestamp == s.timestamp
 
     def test_zero_velocity_keeps_position_grows_covariance(self):
         s = make_state(mean=np.array([5.0, -4.0, -30.0, 0.0, 0.0, 0.0]))
-        out = ekf_predict(s, 5.0, 1e-3)
+        out = ekf_predict(s, 5.0, Q)
         assert np.array_equal(out.mean[:3], s.mean[:3])
         assert all(out.covariance[i, i] > s.covariance[i, i] for i in range(3))
 
     def test_constant_velocity_moves_position(self):
         s = make_state(mean=np.array([0.0, 0.0, -10.0, 1.0, 0.0, 0.0]))
-        out = ekf_predict(s, 2.0, 1e-3)
+        out = ekf_predict(s, 2.0, Q)
         assert out.mean[0] == pytest.approx(2.0)
         assert out.mean[1] == 0.0
-        assert out.timestamp == 2.0
 
     def test_negative_dt_rejected(self):
         for dt in (-1.0, np.nan, np.inf):  # NaN and inf gave a NaN state
             with pytest.raises(ValueError, match=f"dt must be finite and >= 0, got {dt}"):
-                ekf_predict(make_state(), dt, 1e-3)
+                ekf_predict(make_state(), dt, Q)
 
-    @pytest.mark.parametrize("bad", [np.nan, -1.0])
-    def test_bad_noise_density_rejected(self, bad):
-        # NaN gave a NaN covariance; -1.0 an indefinite Q that shrank P.
-        with pytest.raises(ValueError, match=r"accel_density must be finite and >= 0"):
-            ekf_predict(make_state(), 1.0, (1e-3, bad, 1e-3))
+    @pytest.mark.parametrize(
+        "density,problem",
+        [
+            # NaN gave a NaN covariance; -1.0 an indefinite Q that shrank P.
+            ((1e-3, np.nan, 1e-3), "must be finite and >= 0"),
+            ((1e-3, -1.0, 1e-3), "must be finite and >= 0"),
+            # A density is one value per ENU axis, never broadcast.
+            (1e-3, "must be one value per ENU axis, got shape ()"),
+            ((1e-3, 1e-3), "must be one value per ENU axis, got shape (2,)"),
+        ],
+        ids=["nan", "-1.0", "scalar", "two-axes"],
+    )
+    def test_bad_noise_density_rejected(self, density, problem):
+        with pytest.raises(ValueError, match=re.escape(f"accel_density {problem}")):
+            ekf_predict(make_state(), 1.0, density)
 
     def test_per_axis_noise_density(self):
         out = ekf_predict(make_state(), 1.0, (1e-2, 1e-3, 1e-4))
@@ -232,7 +246,7 @@ class TestFilterHealth:
         rng = np.random.default_rng(17)
         state = make_state(cov=np.diag([100.0] * 3 + [1.0] * 3))
         for _ in range(200):
-            state = ekf_predict(state, rng.uniform(0.0, 5.0), 1e-3)
+            state = ekf_predict(state, rng.uniform(0.0, 5.0), Q)
             if rng.random() < 0.7:
                 state = ekf_update_fix(
                     state, rng.normal(0.0, 50.0, 3), np.eye(3) * rng.uniform(0.1, 4.0)

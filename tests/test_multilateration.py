@@ -43,6 +43,9 @@ def noiseless_tofs(anchor_pos=ANCHOR_POS, truth=TRUTH, profile=HOMOG):
 
 
 TOFS = noiseless_tofs()
+# ga_localize's noise keywords for exact pings and anchors, floored at the
+# filter's default fix_sigma_floor.
+NOISELESS = {"tof_sigma": 0.0, "anchor_sigma": (0.0, 0.0, 0.0), "sigma_floor": 0.5}
 
 
 class TestSearchBounds:
@@ -216,7 +219,7 @@ class TestEvolveGeneration:
 class TestGaLocalize:
     def test_canonical_recovery(self):
         cfg = GaConfig(search_bounds=BOUNDS)
-        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=42)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=42, **NOISELESS)
         assert np.linalg.norm(est.position - TRUTH) < 0.1
         assert (BOUNDS.lows() <= est.position).all() and (est.position <= BOUNDS.highs()).all()
         assert 0.0 <= est.best_fitness < 1e-6
@@ -225,8 +228,8 @@ class TestGaLocalize:
 
     def test_seed_determinism_is_bit_exact(self):
         cfg = GaConfig(search_bounds=BOUNDS)
-        a = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=7)
-        b = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=7)
+        a = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=7, **NOISELESS)
+        b = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=7, **NOISELESS)
         assert np.array_equal(a.position, b.position)
         assert a.best_fitness == b.best_fitness
         assert np.array_equal(a.covariance, b.covariance)
@@ -238,17 +241,19 @@ class TestGaLocalize:
         cfg = GaConfig(search_bounds=BOUNDS, generations=80)
         ga_localize(
             ANCHOR_POS, TOFS, cfg, HOMOG, seed=3,
-            trace=lambda gen, best, sigma: history.append(best),
+            trace=lambda gen, best, sigma: history.append(best), **NOISELESS,
         )
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_underdetermined_with_three_anchors(self):
         with pytest.raises(ValueError, match="underdetermined"):
-            ga_localize(ANCHOR_POS[:3], TOFS[:3], GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+            ga_localize(ANCHOR_POS[:3], TOFS[:3], GaConfig(search_bounds=BOUNDS), HOMOG, 0,
+                        **NOISELESS)
 
     def test_empty_measurements_rejected(self):
         with pytest.raises(ValueError, match="underdetermined"):
-            ga_localize(np.empty((0, 3)), np.empty(0), GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+            ga_localize(np.empty((0, 3)), np.empty(0), GaConfig(search_bounds=BOUNDS), HOMOG, 0,
+                        **NOISELESS)
 
     @pytest.mark.parametrize("anchor_pos, tofs", [
         (ANCHOR_POS, TOFS[:3]),
@@ -258,7 +263,7 @@ class TestGaLocalize:
     ])
     def test_mismatched_shapes_rejected(self, anchor_pos, tofs):
         with pytest.raises(ValueError, match=r"need \(M, 3\), \(M,\)"):
-            ga_localize(anchor_pos, tofs, GaConfig(search_bounds=BOUNDS), HOMOG, 0)
+            ga_localize(anchor_pos, tofs, GaConfig(search_bounds=BOUNDS), HOMOG, 0, **NOISELESS)
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -270,7 +275,7 @@ class TestGaLocalize:
         bad[2, axis] = value
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
         with pytest.raises(ValueError, match="row 2: anchor position must be finite"):
-            ga_localize(bad, TOFS, cfg, HOMOG, 0)
+            ga_localize(bad, TOFS, cfg, HOMOG, 0, **NOISELESS)
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
     @pytest.mark.parametrize("up", [5.0, -150.0])
@@ -281,7 +286,7 @@ class TestGaLocalize:
         bad[3, 2] = up
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
         with pytest.raises(ValueError) as info:
-            ga_localize(bad, TOFS, cfg, HOMOG, 0)
+            ga_localize(bad, TOFS, cfg, HOMOG, 0, **NOISELESS)
         assert str(info.value) == (
             f"row 3: anchor depth {-up!r} m outside the water column [0, 100.0]"
         )
@@ -289,12 +294,13 @@ class TestGaLocalize:
     def test_bounds_below_column_rejected(self):
         bounds = SearchBounds(east=(-10.0, 10.0), north=(-10.0, 10.0), up=(-500.0, 0.0))
         with pytest.raises(ValueError, match="water column"):
-            ga_localize(ANCHOR_POS, TOFS, GaConfig(search_bounds=bounds), HOMOG, 0)
+            ga_localize(ANCHOR_POS, TOFS, GaConfig(search_bounds=bounds), HOMOG, 0, **NOISELESS)
 
     def test_coincident_anchors_flagged_by_dispersion(self, caplog):
         cfg = GaConfig(search_bounds=BOUNDS)
         with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
-            est = ga_localize(np.zeros((4, 3)), np.full(4, 50.0 / 1500.0), cfg, HOMOG, seed=1)
+            est = ga_localize(np.zeros((4, 3)), np.full(4, 50.0 / 1500.0), cfg, HOMOG, seed=1,
+                              **NOISELESS)
         assert any("poorly constrained" in r.message for r in caplog.records)
         # Only the range to the anchors is observed: the two directions
         # across it get the largest search extent as their sigma.
@@ -304,7 +310,7 @@ class TestGaLocalize:
     def test_well_posed_fix_is_not_flagged(self, caplog):
         cfg = GaConfig(search_bounds=BOUNDS)
         with caplog.at_level(logging.WARNING, logger="hydroloc.multilateration"):
-            ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=1)
+            ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=1, **NOISELESS)
         assert not caplog.records
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
@@ -319,7 +325,7 @@ class TestGaLocalize:
         cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
                        fitness_mode=mode)
         for seed in range(20):
-            est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=seed)
+            est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=seed, **NOISELESS)
             assert est.position[2] <= -1e-4, seed
             assert np.linalg.norm(est.position - truth) < 1e-3, seed
 
@@ -362,13 +368,13 @@ class TestGaLocalize:
         bounds = SearchBounds(east=(-150.0, 150.0), north=(-150.0, 150.0), up=(-80.0, 0.0))
         cfg = GaConfig(search_bounds=bounds, population_size=40, generations=30,
                        fitness_mode="range_residual")
-        est = ga_localize(anchor_pos, tofs, cfg, profile, seed=9826007391723107960)
+        est = ga_localize(anchor_pos, tofs, cfg, profile, seed=9826007391723107960, **NOISELESS)
         truth = np.array([12.31385642737898, -40.0, -51.02615470228158])
         assert np.linalg.norm(est.position - truth) < 5.0
 
     def test_range_residual_mode_recovers_truth(self):
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode="range_residual")
-        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5, **NOISELESS)
         assert np.linalg.norm(est.position - TRUTH) < 0.1
 
     @pytest.mark.parametrize("mode", ["tof_residual", "range_residual"])
@@ -377,7 +383,7 @@ class TestGaLocalize:
         bad = np.concatenate([TOFS[:3], [tof]])
         cfg = GaConfig(search_bounds=BOUNDS, fitness_mode=mode)
         with pytest.raises(ValueError, match="row 3: measured TOF"):
-            ga_localize(ANCHOR_POS, bad, cfg, HOMOG, 0)
+            ga_localize(ANCHOR_POS, bad, cfg, HOMOG, 0, **NOISELESS)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"tof_sigma": np.nan}, "tof_sigma must be finite and >= 0, got nan"),
@@ -398,7 +404,7 @@ class TestGaLocalize:
         with pytest.raises(ValueError) as info:
             ga_localize(
                 ANCHOR_POS, TOFS, GaConfig(search_bounds=BOUNDS), HOMOG, 0,
-                trace=lambda gen, best, sigma: generations.append(gen), **kwargs,
+                trace=lambda gen, best, sigma: generations.append(gen), **{**NOISELESS, **kwargs},
             )
         assert str(info.value) == message
         assert generations == []
@@ -413,7 +419,7 @@ class TestGaLocalize:
 
         monkeypatch.setattr(ChannelProfile, "mean_speed", counted)
         cfg = GaConfig(search_bounds=BOUNDS, generations=20, fitness_mode="range_residual")
-        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5, **NOISELESS)
         assert est.generations_run > 1
         # converted at the middle of the search depths
         assert calls == [50.0]
@@ -452,7 +458,7 @@ class TestGaLocalize:
         # ends at the cap; up to 3 no polish runs and the fix starts from the
         # GA's best.
         cfg = GaConfig(search_bounds=BOUNDS, generations=generations, fitness_mode=mode)
-        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5)
+        est = ga_localize(ANCHOR_POS, TOFS, cfg, HOMOG, seed=5, **NOISELESS)
         assert est.generations_run == generations
         assert est.polishes == (generations - 1) // 3 + 1
 
@@ -486,7 +492,7 @@ class TestGaLocalize:
         tofs = noiseless_tofs(truth=np.array([30.0, -20.0, -60.0]), profile=THREE_LAYER)
         cfg = GaConfig(search_bounds=BOUNDS, population_size=40, generations=30,
                        fitness_mode=mode)
-        est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=3)
+        est = ga_localize(ANCHOR_POS, tofs, cfg, THREE_LAYER, seed=3, **NOISELESS)
         expected = est.generations_run if mode == "tof_residual" else 0
         assert calls["pairwise_tof"] == expected
         assert calls["tof_jacobian"] > 0

@@ -190,15 +190,14 @@ class TestRunSimulation:
 
 def _row_values(row):
     """Every field of an EpochRecord, as plain values."""
-    return (row.true_position.tolist(), row.fused.mean.tolist(),
-            row.fused.covariance.tolist(), row.fused.timestamp)
+    return row.true_position.tolist(), row.fused.mean.tolist(), row.fused.covariance.tolist()
 
 
 class TestEpochTable:
     @pytest.fixture()
     def run(self, monkeypatch):
-        """A noisy run with gap epochs, and what each step of its loop returned."""
-        seen = {}
+        """A noisy run with gap epochs, what each step of its loop returned, and each dt."""
+        seen = {"dt": []}
 
         def spy(name):
             real = getattr(pipeline, name)
@@ -212,6 +211,13 @@ class TestEpochTable:
 
         for name in ("simulate_epoch", "localize_epoch", "ekf_update_depth"):
             spy(name)
+        predict = pipeline.ekf_predict
+
+        def stepped(state, dt, accel_density):
+            seen["dt"].append(dt)
+            return predict(state, dt, accel_density)
+
+        monkeypatch.setattr(pipeline, "ekf_predict", stepped)
         table, _ = run_simulation(parse_scenario(FAST_NOISY_GAPS))
         return table, seen
 
@@ -222,7 +228,6 @@ class TestEpochTable:
         steps = zip(seen["simulate_epoch"], seen["localize_epoch"], seen["ekf_update_depth"])
         has_fix = table.has_fix()
         for k, ((true_pos, _, tofs, depth_measured), estimate, state) in enumerate(steps):
-            assert table.timestamp[k] == state.timestamp
             assert table.true_position[k].tolist() == true_pos.tolist()
             assert table.n_detections[k] == np.count_nonzero(~np.isnan(tofs))
             assert table.depth[k] == depth_measured
@@ -230,13 +235,16 @@ class TestEpochTable:
             assert row.true_position.tolist() == true_pos.tolist()
             assert row.fused.mean.tolist() == state.mean.tolist()
             assert row.fused.covariance.tolist() == state.covariance.tolist()
-            assert row.fused.timestamp == state.timestamp
             assert has_fix[k] == (estimate is not None)
             if estimate is None:
                 assert np.isnan(table.fix_covariance[k]).all()
             else:
                 assert table.fix[k].tolist() == estimate.position.tolist()
                 assert table.fix_covariance[k].tolist() == estimate.covariance.tolist()
+        # The filter's one clock is the timestamp column: 0.0 first, then
+        # the step from each epoch to the next.
+        stamps = table.timestamp.tolist()
+        assert seen["dt"] == [0.0, *(b - a for a, b in zip(stamps, stamps[1:]))]
 
     def test_rows_are_copies(self, run):
         table, _ = run

@@ -42,6 +42,7 @@ MINIMAL = textwrap.dedent(
       - {id: a1, latitude: 41.001, longitude: -8.0}
       - {id: a2, latitude: 41.0, longitude: -8.001}
       - {id: a3, latitude: 41.001, longitude: -8.001}
+    enu_origin: {latitude: 41.0, longitude: -8.0}
     trajectory:
       - {time: 0.0, east: 10.0, north: 10.0, up: -50.0}
       - {time: 60.0, east: 20.0, north: 10.0, up: -50.0}
@@ -76,18 +77,12 @@ class TestMinimalScenario:
         assert s.ga == GaConfig(search_bounds=bounds)
         assert s.channel == ChannelConfig(source_level=170.0, noise_level=50.0)
 
-    def test_origin_defaults_to_first_anchor(self):
-        s = parse_scenario(MINIMAL)
-        assert s.origin_from_anchor
-        # The first anchor, whose height is omitted: 0.0.
-        assert s.enu_origin == GeodeticCoord(41.0, -8.0, 0.0)
-        east, north, up = s.anchor_enu[0]
-        assert abs(east) < 1e-9 and abs(north) < 1e-9 and abs(up) < 1e-9
-
     def test_explicit_origin_respected(self):
-        text = MINIMAL + "enu_origin: {latitude: 41.0005, longitude: -8.0005, height: 0.0}\n"
+        text = MINIMAL.replace(
+            "enu_origin: {latitude: 41.0, longitude: -8.0}",
+            "enu_origin: {latitude: 41.0005, longitude: -8.0005, height: 0.0}",
+        )
         s = parse_scenario(text)
-        assert not s.origin_from_anchor
         assert s.enu_origin == GeodeticCoord(41.0005, -8.0005, 0.0)
 
     def test_duration(self):
@@ -123,9 +118,12 @@ class TestStrictness:
             parse_scenario("- 1\n- 2\n")
 
     def test_missing_required_key(self):
-        text = MINIMAL.replace("ping_interval: 10.0\n", "")
-        with pytest.raises(ScenarioError, match="ping_interval"):
-            parse_scenario(text)
+        # enu_origin has no default: the ENU frame is anchored nowhere else.
+        for line in ("ping_interval: 10.0\n", "enu_origin: {latitude: 41.0, longitude: -8.0}\n"):
+            key = line.split(":")[0]
+            message = f"scenario: missing required key '{key}'"
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                parse_scenario(MINIMAL.replace(line, ""))
 
     def test_wrong_type_reports_key(self):
         # A top-level key is named bare, as in its range errors. ".e3", "1e" and
@@ -340,7 +338,7 @@ class TestValidation:
             parse_scenario(MINIMAL.replace(old, new))
 
     def test_origin_latitude_names_key_in_degrees(self):
-        text = MINIMAL + "enu_origin: {latitude: 95.0, longitude: -8.0}\n"
+        text = MINIMAL.replace("enu_origin: {latitude: 41.0,", "enu_origin: {latitude: 95.0,")
         message = "enu_origin.latitude: must be within [-90, 90], got 95.0"
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(text)
@@ -467,7 +465,6 @@ class TestEveryKey:
         del doc["anchors"][3]["height"]
         assert parse_scenario(yaml.safe_dump(doc)).anchor_enu[3] == s.anchor_enu[3]
         assert s.gps_noise_sigma == (0.5, 0.6, 0.1)
-        assert not s.origin_from_anchor
         assert s.waypoints[1] == (60.0, 20.0, 10.0, -50.0)
         assert s.ping_interval == 5.0
         assert s.seed == 7
